@@ -143,9 +143,10 @@ int main() {
                [&] { return CreateEstimator(name, config).ValueOrDie(); });
   }
 
-  // --- Timestamp substrates: the flat-map candidate state + batched
-  // merge coins are exactly what this block exercises. Smaller stream and
-  // r: the ts units carry O(log n) payload candidates each.
+  // --- Timestamp substrates: the sampler's batch fast path plus one
+  // payload reconciliation per batch is what this block exercises.
+  // Smaller stream and r: the ts units carry O(log n) payload candidates
+  // each.
   const uint64_t ts_items = std::max<uint64_t>(kItems / 8, 1);
   const std::vector<Item> ts_stream = MakeStream(ts_items, /*seed=*/16);
   std::printf("\n-- estimators (bop-ts-single substrate, r=8) --\n");

@@ -6,26 +6,22 @@
 // lets triangle watching run on timestamp windows too).
 //
 // The candidate set of a TsSingleSampler is the O(log n) bucket R-samples
-// plus the straddler's, and a new candidate can only be the arriving
-// element (fresh single-element bucket); merges and re-straddling select
-// among EXISTING candidates. Payloads therefore survive restructuring by
-// carrying a map keyed by candidate index:
+// plus the straddler's. Incr, ExtendRun and re-straddling only select
+// among existing candidates and new arrivals, so payloads survive
+// restructuring in a map keyed by candidate index, reconciled once per
+// batch after the sampler's own batch path (horizon scan, ExtendRun,
+// disorder clamping) has taken the whole batch:
 //
-//  * when a candidate enters (it is the arriving element),
-//    `OnSampled(item)` builds a fresh payload;
-//  * every subsequent arrival is reported to every candidate's payload via
-//    `OnArrival(payload, item)` — whichever candidate Sample() returns,
-//    its payload has seen exactly the arrivals after its position.
+//  * a candidate that survives from before the batch gets
+//    `OnArrival(payload, item)` for every arrival of the batch;
+//  * a candidate that entered during the batch gets `OnSampled(item)`,
+//    then `OnArrival` for each batch arrival after it;
+//  * a candidate dropped during the batch costs nothing.
 //
-// ObserveBatch amortizes the per-item candidate-map rebuild: payloads are
-// updated in place per arrival, and the map is reconciled once per batch;
-// candidates adopted mid-batch replay the arrivals after their position
-// from the batch span, which reproduces the item-wise state exactly.
-//
-// The map is a util/flat_map.h open-addressing table, and reconciliation
-// ping-pongs between two tables whose memory persists across syncs — the
-// steady state performs zero allocation per item (the std::unordered_map
-// predecessor rebuilt a node-based map per sync).
+// So whichever candidate Sample() returns, its payload has seen exactly
+// the arrivals after its position. The map is a util/flat_map.h table,
+// and reconciliation ping-pongs between two tables whose memory persists
+// across syncs: the steady state allocates nothing.
 
 #ifndef SWSAMPLE_APPS_TS_PAYLOAD_H_
 #define SWSAMPLE_APPS_TS_PAYLOAD_H_
@@ -65,22 +61,15 @@ class TsPayloadUnit {
 
   /// Feeds one arrival.
   void Observe(const Item& item) {
-    // Forward payloads first: the arrival is "after" every candidate.
-    payloads_.ForEach(
-        [&](StreamIndex, Payload& payload) { on_arrival_(payload, item); });
     sampler_.Observe(item);
     SyncCandidates(std::span<const Item>(&item, 1));
   }
 
-  /// Feeds a contiguous run of arrivals; state identical to item-wise.
+  /// Feeds a contiguous run of arrivals through the sampler's batch path;
+  /// state identically distributed to item-wise feeding.
   void ObserveBatch(std::span<const Item> items) {
     if (items.empty()) return;
-    CoinSource coins(sampler_.rng());  // batch-scoped merge-coin cache
-    for (const Item& item : items) {
-      payloads_.ForEach(
-          [&](StreamIndex, Payload& payload) { on_arrival_(payload, item); });
-      sampler_.ObserveWithCoins(item, coins);
-    }
+    sampler_.ObserveBatch(items);
     SyncCandidates(items);
   }
 
@@ -159,27 +148,24 @@ class TsPayloadUnit {
   }
 
  private:
-  /// Reconciles the payload map with the sampler's candidate set. Every
-  /// candidate is an old candidate or an element of `batch` (the arrivals
-  /// since the last sync); new candidates replay the batch suffix after
-  /// their position to catch up on OnArrival updates. The rebuilt map is
-  /// written into `scratch_` and swapped in, so both tables' memory is
-  /// reused forever.
+  /// Reconciles the payload map with the sampler's candidate set after
+  /// `batch`, the arrivals since the last sync (see the file comment).
+  /// The map is rebuilt in `scratch_` and swapped in.
   void SyncCandidates(std::span<const Item> batch) {
     scratch_.Clear();
     auto adopt = [&](const Item& candidate) {
-      Payload* old_payload = payloads_.Find(candidate.index);
-      if (old_payload != nullptr) {
-        scratch_.TryEmplace(candidate.index, *old_payload);
-        return;
+      Payload payload;
+      uint64_t next = 0;  // first batch arrival the payload has not seen
+      if (const Payload* old_payload = payloads_.Find(candidate.index)) {
+        payload = *old_payload;
+      } else {
+        SWS_DCHECK(!batch.empty() && candidate.index >= batch.front().index);
+        const uint64_t offset = candidate.index - batch.front().index;
+        SWS_DCHECK(offset < batch.size());
+        payload = on_sampled_(batch[offset]);
+        next = offset + 1;
       }
-      SWS_DCHECK(!batch.empty() && candidate.index >= batch.front().index);
-      const uint64_t offset = candidate.index - batch.front().index;
-      SWS_DCHECK(offset < batch.size());
-      Payload payload = on_sampled_(batch[offset]);
-      for (uint64_t j = offset + 1; j < batch.size(); ++j) {
-        on_arrival_(payload, batch[j]);
-      }
+      for (; next < batch.size(); ++next) on_arrival_(payload, batch[next]);
       scratch_.TryEmplace(candidate.index, payload);
     };
     for (uint64_t i = 0; i < sampler_.zeta().size(); ++i) {

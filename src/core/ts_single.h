@@ -75,16 +75,6 @@ class TsSingleSampler final : public WindowSampler {
   /// covering decomposition's head-timestamp invariant is preserved.
   void Observe(const Item& item) override;
 
-  /// Observe with merge coins from a caller-scoped CoinSource.
-  void ObserveWithCoins(const Item& item, CoinSource& coins) {
-    if (item.timestamp < now_) {
-      InsertWithCoins(Item{item.value, item.index, now_}, coins);
-      return;
-    }
-    AdvanceTime(item.timestamp);
-    InsertWithCoins(item, coins);
-  }
-
   /// Batched ingestion: one CoinSource serves every merge coin of the
   /// batch. Checkpoints are only taken at batch boundaries, where the
   /// coin cache is dead, so resume stays bit-identical (see CoinSource).
@@ -96,8 +86,9 @@ class TsSingleSampler final : public WindowSampler {
 
   /// Batch body with a caller-scoped coin cache and the batch's last
   /// timestamp precomputed (TsSwrSampler shares both across its k units).
-  /// Equivalent to ObserveWithCoins per item, but expiry maintenance runs
-  /// only at run boundaries: stretches whose timestamps keep the current
+  /// Equivalent to per-item Observe drawing merge coins from `coins`
+  /// (InsertWithCoins), but expiry maintenance runs only at run
+  /// boundaries: stretches whose timestamps keep the current
   /// oldest head active append with zero clock work (the per-item
   /// Restructure would be a no-op), and each run of identical timestamps
   /// past the horizon pays one AdvanceTime. Items must arrive in
@@ -169,8 +160,8 @@ class TsSingleSampler final : public WindowSampler {
     return straddler_;
   }
 
-  /// Mutable generator access for batch-scoped coin caches (the payload
-  /// tracker builds a CoinSource over it for ObserveWithCoins runs).
+  /// Mutable generator access for batch-scoped coin caches (TsSwrSampler
+  /// and TsSworSampler build one CoinSource per unit over it).
   Rng& rng() { return rng_; }
 
  private:

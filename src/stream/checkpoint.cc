@@ -268,45 +268,33 @@ Result<uint64_t> PumpEventLines(
     const CheckpointManifest* resume,
     const std::function<Status(const Item& item)>& deliver) {
   const uint64_t skip = resume == nullptr ? 0 : resume->items;
-  char line[256];
-  uint64_t index = 0;
-  Timestamp last_ts = 0;
-  uint64_t line_no = 0;
-  while (std::fgets(line, sizeof(line), f)) {
-    ++line_no;
-    uint64_t value = 0;
-    Timestamp ts = 0;
-    bool skip_line = false;
-    if (Status s = ParseEventLine(line, sizeof(line), timestamped,
-                                  source_name, line_no, last_ts, &value, &ts,
-                                  &skip_line);
-        !s.ok()) {
-      return s;
+  EventLineScanner scanner(source_name, timestamped);
+  bool diverged = false;
+  const Status status = scanner.ScanFile(f, [&](const Item& item) -> Status {
+    if (item.index >= skip) return deliver(item);
+    // Ingested before the checkpoint: parsed, not delivered. The clock
+    // handoff catches a resume against a different stream.
+    if (item.index + 1 == skip && timestamped &&
+        item.timestamp != resume->last_ts) {
+      diverged = true;
+      // Stops the scan; the message below names the line it stopped on.
+      return Status::InvalidArgument("diverged");
     }
-    if (skip_line) continue;
-    if (timestamped) last_ts = ts;
-    if (index < skip) {
-      // Already ingested before the checkpoint: re-parse (validating the
-      // replayed input) but do not deliver. The clock handoff catches a
-      // resume against a different stream.
-      ++index;
-      if (index == skip && timestamped && last_ts != resume->last_ts) {
-        return Status::InvalidArgument(
-            source_name + ":" + std::to_string(line_no) +
-            ": replayed input does not match the checkpoint (timestamp "
-            "diverges at the resume point)");
-      }
-      continue;
-    }
-    if (!timestamped) ts = static_cast<Timestamp>(index);
-    if (Status s = deliver(Item{value, index++, ts}); !s.ok()) return s;
+    return Status::Ok();
+  });
+  if (diverged) {
+    return Status::InvalidArgument(
+        source_name + ":" + std::to_string(scanner.line_no()) +
+        ": replayed input does not match the checkpoint (timestamp "
+        "diverges at the resume point)");
   }
-  if (index < skip) {
+  if (!status.ok()) return status;
+  if (scanner.events() < skip) {
     return Status::InvalidArgument(
         source_name + ": replayed input ends before the checkpoint's " +
         std::to_string(skip) + " ingested events");
   }
-  return index;
+  return scanner.events();
 }
 
 Result<ResumedCheckpoint> LoadCheckpoint(const std::string& dir) {

@@ -25,10 +25,6 @@ namespace swsample {
 namespace {
 using Clock = std::chrono::steady_clock;
 
-/// Line buffer size shared by the stdio paths; the mmap path enforces the
-/// same limit so both report identical errors on over-long lines.
-constexpr size_t kEventLineCap = 256;
-
 // Shared epilogue of every Drive* method: stamps timing, throughput and
 // final/peak memory into the report.
 void Finalize(Clock::time_point begin, StreamSink& sink,
@@ -332,33 +328,17 @@ Result<DriveReport> StreamDriver::DriveLines(std::FILE* f,
   DriveReport report;
   const auto begin = Clock::now();
   Pump pump(options_, sink, &report);
-  char line[256];
-  StreamIndex index = 0;
-  Timestamp last_ts = 0;
-  uint64_t line_no = 0;
-  while (std::fgets(line, sizeof(line), f)) {
-    ++line_no;
-    uint64_t value = 0;
-    Timestamp ts = 0;
-    bool skip = false;
-    if (Status s = ParseEventLine(line, sizeof(line), timestamped,
-                                  source_name, line_no, last_ts, &value, &ts,
-                                  &skip);
-        !s.ok()) {
-      return s;
-    }
-    if (skip) continue;
-    if (timestamped) {
-      last_ts = ts;
-    } else {
-      ts = static_cast<Timestamp>(index);
-    }
-    pump.Push(Item{value, index++, ts});
-    if (progress && progress_every && index % progress_every == 0) {
+  EventLineScanner scanner(source_name, timestamped);
+  const Status status = scanner.ScanFile(f, [&](const Item& item) {
+    pump.Push(item);
+    const uint64_t delivered = item.index + 1;
+    if (progress && progress_every && delivered % progress_every == 0) {
       pump.Flush();
-      progress(index);
+      progress(delivered);
     }
-  }
+    return Status::Ok();
+  });
+  if (!status.ok()) return status;
   pump.Flush();
   pump.FinishLatencies();
   Finalize(begin, sink, &report);
@@ -372,54 +352,14 @@ Result<DriveReport> StreamDriver::DriveBuffer(std::string_view data,
   DriveReport report;
   const auto begin = Clock::now();
   Pump pump(options_, sink, &report);
+  EventLineScanner scanner(source_name, timestamped);
   const char* p = data.data();
-  const char* const end = p + data.size();
-  StreamIndex index = 0;
-  Timestamp last_ts = 0;
-  uint64_t line_no = 0;
-  while (p != end) {
-    // One word-wise scan finds whichever of '\n' (line break) or '\0'
-    // (strlen-style truncation, matching the stdio path's NUL-terminated
-    // buffer semantics) comes first, instead of two memchr passes.
-    const char* hit = FindNewlineOrNul(p, end);
-    const char* nl;
-    const char* line_end;
-    if (hit == end || *hit == '\n') {
-      nl = hit == end ? nullptr : hit;
-      line_end = hit;
-    } else {
-      // Rare path: a stray NUL truncates the parsed span, but the line
-      // itself still runs to the newline — both for advancing to the next
-      // line and for the over-long check below, which measures the full
-      // (pre-truncation) length exactly like the two-pass code did.
-      nl = static_cast<const char*>(std::memchr(hit, '\n', end - hit));
-      line_end = hit;
-    }
-    const char* const full_line_end = nl != nullptr ? nl : end;
-    ++line_no;
-    // Same limit the stdio path's fixed buffer imposes, same message.
-    if (static_cast<size_t>(full_line_end - p) + 1 >= kEventLineCap) {
-      return Status::InvalidArgument(
-          source_name + ":" + std::to_string(line_no) +
-          ": event line too long (limit " +
-          std::to_string(kEventLineCap - 2) + " characters)");
-    }
-    uint64_t value = 0;
-    Timestamp ts = 0;
-    const LineParse parsed =
-        ParseEventSpan(p, line_end, timestamped, last_ts, &value, &ts);
-    if (parsed == LineParse::kOk) {
-      if (timestamped) {
-        last_ts = ts;
-      } else {
-        ts = static_cast<Timestamp>(index);
-      }
-      pump.Push(Item{value, index++, ts});
-    } else if (parsed != LineParse::kBlank) {
-      return LineParseError(parsed, source_name, line_no, timestamped);
-    }
-    p = nl != nullptr ? nl + 1 : end;
-  }
+  const Status status = scanner.Scan(&p, p + data.size(), /*at_eof=*/true,
+                                     [&pump](const Item& item) {
+                                       pump.Push(item);
+                                       return Status::Ok();
+                                     });
+  if (!status.ok()) return status;
   pump.Flush();
   pump.FinishLatencies();
   Finalize(begin, sink, &report);

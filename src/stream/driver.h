@@ -25,17 +25,21 @@
 #ifndef SWSAMPLE_STREAM_DRIVER_H_
 #define SWSAMPLE_STREAM_DRIVER_H_
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/api.h"
 #include "stream/checkpoint.h"
 #include "stream/item.h"
 #include "stream/stream_gen.h"
+#include "util/bits.h"
 #include "util/status.h"
 
 namespace swsample {
@@ -113,12 +117,8 @@ class StreamDriver {
 
   /// DriveLines over a file path. Regular files are mmap'ed and ingested
   /// through DriveBuffer (zero-copy); pipes/devices and platforms without
-  /// mmap fall back to the buffered stdio path. Behavior is identical for
-  /// any input without NUL bytes; stray NULs truncate their line exactly
-  /// like the stdio path's strlen, with one pathological exception — a
-  /// NUL inside an over-long (> 254 chars) line is rejected by both paths
-  /// but may be reported against a different line number (the stdio
-  /// buffer re-splits such lines into 255-byte chunks).
+  /// mmap fall back to DriveLines. Both run EventLineScanner, so items,
+  /// errors and line numbers are identical on every input.
   Result<DriveReport> DriveFile(const std::string& path, bool timestamped,
                                 StreamSink& sink) const;
 
@@ -178,17 +178,128 @@ LineParse ParseEventSpan(const char* begin, const char* end, bool timestamped,
 Status LineParseError(LineParse failure, const std::string& source_name,
                       uint64_t line_no, bool timestamped);
 
-/// The event-line grammar shared by StreamDriver::DriveLines and the
-/// sharded driver. Parses one NUL-terminated `line` (as read into a
-/// buffer of `line_cap` bytes) into (*value, *ts), enforcing
+/// Line buffer size of the event-line grammar: a line of more than
+/// kEventLineCap - 2 characters (terminator excluded) is rejected.
+inline constexpr size_t kEventLineCap = 256;
+
+/// Parses one NUL-terminated `line` (as read into a buffer of `line_cap`
+/// bytes) into (*value, *ts) with the event-line grammar, enforcing
 /// non-decreasing timestamps against `last_ts` when `timestamped`. Blank
 /// (whitespace-only) lines set *skip and touch nothing else. Over-long
 /// and malformed lines return InvalidArgument mentioning
-/// `source_name:line_no`.
+/// `source_name:line_no`. The drivers use EventLineScanner; this per-line
+/// form serves callers that read lines themselves.
 Status ParseEventLine(const char* line, size_t line_cap, bool timestamped,
                       const std::string& source_name, uint64_t line_no,
                       Timestamp last_ts, uint64_t* value, Timestamp* ts,
                       bool* skip);
+
+/// The event-line scanner every text ingestion path runs: DriveBuffer over
+/// a whole buffer; both drivers' DriveLines and PumpEventLines over blocks
+/// of a FILE*. It numbers lines, assigns arrival indices from 0 (also the
+/// timestamps of sequence-mode events), checks timestamp order, and hands
+/// each event to `on_event(const Item&)`; a non-OK Status from it stops
+/// the scan and is returned. A NUL ends the parsed part of its line, but
+/// the line runs on to its newline and its full length counts against
+/// kEventLineCap.
+class EventLineScanner {
+ public:
+  EventLineScanner(std::string source_name, bool timestamped)
+      : source_name_(std::move(source_name)), timestamped_(timestamped) {}
+
+  /// Scans the lines of [*pos, end). Unless `at_eof`, the bytes after the
+  /// last newline are an incomplete line: it is left unparsed, with *pos
+  /// at its start, for the caller to carry into the next block. Otherwise
+  /// *pos reaches `end`.
+  template <typename OnEvent>
+  Status Scan(const char** pos, const char* end, bool at_eof,
+              OnEvent&& on_event) {
+    // The counters live in locals for the loop: as members they would be
+    // stored and reloaded around every on_event call.
+    StreamIndex index = index_;
+    Timestamp last_ts = last_ts_;
+    uint64_t line_no = line_no_;
+    Status status;
+    const char* p = *pos;
+    while (p != end) {
+      // One word-wise scan finds whichever of '\n' or '\0' comes first;
+      // only after a stray NUL does a second pass look for the newline.
+      const char* const line_end = FindNewlineOrNul(p, end);
+      const char* const nl = line_end == end || *line_end == '\n'
+                                 ? line_end
+                                 : std::find(line_end, end, '\n');
+      const bool too_long =
+          static_cast<size_t>(nl - p) + 1 >= kEventLineCap;
+      if (nl == end && !at_eof && !too_long) break;  // carry the tail
+      ++line_no;
+      if (too_long) {
+        status = Status::InvalidArgument(
+            source_name_ + ":" + std::to_string(line_no) +
+            ": event line too long (limit " +
+            std::to_string(kEventLineCap - 2) + " characters)");
+        break;
+      }
+      uint64_t value = 0;
+      Timestamp ts = 0;
+      const LineParse parsed =
+          ParseEventSpan(p, line_end, timestamped_, last_ts, &value, &ts);
+      if (parsed == LineParse::kOk) {
+        if (timestamped_) {
+          last_ts = ts;
+        } else {
+          ts = static_cast<Timestamp>(index);
+        }
+        if (Status s = on_event(Item{value, index++, ts}); !s.ok()) {
+          status = std::move(s);
+          break;
+        }
+      } else if (parsed != LineParse::kBlank) {
+        status = LineParseError(parsed, source_name_, line_no, timestamped_);
+        break;
+      }
+      p = nl == end ? end : nl + 1;
+    }
+    index_ = index;
+    last_ts_ = last_ts;
+    line_no_ = line_no;
+    *pos = p;
+    return status;
+  }
+
+  /// Scans all of `f`, read in fixed-size blocks; each block's incomplete
+  /// last line is carried into the next, so pipes work as files do.
+  template <typename OnEvent>
+  Status ScanFile(std::FILE* f, OnEvent&& on_event) {
+    constexpr size_t kBlock = size_t{64} << 10;
+    // A carried tail is shorter than kEventLineCap (longer is an error).
+    std::vector<char> buffer(kEventLineCap + kBlock);
+    size_t carry = 0;
+    for (;;) {
+      const size_t got = std::fread(buffer.data() + carry, 1, kBlock, f);
+      const bool at_eof = got < kBlock;  // short reads only at EOF/error
+      const char* p = buffer.data();
+      const char* const end = p + carry + got;
+      if (Status s = Scan(&p, end, at_eof, on_event); !s.ok()) return s;
+      if (at_eof) return Status::Ok();
+      carry = static_cast<size_t>(end - p);
+      std::memmove(buffer.data(), p, carry);
+    }
+  }
+
+  /// Events handed to `on_event` so far (the next arrival index).
+  uint64_t events() const { return index_; }
+
+  /// Lines consumed so far, blank ones included; after a failed scan,
+  /// the number of the line it stopped on.
+  uint64_t line_no() const { return line_no_; }
+
+ private:
+  const std::string source_name_;
+  const bool timestamped_;
+  StreamIndex index_ = 0;
+  Timestamp last_ts_ = 0;
+  uint64_t line_no_ = 0;
+};
 
 }  // namespace swsample
 

@@ -497,29 +497,12 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveLines(
   const auto begin = Clock::now();
   Engine engine(options_, shards);
   OwnedRouter router(options_, shards.size(), engine);
-  char line[256];
-  StreamIndex index = 0;
-  Timestamp last_ts = 0;
-  uint64_t line_no = 0;
-  while (std::fgets(line, sizeof(line), f)) {
-    ++line_no;
-    uint64_t value = 0;
-    Timestamp ts = 0;
-    bool skip = false;
-    if (Status s = ParseEventLine(line, sizeof(line), timestamped,
-                                  source_name, line_no, last_ts, &value, &ts,
-                                  &skip);
-        !s.ok()) {
-      return s;  // ~Engine stops and joins the workers
-    }
-    if (skip) continue;
-    if (timestamped) {
-      last_ts = ts;
-    } else {
-      ts = static_cast<Timestamp>(index);
-    }
-    router.Add(Item{value, index++, ts});
-  }
+  EventLineScanner scanner(source_name, timestamped);
+  const Status status = scanner.ScanFile(f, [&router](const Item& item) {
+    router.Add(item);
+    return Status::Ok();
+  });
+  if (!status.ok()) return status;  // ~Engine stops and joins the workers
   router.FinishStream();
   return AssembleReport(begin, engine.Finish(), /*empty_steps=*/0);
 }

@@ -724,11 +724,24 @@ TEST(DriverCheckpointTest, ResumeDetectsDivergentReplay) {
   // Replay a DIFFERENT stream (same length, different timestamps).
   const std::string other =
       WriteStreamFile("ckpt_diverge_other.txt", 2000, true, 82);
-  EXPECT_FALSE(driver
-                   .DriveFileCheckpointed(other, true,
-                                          *resumed.value().sinks[0], nullptr,
-                                          &resumed.value().position)
-                   .ok());
+  const CheckpointManifest& position = resumed.value().position;
+  auto diverged = driver.DriveFileCheckpointed(
+      other, true, *resumed.value().sinks[0], nullptr, &position);
+  ASSERT_FALSE(diverged.ok());
+  // Named against the line of the last already-ingested event.
+  EXPECT_NE(diverged.status().message().find(
+                other + ":" + std::to_string(position.items) +
+                ": replayed input does not match the checkpoint"),
+            std::string::npos)
+      << diverged.status().message();
+  // A replay shorter than the checkpointed prefix fails too.
+  const std::string short_replay = TruncateFile(stream, position.items / 2);
+  auto truncated = driver.DriveFileCheckpointed(
+      short_replay, true, *resumed.value().sinks[0], nullptr, &position);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_NE(truncated.status().message().find("replayed input ends before"),
+            std::string::npos)
+      << truncated.status().message();
 }
 
 }  // namespace

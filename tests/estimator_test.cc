@@ -17,12 +17,14 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "apps/estimator_registry.h"
 #include "core/registry.h"
+#include "stat_check.h"
 #include "stats/tests.h"
 #include "stream/arrival.h"
 #include "stream/driver.h"
@@ -265,23 +267,51 @@ TEST(EstimatorBatchTest, BatchedFkUniform) {
   EXPECT_GT(result.p_value, 1e-4) << "stat=" << result.statistic;
 }
 
-// Timestamp-substrate counterpart: the flat-map candidate payloads and
-// the batch-scoped merge-coin cache (TsSingleSampler::ObserveBatch) must
-// leave the sampled-position distribution untouched. Constant stream with
-// ts = index, window t0 = n: the forward count identifies the position.
-std::vector<uint64_t> TsFkPositionCounts(uint64_t n, uint64_t stream_len,
-                                         uint64_t batch, int trials,
-                                         uint64_t seed) {
-  std::vector<uint64_t> counts(n, 0);
+/// Constant-value stream with ts = index.
+std::vector<Item> IndexStampedItems(uint64_t stream_len) {
   std::vector<Item> items;
-  items.reserve(stream_len);
   for (uint64_t i = 0; i < stream_len; ++i) {
-    items.push_back(Item{7, i, static_cast<Timestamp>(i)});  // constant
+    items.push_back(Item{7, i, static_cast<Timestamp>(i)});
   }
+  return items;
+}
+
+/// Constant-value stream for t0 = 16: same-timestamp runs of 16-20 items
+/// (at or above the batch path's ExtendRun cutover of 16), singletons,
+/// and an idle gap longer than t0 that empties the window. At the end
+/// (clock 59) the 22 items stamped 44..59 are active, and the expired run
+/// at 42 straddles the window edge.
+std::vector<Item> BurstyItems() {
+  const std::pair<Timestamp, uint64_t> runs[] = {
+      {0, 20},  {1, 1},  {2, 1},  {20, 17}, {21, 1}, {24, 1},  {42, 18},
+      {43, 1},  {44, 1}, {45, 1}, {46, 1},  {47, 1}, {50, 16}, {59, 2}};
+  std::vector<Item> items;
+  for (const auto& [ts, run] : runs) {
+    for (uint64_t i = 0; i < run; ++i) {
+      items.push_back(Item{7, items.size(), ts});
+    }
+  }
+  return items;
+}
+
+// Timestamp-substrate counterpart: the flat-map candidate payloads and
+// the sampler's batch fast path (TsSingleSampler::ObserveBatch) must leave
+// the sampled-position distribution untouched. Constant stream over
+// window t0: the forward count identifies the position among the n items
+// active at the end.
+std::vector<uint64_t> TsFkPositionCounts(const std::vector<Item>& items,
+                                         Timestamp t0, uint64_t batch,
+                                         int trials, uint64_t seed) {
+  const Timestamp now = items.back().timestamp;
+  const uint64_t n = static_cast<uint64_t>(std::count_if(
+      items.begin(), items.end(),
+      [&](const Item& item) { return now - item.timestamp < t0; }));
+  const uint64_t stream_len = items.size();
+  std::vector<uint64_t> counts(n, 0);
   for (int t = 0; t < trials; ++t) {
     EstimatorConfig config;
     config.substrate = "bop-ts-single";
-    config.window_t = static_cast<Timestamp>(n);
+    config.window_t = t0;
     config.r = 1;
     // Tight DGIM eps: at this window size n-hat is exact, so the position
     // recovery below cannot collide adjacent cells.
@@ -320,30 +350,35 @@ std::vector<uint64_t> TsFkPositionCounts(uint64_t n, uint64_t stream_len,
 }
 
 TEST(EstimatorBatchTest, TsBatchedFkUniform) {
-  const uint64_t n = 16;
-  auto counts = TsFkPositionCounts(n, 3 * n + 5, /*batch=*/13,
+  auto counts = TsFkPositionCounts(IndexStampedItems(3 * 16 + 5),
+                                   /*t0=*/16, /*batch=*/13,
                                    /*trials=*/20000, /*seed=*/3000);
   auto result = ChiSquareUniform(counts);
   EXPECT_GT(result.p_value, 1e-4) << "stat=" << result.statistic;
 }
 
 TEST(EstimatorBatchTest, TsBatchMatchesObserveDistributionally) {
-  const uint64_t n = 16;
-  const uint64_t stream_len = 3 * n + 5;
+  // The ts = index stream at batch 13, and the bursty stream at batches
+  // 1, 7 and 24 (longer than any run, so runs go through ExtendRun).
+  const Timestamp t0 = 16;
   const int trials = 20000;
-  auto batched =
-      TsFkPositionCounts(n, stream_len, /*batch=*/13, trials, 7100);
-  auto unbatched =
-      TsFkPositionCounts(n, stream_len, /*batch=*/0, trials, 9100);
-  double stat = 0.0;
-  for (uint64_t i = 0; i < n; ++i) {
-    const double a = static_cast<double>(batched[i]);
-    const double b = static_cast<double>(unbatched[i]);
-    if (a + b == 0) continue;
-    stat += (a - b) * (a - b) / (a + b);
+  const std::vector<Item> indexed = IndexStampedItems(3 * 16 + 5);
+  EXPECT_TRUE(SameDistribution(
+      TsFkPositionCounts(indexed, t0, /*batch=*/13, trials, 7100),
+      TsFkPositionCounts(indexed, t0, /*batch=*/0, trials, 9100), 7100));
+  const std::vector<Item> bursty = BurstyItems();
+  const std::vector<uint64_t> unbatched =
+      TsFkPositionCounts(bursty, t0, /*batch=*/0, trials, 9200);
+  ASSERT_EQ(unbatched.size(), 22u);
+  EXPECT_TRUE(IsUniform(unbatched, 9200));
+  for (uint64_t batch : {1u, 7u, 24u}) {
+    const uint64_t seed = 7200 + batch;
+    const std::vector<uint64_t> batched =
+        TsFkPositionCounts(bursty, t0, batch, trials, seed);
+    EXPECT_TRUE(IsUniform(batched, seed)) << "batch " << batch;
+    EXPECT_TRUE(SameDistribution(batched, unbatched, seed))
+        << "batch " << batch;
   }
-  // df = n - 1 = 15; the 1e-4 quantile of chi^2_15 is ~44.3.
-  EXPECT_LT(stat, 44.3);
 }
 
 // Batched and unbatched ingestion must agree with each other cell by cell

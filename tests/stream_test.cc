@@ -14,6 +14,7 @@
 #include "core/registry.h"
 #include "stream/arrival.h"
 #include "stream/driver.h"
+#include "stream/sharded_driver.h"
 #include "stream/stream_gen.h"
 #include "stream/value_gen.h"
 #include "util/rng.h"
@@ -178,11 +179,13 @@ TEST(SyntheticStreamTest, EmptyStepsAreLegal) {
   EXPECT_GT(empty_steps, 1000);  // e^-0.2 ~ 0.82 of steps are empty
 }
 
-// --- DriveFile mmap fast path vs stdio line path -------------------------
+// --- One parse semantics across every text ingestion path ---------------
 //
 // DriveFile maps regular files and parses in place (DriveBuffer); the
-// stdio DriveLines path must stay drop-in equivalent: same items, same
-// final sampler state bit for bit, same errors with the same line numbers.
+// stdio paths read blocks of the FILE* and carry partial lines across
+// them. All of them run one EventLineScanner, so they must agree: same
+// items, same final sampler state bit for bit, same errors with the same
+// line numbers.
 
 class DriverEquivalenceTest : public ::testing::Test {
  protected:
@@ -204,8 +207,19 @@ class DriverEquivalenceTest : public ::testing::Test {
     return w.Release();
   }
 
-  /// Runs the same file through DriveFile (mmap) and DriveLines (stdio)
-  /// on same-seeded samplers and requires identical outcomes.
+  static const DriveReport& Totals(const DriveReport& report) {
+    return report;
+  }
+  static const DriveReport& Totals(const ShardedDriveReport& report) {
+    return report.total;
+  }
+
+  /// Runs the same file through every text ingestion path on same-seeded
+  /// samplers. DriveFile (mmap) is the reference. DriveLines over stdio
+  /// and over a pipe, and DriveFileCheckpointed, must match it in items,
+  /// batches, errors and final sampler state; the one-shard sharded
+  /// DriveFile and DriveFileCheckpointed, which batch by chunk, in item
+  /// count and errors.
   void ExpectEquivalent(const std::string& text, bool timestamped) {
     WriteFile(text);
     SamplerConfig config;
@@ -213,25 +227,84 @@ class DriverEquivalenceTest : public ::testing::Test {
     config.window_t = 8;
     config.k = 4;
     config.seed = 42;
-    auto mapped = CreateSampler("bop-seq-swr", config).ValueOrDie();
-    auto stdio = CreateSampler("bop-seq-swr", config).ValueOrDie();
+    auto make_sampler = [&] {
+      return CreateSampler("bop-seq-swr", config).ValueOrDie();
+    };
     StreamDriver driver;
+    auto reference_sampler = make_sampler();
+    const Result<DriveReport> reference =
+        driver.DriveFile(path_, timestamped, *reference_sampler);
 
-    auto mapped_result = driver.DriveFile(path_, timestamped, *mapped);
-    std::FILE* f = std::fopen(path_.c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    auto stdio_result = driver.DriveLines(f, path_, timestamped, *stdio);
-    std::fclose(f);
+    // `sampler` null: the path batches differently, so only the item
+    // count and errors are compared.
+    auto expect_same = [&](const char* label, const auto& result,
+                           WindowSampler* sampler) {
+      SCOPED_TRACE(label);
+      ASSERT_EQ(result.ok(), reference.ok())
+          << (result.ok() ? reference.status() : result.status()).ToString();
+      if (!reference.ok()) {
+        EXPECT_EQ(result.status().message(), reference.status().message());
+        return;
+      }
+      EXPECT_EQ(Totals(result.value()).items, reference.value().items);
+      if (sampler == nullptr) return;
+      EXPECT_EQ(Totals(result.value()).batches, reference.value().batches);
+      EXPECT_EQ(SamplerStateBytes(*sampler),
+                SamplerStateBytes(*reference_sampler));
+    };
 
-    ASSERT_EQ(mapped_result.ok(), stdio_result.ok());
-    if (!mapped_result.ok()) {
-      EXPECT_EQ(mapped_result.status().message(),
-                stdio_result.status().message());
-      return;
+    {
+      auto sampler = make_sampler();
+      std::FILE* f = std::fopen(path_.c_str(), "r");
+      ASSERT_NE(f, nullptr);
+      auto result = driver.DriveLines(f, path_, timestamped, *sampler);
+      std::fclose(f);
+      expect_same("DriveLines", result, sampler.get());
     }
-    EXPECT_EQ(mapped_result.value().items, stdio_result.value().items);
-    EXPECT_EQ(mapped_result.value().batches, stdio_result.value().batches);
-    EXPECT_EQ(SamplerStateBytes(*mapped), SamplerStateBytes(*stdio));
+    {
+      auto sampler = make_sampler();
+      std::FILE* f = popen(("cat '" + path_ + "'").c_str(), "r");
+      ASSERT_NE(f, nullptr);
+      auto result = driver.DriveLines(f, path_, timestamped, *sampler);
+      pclose(f);
+      expect_same("DriveLines over a pipe", result, sampler.get());
+    }
+    {
+      auto sampler = make_sampler();
+      auto result = driver.DriveFileCheckpointed(path_, timestamped, *sampler,
+                                                 nullptr, nullptr);
+      expect_same("DriveFileCheckpointed", result, sampler.get());
+    }
+    ShardedStreamDriver::Options options;
+    options.threads = 1;
+    const ShardedStreamDriver sharded(options);
+    {
+      auto sampler = make_sampler();
+      StreamSink* const sinks[] = {sampler.get()};
+      auto result = sharded.DriveFile(path_, timestamped, sinks);
+      expect_same("ShardedStreamDriver::DriveFile", result, nullptr);
+    }
+    {
+      auto sampler = make_sampler();
+      StreamSink* const sinks[] = {sampler.get()};
+      auto result = sharded.DriveFileCheckpointed(path_, timestamped, sinks,
+                                                  nullptr, nullptr);
+      expect_same("ShardedStreamDriver::DriveFileCheckpointed", result,
+                  nullptr);
+    }
+  }
+
+  /// `line` placed so that it starts `before` bytes ahead of the stdio
+  /// paths' first 64 KiB read-block boundary, behind filler lines. Every
+  /// other line parses in both modes ("<ts> <value>" reads as a value).
+  static std::string LineAcrossBlockBoundary(const std::string& line,
+                                             size_t before) {
+    constexpr size_t kBlock = size_t{64} << 10;
+    const size_t start = kBlock - before;
+    std::string text;
+    while (text.size() + 16 <= start) text += "1 2345\n";
+    text += std::string(start - text.size() - 4, ' ') + "1 9\n";
+    return text + line + "\n40 5\n";
   }
 
   std::string path_;
@@ -267,27 +340,33 @@ TEST_F(DriverEquivalenceTest, MissingTrailingNewline) {
 }
 
 TEST_F(DriverEquivalenceTest, NulInsideOverlongLineRejectedByBothPaths) {
-  // Doubly out-of-grammar garbage: a NUL inside a >254-char line. The
-  // stdio buffer re-splits such a line into 255-byte chunks, so the two
-  // paths may name different line numbers — but both must reject it
-  // (see DriveFile's doc; this is the one sanctioned divergence).
-  const std::string text =
-      "1\n" + (std::string("7") + '\0' + std::string(300, 'x')) + "\n2\n";
-  WriteFile(text);
-  SamplerConfig config;
-  config.window_n = 4;
-  config.k = 1;
-  config.seed = 1;
-  auto mapped = CreateSampler("bop-seq-single", config).ValueOrDie();
-  auto stdio = CreateSampler("bop-seq-single", config).ValueOrDie();
-  StreamDriver driver;
-  auto mapped_result = driver.DriveFile(path_, false, *mapped);
-  std::FILE* f = std::fopen(path_.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  auto stdio_result = driver.DriveLines(f, path_, false, *stdio);
-  std::fclose(f);
-  EXPECT_FALSE(mapped_result.ok());
-  EXPECT_FALSE(stdio_result.ok());
+  // Doubly out-of-grammar garbage: a NUL inside a >254-char line. The NUL
+  // truncates the parsed span, but the line still runs to its newline, so
+  // every path rejects it as over-long against line 2.
+  ExpectEquivalent(
+      "1\n" + (std::string("7") + '\0' + std::string(300, 'x')) + "\n2\n",
+      /*timestamped=*/false);
+}
+
+TEST_F(DriverEquivalenceTest, LineAcrossReadBlockBoundary) {
+  for (size_t before : {1, 3, 7}) {
+    ExpectEquivalent(LineAcrossBlockBoundary("31 4159", before),
+                     /*timestamped=*/true);
+  }
+  ExpectEquivalent(LineAcrossBlockBoundary(std::string(300, '7'), 100),
+                   /*timestamped=*/false);
+}
+
+TEST_F(DriverEquivalenceTest, LargeFileReadThroughPipe) {
+  // Several read blocks; ExpectEquivalent drives it through a pipe too.
+  std::string text;
+  Rng rng(17);
+  for (int i = 0; i < 40000; ++i) {
+    text += std::to_string(i / 3) + " " + std::to_string(rng.NextU64()) +
+            (i % 97 == 0 ? "\r\n\n" : "\n");
+  }
+  ASSERT_GT(text.size(), size_t{4} << 16);
+  ExpectEquivalent(text, /*timestamped=*/true);
 }
 
 TEST_F(DriverEquivalenceTest, StrayNulTruncatesLineOnBothPaths) {

@@ -50,33 +50,67 @@ TEST(TsForwardCountTest, CountsExactOnFixedStream) {
   }
 }
 
+/// Same-timestamp runs of 16-20 items (at or above the batch path's
+/// ExtendRun cutover of 16), singleton stretches, and idle gaps longer
+/// than t0 that empty the window, ending in a straddle: batched feeding
+/// reaches ExtendRun, expiry boundaries and re-straddling under payloads.
+std::vector<Item> BurstyItems(Timestamp t0, uint64_t value_domain,
+                              uint64_t seed) {
+  struct Segment {
+    Timestamp gap;  // clock step before the segment's first item
+    uint64_t run;   // items sharing the segment's timestamp
+  };
+  const Segment segments[] = {{0, 20},      {1, 1},  {1, 1},  {1, 1},
+                              {t0 + 1, 17}, {1, 1},  {1, 1},  {t0 + 2, 18},
+                              {1, 1},       {1, 1},  {1, 1},  {1, 1},
+                              {1, 1},       {3, 16}, {9, 2}};
+  Rng rng(seed);
+  std::vector<Item> items;
+  Timestamp ts = 0;
+  for (const Segment& segment : segments) {
+    ts += segment.gap;
+    for (uint64_t i = 0; i < segment.run; ++i) {
+      items.push_back(Item{rng.UniformIndex(value_domain), items.size(), ts});
+    }
+  }
+  return items;
+}
+
 TEST(TsForwardCountTest, BatchedCountsExactOnFixedStream) {
-  // The batched path defers the candidate-map sync to the batch end and
-  // replays new candidates from the span; the forward counts must come out
-  // identical to item-wise feeding, at every ragged batch size.
+  // The batched path runs the sampler's own batch fast path, then syncs
+  // the candidate map once: survivors replay the batch, new candidates
+  // replay the span after their position. The forward counts must come
+  // out exact at every ragged batch size, on a ts = index stream and on a
+  // bursty one (batch 24 is longer than any run).
   const std::vector<uint64_t> values = {1, 2, 1, 3, 1, 2, 2, 1, 3, 1,
                                         2, 1, 1, 3, 2, 1, 2, 3, 3, 1};
-  std::vector<Item> items;
+  std::vector<Item> indexed;
   for (uint64_t i = 0; i < values.size(); ++i) {
-    items.push_back(Item{values[i], i, static_cast<Timestamp>(i)});
+    indexed.push_back(Item{values[i], i, static_cast<Timestamp>(i)});
   }
-  for (uint64_t batch : {1u, 3u, 7u, 20u}) {
-    for (int trial = 0; trial < 100; ++trial) {
-      auto unit = MakeUnit(/*t0=*/12, Rng::ForkSeed(4000 + batch, trial));
-      for (uint64_t pos = 0; pos < items.size(); pos += batch) {
-        const uint64_t take =
-            std::min<uint64_t>(batch, items.size() - pos);
-        unit.ObserveBatch(
-            std::span<const Item>(items.data() + pos, take));
+  const Timestamp t0 = 12;
+  const std::vector<Item> bursty = BurstyItems(t0, 3, /*seed=*/41);
+  const std::vector<Item>* const streams[] = {&indexed, &bursty};
+  for (const std::vector<Item>* items : streams) {
+    for (uint64_t batch : {1u, 3u, 7u, 20u, 24u}) {
+      for (int trial = 0; trial < 100; ++trial) {
+        auto unit = MakeUnit(t0, Rng::ForkSeed(4000 + batch, trial));
+        for (uint64_t pos = 0; pos < items->size(); pos += batch) {
+          const uint64_t take =
+              std::min<uint64_t>(batch, items->size() - pos);
+          unit.ObserveBatch(
+              std::span<const Item>(items->data() + pos, take));
+        }
+        auto s = unit.Sample();
+        ASSERT_TRUE(s.has_value());
+        uint64_t expected = 0;
+        for (uint64_t j = s->item.index; j < items->size(); ++j) {
+          expected += ((*items)[j].value == s->item.value);
+        }
+        EXPECT_EQ(s->payload.count, expected)
+            << "stream of " << items->size() << ", batch " << batch
+            << ", sampled index " << s->item.index;
       }
-      auto s = unit.Sample();
-      ASSERT_TRUE(s.has_value());
-      uint64_t expected = 0;
-      for (uint64_t j = s->item.index; j < values.size(); ++j) {
-        expected += (values[j] == values[s->item.index]);
-      }
-      EXPECT_EQ(s->payload.count, expected)
-          << "batch " << batch << " sampled index " << s->item.index;
     }
   }
 }
