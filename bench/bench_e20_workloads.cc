@@ -21,6 +21,7 @@
 // and structures_max increases against the committed BENCH.json.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <string>

@@ -15,22 +15,22 @@
 
 #include "bench/bench_util.h"
 #include "core/registry.h"
-#include "stream/arrival.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 
 namespace swsample::bench {
 namespace {
 
 uint64_t MaxWordsBursty(WindowSampler& sampler, Timestamp t0, double lambda,
                         uint64_t seed) {
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 20).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(lambda)).ValueOrDie(), seed);
+  WorkloadSpec spec;
+  spec.arrivals = WorkloadArrivals::kPoisson;
+  spec.lambda = lambda;
+  spec.domain = 1 << 20;
+  auto stream = WorkloadGenerator::Create(spec, seed).ValueOrDie();
   uint64_t max_words = 0;
   const Timestamp horizon = 4 * t0;
   for (Timestamp t = 0; t < horizon; ++t) {
-    for (const Item& item : stream.Step()) sampler.Observe(item);
+    for (const Item& item : stream->Step()) sampler.Observe(item);
     sampler.AdvanceTime(t);
     max_words = std::max(max_words, sampler.MemoryWords());
   }

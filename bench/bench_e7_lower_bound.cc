@@ -20,7 +20,7 @@
 
 #include "bench/bench_util.h"
 #include "core/ts_single.h"
-#include "stream/arrival.h"
+#include "stream/workload.h"
 #include "util/bits.h"
 
 namespace swsample::bench {
@@ -31,8 +31,13 @@ void Run() {
          "any algorithm holds Omega(log n) words; ours holds O(log n) -- "
          "optimal");
   const int64_t t0 = 12;
-  const uint64_t max_burst = 1 << 14;
-  auto arrivals = DoublingBurstArrivals::Create(t0, max_burst).ValueOrDie();
+  // Bursts min(2^(2 t0 - t), 2^14): the cap keeps runs tractable while
+  // preserving the doubling shape (the lemma needs only the ratios).
+  WorkloadSpec spec;
+  spec.arrivals = WorkloadArrivals::kDoubling;
+  spec.values = WorkloadValues::kSequential;
+  spec.t = t0;
+  spec.cap = 1 << 14;
 
   // The lemma's counting argument, measured over many independent runs.
   const int runs = 100;
@@ -41,18 +46,14 @@ void Run() {
   uint64_t n_at_t0 = 0;
   for (int run = 0; run < runs; ++run) {
     auto s = TsSingleSampler::Create(t0, Rng::ForkSeed(100, run)).ValueOrDie();
-    Rng rng(1);  // arrivals are deterministic for this process
-    uint64_t index = 0;
+    auto stream = WorkloadGenerator::Create(spec, 1).ValueOrDie();
     std::set<Timestamp> picked;
     uint64_t active = 0;
     std::vector<std::pair<Timestamp, uint64_t>> window;  // (ts, count)
     for (Timestamp t = 0; t <= 2 * t0; ++t) {
-      const uint64_t burst = arrivals->CountAt(t, rng);
-      for (uint64_t i = 0; i < burst; ++i) {
-        s.Observe(Item{index, index, t});
-        ++index;
-      }
-      window.emplace_back(t, burst);
+      const std::vector<Item>& burst = stream->Step();
+      for (const Item& item : burst) s.Observe(item);
+      window.emplace_back(t, burst.size());
       // Sample in the window [t0-1, 2t0-1] of moments, as in the lemma.
       if (t >= t0 - 1) {
         auto sample = s.SampleOne();

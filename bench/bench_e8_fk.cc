@@ -18,7 +18,7 @@
 #include "bench/bench_util.h"
 #include "stats/exact.h"
 #include "stream/driver.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 
 namespace swsample::bench {
 namespace {
@@ -33,12 +33,16 @@ void RunCase(uint32_t moment, double alpha, uint64_t domain) {
   const uint64_t n = Scaled(1 << 14);
   const uint64_t len = 3 * n;
   // One fixed stream per case.
-  auto gen = ZipfValues::Create(domain, alpha).ValueOrDie();
-  Rng rng(Rng::ForkSeed(static_cast<uint64_t>(alpha * 100), moment));
-  std::vector<Item> items(len);
-  for (uint64_t i = 0; i < len; ++i) {
-    items[i] = Item{gen->Next(rng), i, static_cast<Timestamp>(i)};
-  }
+  WorkloadSpec spec;
+  spec.values = WorkloadValues::kZipf;
+  spec.rate = 1;
+  spec.domain = domain;
+  spec.alpha = alpha;
+  const std::vector<Item> items =
+      WorkloadGenerator::Create(
+          spec, Rng::ForkSeed(static_cast<uint64_t>(alpha * 100), moment))
+          .ValueOrDie()
+          ->Take(len);
 
   std::deque<uint64_t> window_q;
   for (const Item& item : items) {
@@ -76,15 +80,20 @@ void RunCase(uint32_t moment, double alpha, uint64_t domain) {
 // forward counts on the covering decomposition.
 void RunTimestampCase(double alpha) {
   const Timestamp t0 = static_cast<Timestamp>(Scaled(1 << 10, 4));
-  auto gen = ZipfValues::Create(1 << 8, alpha).ValueOrDie();
+  WorkloadSpec spec;
+  spec.values = WorkloadValues::kZipf;
+  spec.rate = 1;
+  spec.domain = 1 << 8;
+  spec.alpha = alpha;
   Rng rng(Rng::ForkSeed(static_cast<uint64_t>(alpha * 1000), 7));
+  auto values = WorkloadGenerator::Create(spec, rng.NextU64()).ValueOrDie();
   // Materialize one bursty stream (1..3 items per step).
   std::vector<Item> items;
   uint64_t index = 0;
   for (Timestamp t = 0; t < 3 * t0; ++t) {
     const uint64_t burst = 1 + rng.UniformIndex(3);
-    for (uint64_t i = 0; i < burst; ++i) {
-      items.push_back(Item{gen->Next(rng), index++, t});
+    for (const Item& item : values->Take(burst)) {
+      items.push_back(Item{item.value, index++, t});
     }
   }
   const Timestamp end = 3 * t0 - 1;

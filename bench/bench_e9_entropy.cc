@@ -14,7 +14,7 @@
 #include "bench/bench_util.h"
 #include "stats/exact.h"
 #include "stream/driver.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 
 namespace swsample::bench {
 namespace {
@@ -28,12 +28,16 @@ const std::vector<uint64_t>& UnitCounts() {
 void RunCase(double alpha, uint64_t domain) {
   const uint64_t n = Scaled(1 << 14);
   const uint64_t len = 3 * n;
-  auto gen = ZipfValues::Create(domain, alpha).ValueOrDie();
-  Rng rng(Rng::ForkSeed(static_cast<uint64_t>(alpha * 37), domain));
-  std::vector<Item> items(len);
-  for (uint64_t i = 0; i < len; ++i) {
-    items[i] = Item{gen->Next(rng), i, static_cast<Timestamp>(i)};
-  }
+  WorkloadSpec spec;
+  spec.values = WorkloadValues::kZipf;
+  spec.rate = 1;
+  spec.domain = domain;
+  spec.alpha = alpha;
+  const std::vector<Item> items =
+      WorkloadGenerator::Create(
+          spec, Rng::ForkSeed(static_cast<uint64_t>(alpha * 37), domain))
+          .ValueOrDie()
+          ->Take(len);
 
   std::deque<uint64_t> window_q;
   for (const Item& item : items) {

@@ -17,9 +17,7 @@
 #include <map>
 
 #include "core/registry.h"
-#include "stream/arrival.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 
 using namespace swsample;
 
@@ -34,18 +32,21 @@ int main() {
 
   // Traffic: 256 sources with Zipf popularity, bursty arrivals whose rate
   // swings over a day-night cycle (lambda 8 by "day", 0.5 by "night").
-  auto sources = ZipfValues::Create(256, 1.2).ValueOrDie();
-  Rng rng(99);
+  auto day_traffic =
+      WorkloadGenerator::Create("poisson@zipf,lambda=8,domain=256,alpha=1.2",
+                                99)
+          .ValueOrDie();
+  auto night_traffic =
+      WorkloadGenerator::Create(
+          "poisson@zipf,lambda=0.5,domain=256,alpha=1.2", 100)
+          .ValueOrDie();
   uint64_t index = 0;
   uint64_t peak_memory = 0;
 
   for (Timestamp t = 0; t < 600; ++t) {
     const bool day = (t / 150) % 2 == 0;
-    const double lambda = day ? 8.0 : 0.5;
-    auto arrivals = PoissonBurstArrivals::Create(lambda).ValueOrDie();
-    const uint64_t burst = arrivals->CountAt(t, rng);
-    for (uint64_t p = 0; p < burst; ++p) {
-      sampler->Observe(Item{sources->Next(rng), index++, t});
+    for (const Item& packet : (day ? day_traffic : night_traffic)->Step()) {
+      sampler->Observe(Item{packet.value, index++, t});
     }
     sampler->AdvanceTime(t);
     if (sampler->MemoryWords() > peak_memory) {

@@ -10,13 +10,13 @@
 // footprint -- the whole point being that the footprints are tiny and
 // deterministic while the window holds tens of thousands of items.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <vector>
 
 #include "core/registry.h"
-#include "stream/value_gen.h"
-#include "util/rng.h"
+#include "stream/workload.h"
 
 using namespace swsample;
 
@@ -40,18 +40,15 @@ int main() {
 
   // A synthetic sensor: Zipf-skewed readings, 4 per tick, ingested in
   // batches (the fast path for the sequence samplers).
-  auto values = ZipfValues::Create(1000, 1.1).ValueOrDie();
-  Rng rng(42);
+  auto sensor = WorkloadGenerator::Create(
+                    "constant@zipf,rate=4,domain=1000,alpha=1.1", 42)
+                    .ValueOrDie();
   const uint64_t total = 100000;
-  std::vector<Item> batch;
   const uint64_t batch_size = 4096;
-  batch.reserve(batch_size);
-  for (uint64_t i = 0; i < total; ++i) {
-    batch.push_back(Item{values->Next(rng), i, static_cast<Timestamp>(i / 4)});
-    if (batch.size() == batch_size || i + 1 == total) {
-      for (auto& s : samplers) s->ObserveBatch(std::span<const Item>(batch));
-      batch.clear();
-    }
+  for (uint64_t done = 0; done < total; done += batch_size) {
+    const std::vector<Item> batch =
+        sensor->Take(std::min(batch_size, total - done));
+    for (auto& s : samplers) s->ObserveBatch(std::span<const Item>(batch));
   }
 
   std::printf("streamed %lu items; window sizes: seq=%lu ts<=%lu ticks\n\n",

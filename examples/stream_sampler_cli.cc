@@ -199,18 +199,41 @@ struct CheckpointRun {
   uint64_t kill_after = 0;    // --kill-after testing hook
 };
 
-/// Installs the --kill-after crash-injection hook on a writer.
-void InstallKillHook(CheckpointWriter& writer, uint64_t kill_after) {
-  if (kill_after == 0) return;
-  writer.set_after_write([kill_after](uint64_t items) {
-    if (items >= kill_after) {
-      std::fprintf(stderr,
-                   "--kill-after: SIGKILL after checkpoint at %" PRIu64
-                   " events\n",
-                   items);
-      std::raise(SIGKILL);
-    }
-  });
+/// The --checkpoint-dir writer for `shards` sinks built from `spec`, with
+/// the --kill-after crash-injection hook installed; null without
+/// --checkpoint-dir. On --resume the checkpoint's own (name, config)
+/// pairs keep stamping the envelopes, so flag drift cannot corrupt later
+/// checkpoints, and the resumed position re-seeds the every-N cadence.
+Result<std::unique_ptr<CheckpointWriter>> MakeCheckpointWriter(
+    const CheckpointRun& checkpoint, const SinkSpec& spec, uint64_t shards,
+    const ResumedCheckpoint& resumed) {
+  if (checkpoint.dir.empty()) return std::unique_ptr<CheckpointWriter>();
+  CheckpointPolicy policy;
+  policy.dir = checkpoint.dir;
+  policy.every_items = checkpoint.every;
+  std::vector<SinkSerializer> serializers;
+  if (checkpoint.resume) {
+    serializers = SerializersFor(resumed);
+  } else {
+    auto made = MakeSinkSerializers(spec, shards);
+    if (!made.ok()) return made.status();
+    serializers = std::move(made).ValueOrDie();
+  }
+  auto writer = std::make_unique<CheckpointWriter>(
+      policy, std::move(serializers), resumed.position.items);
+  if (checkpoint.kill_after > 0) {
+    writer->set_after_write([kill_after = checkpoint.kill_after](
+                                uint64_t items) {
+      if (items >= kill_after) {
+        std::fprintf(stderr,
+                     "--kill-after: SIGKILL after checkpoint at %" PRIu64
+                     " events\n",
+                     items);
+        std::raise(SIGKILL);
+      }
+    });
+  }
+  return writer;
 }
 
 /// Everything the sharded execution path needs from main's flag parse.
@@ -245,7 +268,7 @@ int RunSharded(const ShardedRun& run, bool timestamped) {
   ResumedCheckpoint resumed;  // --resume: restored state + skip position
   const bool want_estimators = run.kind == SinkKind::kEstimator;
   if (run.checkpoint.resume) {
-    auto loaded = ShardedStreamDriver::ResumeFrom(run.checkpoint.dir);
+    auto loaded = LoadCheckpoint(run.checkpoint.dir);
     if (!loaded.ok()) {
       std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
       return 1;
@@ -340,42 +363,21 @@ int RunSharded(const ShardedRun& run, bool timestamped) {
   }
   ShardedStreamDriver driver(options);
 
-  Result<ShardedDriveReport> result = Status::InvalidArgument("unset");
-  if (!run.checkpoint.dir.empty()) {
-    CheckpointPolicy policy;
-    policy.dir = run.checkpoint.dir;
-    policy.every_items = run.checkpoint.every;
-    // On resume the checkpoint's own (name, config) pairs keep stamping
-    // the envelopes, so flag drift cannot corrupt later checkpoints; the
-    // resumed position also re-seeds the every-N cadence.
-    std::vector<SinkSerializer> serializers;
-    if (run.checkpoint.resume) {
-      serializers = SerializersFor(resumed);
-    } else {
-      auto made = MakeSinkSerializers(run.spec, run.shards);
-      if (!made.ok()) {
-        std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
-        return 1;
-      }
-      serializers = std::move(made).ValueOrDie();
-    }
-    CheckpointWriter writer(policy, std::move(serializers),
-                            resumed.position.items);
-    InstallKillHook(writer, run.checkpoint.kill_after);
-    const CheckpointManifest* resume_pos =
-        run.checkpoint.resume ? &resumed.position : nullptr;
-    result = run.file.empty()
-                 ? driver.DriveLinesCheckpointed(stdin, "stdin", timestamped,
-                                                sinks, &writer, resume_pos)
-                 : driver.DriveFileCheckpointed(run.file, timestamped, sinks,
-                                                &writer, resume_pos);
-  } else if (run.items != nullptr) {
-    result = driver.Drive(*run.items, sinks);
-  } else {
-    result = run.file.empty()
-                 ? driver.DriveLines(stdin, "stdin", timestamped, sinks)
-                 : driver.DriveFile(run.file, timestamped, sinks);
+  auto writer =
+      MakeCheckpointWriter(run.checkpoint, run.spec, run.shards, resumed);
+  if (!writer.ok()) {
+    std::fprintf(stderr, "%s\n", writer.status().ToString().c_str());
+    return 1;
   }
+  const CheckpointManifest* resume_pos =
+      run.checkpoint.resume ? &resumed.position : nullptr;
+  const Result<ShardedDriveReport> result =
+      run.items != nullptr ? driver.Drive(*run.items, sinks)
+      : run.file.empty()
+          ? driver.DriveLinesCheckpointed(stdin, "stdin", timestamped, sinks,
+                                          writer.value().get(), resume_pos)
+          : driver.DriveFileCheckpointed(run.file, timestamped, sinks,
+                                         writer.value().get(), resume_pos);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
@@ -497,8 +499,9 @@ int RunKeyed(const SinkSpec& spec, const KeyedRun& keyed,
         run.items != nullptr
             ? driver.Drive(*run.items, sinks)
             : run.file.empty()
-                  ? driver.DriveLines(stdin, "stdin", timestamped, sinks)
-                  : driver.DriveFile(run.file, timestamped, sinks);
+                  ? driver.DriveLinesCheckpointed(stdin, "stdin", timestamped,
+                                                  sinks)
+                  : driver.DriveFileCheckpointed(run.file, timestamped, sinks);
     if (!result.ok()) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;
@@ -863,14 +866,19 @@ int main(int argc, char** argv) {
     Usage(argv[0]);
     return 2;
   }
-  int64_t window = 0;
-  int64_t k = 0;
+  uint64_t window = 0;
+  uint64_t k = 0;
   if (have_positionals) {
-    window = std::atoll(positional[0]);
-    k = std::atoll(positional[1]);
-    if (window < 1 || k < 1) {
-      Usage(argv[0]);
-      return 2;
+    const char* const names[] = {"<window>", "<k>"};
+    uint64_t* const values[] = {&window, &k};
+    for (int i = 0; i < 2; ++i) {
+      if (!ParseU64(positional[i], values[i]) || *values[i] < 1 ||
+          *values[i] > static_cast<uint64_t>(INT64_MAX)) {
+        std::fprintf(stderr,
+                     "error: %s expects a positive integer, got \"%s\"\n",
+                     names[i], positional[i]);
+        return 2;
+      }
     }
   }
   if ((checkpoint.resume || checkpoint.kill_after > 0) &&
@@ -957,10 +965,10 @@ int main(int argc, char** argv) {
     spec.q = q;
   }
   if (have_positionals) {
-    spec.window_n = static_cast<uint64_t>(window);
-    spec.window_t = window;
-    spec.k = static_cast<uint64_t>(k);
-    spec.r = static_cast<uint64_t>(k);
+    spec.window_n = window;
+    spec.window_t = static_cast<Timestamp>(window);
+    spec.k = k;
+    spec.r = k;
   }
   auto kind = SinkKindOf(spec.name);
   if (!kind.ok()) {
@@ -1051,7 +1059,7 @@ int main(int argc, char** argv) {
   }
   ResumedCheckpoint resumed;  // --resume: restored state + skip position
   if (checkpoint.resume) {
-    auto loaded = StreamDriver::ResumeFrom(checkpoint.dir);
+    auto loaded = LoadCheckpoint(checkpoint.dir);
     if (!loaded.ok()) {
       std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
       return 1;
@@ -1091,53 +1099,32 @@ int main(int argc, char** argv) {
     }
   }
 
-  Result<DriveReport> result = Status::InvalidArgument("unset");
-  if (!checkpoint.dir.empty()) {
-    CheckpointPolicy policy;
-    policy.dir = checkpoint.dir;
-    policy.every_items = checkpoint.every;
-    // See RunSharded: resumed runs reuse the checkpoint's own envelope
-    // configs and re-seed the every-N cadence from the resumed position.
-    std::vector<SinkSerializer> serializers;
-    if (checkpoint.resume) {
-      serializers = SerializersFor(resumed);
-    } else {
-      auto made = MakeSinkSerializers(spec, 1);
-      if (!made.ok()) {
-        std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
-        return 1;
-      }
-      serializers = std::move(made).ValueOrDie();
-    }
-    CheckpointWriter writer(policy, std::move(serializers),
-                            resumed.position.items);
-    InstallKillHook(writer, checkpoint.kill_after);
-    const CheckpointManifest* resume_pos =
-        checkpoint.resume ? &resumed.position : nullptr;
-    // Progress reporting is disabled here: its mid-interval flushes would
-    // shift batch boundaries away from the checkpoint-aligned grid.
-    if (file.empty()) {
-      result = driver.DriveLinesCheckpointed(stdin, "stdin", timestamped,
-                                             *sink, &writer, resume_pos);
-    } else {
-      result = driver.DriveFileCheckpointed(file, timestamped, *sink, &writer,
-                                            resume_pos);
-    }
-  } else if (driven_items != nullptr) {
-    result = driver.Drive(*driven_items, *sink);
-  } else {
-    auto progress = [&](uint64_t items) {
-      if (estimator != nullptr) {
-        ReportEstimate(*estimator, items, stderr);
-      } else {
-        ReportSample(*sampler, items, stderr);
-      }
-    };
-    result = file.empty()
-                 ? driver.DriveLines(stdin, "stdin", timestamped, *sink,
-                                     progress, report_every)
-                 : driver.DriveFile(file, timestamped, *sink);
+  auto writer = MakeCheckpointWriter(checkpoint, spec, 1, resumed);
+  if (!writer.ok()) {
+    std::fprintf(stderr, "%s\n", writer.status().ToString().c_str());
+    return 1;
   }
+  const CheckpointManifest* resume_pos =
+      checkpoint.resume ? &resumed.position : nullptr;
+  auto progress = [&](uint64_t items) {
+    if (estimator != nullptr) {
+      ReportEstimate(*estimator, items, stderr);
+    } else {
+      ReportSample(*sampler, items, stderr);
+    }
+  };
+  // Progress reports flush batches early, which would move checkpoints
+  // off the uninterrupted run's batch grid; checkpointed runs skip them.
+  const uint64_t progress_every = writer.value() ? 0 : report_every;
+  const Result<DriveReport> result =
+      driven_items != nullptr
+          ? Result<DriveReport>(driver.Drive(*driven_items, *sink))
+      : file.empty()
+          ? driver.DriveLines(stdin, "stdin", timestamped, *sink, progress,
+                              progress_every, writer.value().get(),
+                              resume_pos)
+          : driver.DriveFile(file, timestamped, *sink, writer.value().get(),
+                             resume_pos);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;

@@ -13,11 +13,12 @@
 // all three estimates reacting.
 
 #include <cstdio>
+#include <vector>
 
 #include "apps/estimator_registry.h"
 #include "core/seq_swr.h"
 #include "core/sliding_adapter.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 #include "util/rng.h"
 
 using namespace swsample;
@@ -47,15 +48,17 @@ int main() {
   config.seed = 3;
   auto entropy = CreateEstimator("ccm-entropy", config).ValueOrDie();
 
-  auto symbols = ZipfValues::Create(64, 0.9).ValueOrDie();
-  Rng rng(11);
   const uint64_t total = 6 * n;
+  const std::vector<Item> trades =
+      WorkloadGenerator::Create("constant@zipf,rate=1,domain=64,alpha=0.9", 11)
+          .ValueOrDie()
+          ->Take(total);
+  Rng rng(12);
   for (uint64_t i = 0; i < total; ++i) {
     // Flash event in the middle third: 90% of trades hit symbol 7 and the
     // price dives from ~500 to ~300.
     const bool flash = i > 2 * total / 5 && i < 3 * total / 5;
-    uint64_t symbol =
-        (flash && rng.Bernoulli(0.9)) ? 7 : symbols->Next(rng);
+    uint64_t symbol = (flash && rng.Bernoulli(0.9)) ? 7 : trades[i].value;
     uint64_t price = (flash ? 300 : 500) + rng.UniformIndex(20);
 
     price_mean.Observe(Item{price, i, static_cast<Timestamp>(i)});

@@ -9,9 +9,7 @@
 
 #include "apps/estimator_checkpoint.h"
 #include "core/checkpoint.h"
-#include "stream/driver.h"
 #include "stream/item_serial.h"
-#include "stream/sharded_driver.h"
 #include "util/file_ops.h"
 
 namespace swsample {
@@ -261,40 +259,6 @@ Status CheckpointWriter::Write(const CheckpointManifest& manifest,
   last_write_time_ = std::chrono::steady_clock::now();
   if (after_write_) after_write_(manifest.items);
   return Status::Ok();
-}
-
-Result<uint64_t> PumpEventLines(
-    std::FILE* f, const std::string& source_name, bool timestamped,
-    const CheckpointManifest* resume,
-    const std::function<Status(const Item& item)>& deliver) {
-  const uint64_t skip = resume == nullptr ? 0 : resume->items;
-  EventLineScanner scanner(source_name, timestamped);
-  bool diverged = false;
-  const Status status = scanner.ScanFile(f, [&](const Item& item) -> Status {
-    if (item.index >= skip) return deliver(item);
-    // Ingested before the checkpoint: parsed, not delivered. The clock
-    // handoff catches a resume against a different stream.
-    if (item.index + 1 == skip && timestamped &&
-        item.timestamp != resume->last_ts) {
-      diverged = true;
-      // Stops the scan; the message below names the line it stopped on.
-      return Status::InvalidArgument("diverged");
-    }
-    return Status::Ok();
-  });
-  if (diverged) {
-    return Status::InvalidArgument(
-        source_name + ":" + std::to_string(scanner.line_no()) +
-        ": replayed input does not match the checkpoint (timestamp "
-        "diverges at the resume point)");
-  }
-  if (!status.ok()) return status;
-  if (scanner.events() < skip) {
-    return Status::InvalidArgument(
-        source_name + ": replayed input ends before the checkpoint's " +
-        std::to_string(skip) + " ingested events");
-  }
-  return scanner.events();
 }
 
 Result<ResumedCheckpoint> LoadCheckpoint(const std::string& dir) {

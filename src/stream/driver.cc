@@ -200,10 +200,6 @@ class StreamDriver::Pump {
     if (buffer_.size() >= options_.batch_size) Flush();
   }
 
-  void PushBurst(const std::vector<Item>& burst) {
-    for (const Item& item : burst) Push(item);
-  }
-
   /// Feeds a span with the same batch segmentation Push-by-one would
   /// produce, but delivers every full batch_size run as a subspan of the
   /// caller's storage — no staging copy through buffer_. Only a batch
@@ -228,11 +224,6 @@ class StreamDriver::Pump {
         if (buffer_.size() >= options_.batch_size) Flush();
       }
     }
-  }
-
-  void AdvanceTime(Timestamp now) {
-    Flush();  // keep arrival/clock order identical to unbatched feeding
-    sink_.AdvanceTime(now);
   }
 
   void Flush() {
@@ -298,118 +289,11 @@ DriveReport StreamDriver::Drive(std::span<const Item> items,
   return report;
 }
 
-DriveReport StreamDriver::DriveSynthetic(SyntheticStream& stream,
-                                         uint64_t steps,
-                                         StreamSink& sink) const {
-  DriveReport report;
-  const auto begin = Clock::now();
-  Pump pump(options_, sink, &report);
-  for (uint64_t step = 0; step < steps; ++step) {
-    const std::vector<Item>& burst = stream.Step();
-    if (burst.empty()) {
-      ++report.empty_steps;
-      pump.AdvanceTime(stream.now());
-    } else {
-      pump.PushBurst(burst);
-    }
-  }
-  pump.Flush();
-  pump.FinishLatencies();
-  Finalize(begin, sink, &report);
-  return report;
-}
-
-Result<DriveReport> StreamDriver::DriveLines(std::FILE* f,
-                                             const std::string& source_name,
-                                             bool timestamped,
-                                             StreamSink& sink,
-                                             const ProgressFn& progress,
-                                             uint64_t progress_every) const {
-  DriveReport report;
-  const auto begin = Clock::now();
-  Pump pump(options_, sink, &report);
-  EventLineScanner scanner(source_name, timestamped);
-  const Status status = scanner.ScanFile(f, [&](const Item& item) {
-    pump.Push(item);
-    const uint64_t delivered = item.index + 1;
-    if (progress && progress_every && delivered % progress_every == 0) {
-      pump.Flush();
-      progress(delivered);
-    }
-    return Status::Ok();
-  });
-  if (!status.ok()) return status;
-  pump.Flush();
-  pump.FinishLatencies();
-  Finalize(begin, sink, &report);
-  return report;
-}
-
-Result<DriveReport> StreamDriver::DriveBuffer(std::string_view data,
-                                              const std::string& source_name,
-                                              bool timestamped,
-                                              StreamSink& sink) const {
-  DriveReport report;
-  const auto begin = Clock::now();
-  Pump pump(options_, sink, &report);
-  EventLineScanner scanner(source_name, timestamped);
-  const char* p = data.data();
-  const Status status = scanner.Scan(&p, p + data.size(), /*at_eof=*/true,
-                                     [&pump](const Item& item) {
-                                       pump.Push(item);
-                                       return Status::Ok();
-                                     });
-  if (!status.ok()) return status;
-  pump.Flush();
-  pump.FinishLatencies();
-  Finalize(begin, sink, &report);
-  return report;
-}
-
-Result<DriveReport> StreamDriver::DriveFile(const std::string& path,
-                                            bool timestamped,
-                                            StreamSink& sink) const {
-#if SWSAMPLE_HAVE_MMAP
-  // Fast path: map regular files read-only and parse in place — no
-  // per-line copies, no stdio locking, and the kernel readahead streams
-  // pages in under MADV_SEQUENTIAL.
-  auto fd_or = OpenReadFd("ingest.open", path);
-  if (!fd_or.ok()) return fd_or.status();
-  const int fd = fd_or.value();
-  struct stat st;
-  // The SIZE_MAX guard keeps a >4 GiB file on an ILP32 build from being
-  // silently truncated by the size_t cast — such files take the stdio
-  // path instead.
-  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0 &&
-      static_cast<uint64_t>(st.st_size) <= SIZE_MAX) {
-    const size_t size = static_cast<size_t>(st.st_size);
-    void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map != MAP_FAILED) {
-      ::madvise(map, size, MADV_SEQUENTIAL);
-      auto result = DriveBuffer(
-          std::string_view(static_cast<const char*>(map), size), path,
-          timestamped, sink);
-      ::munmap(map, size);
-      ::close(fd);
-      return result;
-    }
-  }
-  ::close(fd);
-  // Fall through: empty files, pipes/devices, or mmap failure use stdio.
-#endif
-  auto f_or = OpenStdioFile("ingest.open", path);
-  if (!f_or.ok()) return f_or.status();
-  std::FILE* f = f_or.value();
-  auto result = DriveLines(f, path, timestamped, sink);
-  std::fclose(f);
-  return result;
-}
-
-Result<DriveReport> StreamDriver::DriveLinesCheckpointed(
-    std::FILE* f, const std::string& source_name, bool timestamped,
-    StreamSink& sink, CheckpointWriter* writer,
-    const CheckpointManifest* resume, const ProgressFn& progress,
-    uint64_t progress_every) const {
+template <typename Input>
+Result<DriveReport> StreamDriver::DriveEvents(
+    Input input, const std::string& source_name, bool timestamped,
+    StreamSink& sink, const ProgressFn& progress, uint64_t progress_every,
+    CheckpointWriter* writer, const CheckpointManifest* resume) const {
   if (resume != nullptr) {
     if (resume->shard_items.size() != 1 ||
         resume->shard_items[0] != resume->items) {
@@ -429,26 +313,30 @@ Result<DriveReport> StreamDriver::DriveLinesCheckpointed(
   const auto begin = Clock::now();
   Pump pump(options_, sink, &report);
   StreamSink* const sinks[] = {&sink};
-  auto deliver = [&](const Item& item) -> Status {
-    pump.Push(item);
-    const uint64_t delivered = item.index + 1;
-    // Checkpoints only at batch boundaries — see Pump::buffered().
-    if (writer != nullptr && pump.buffered() == 0 &&
-        writer->Due(delivered)) {
-      CheckpointManifest manifest;
-      manifest.items = delivered;
-      manifest.last_ts = timestamped ? item.timestamp : 0;
-      manifest.shard_items = {delivered};
-      if (Status s = writer->Write(manifest, sinks); !s.ok()) return s;
-    }
-    if (progress && progress_every && delivered % progress_every == 0) {
-      pump.Flush();
-      progress(delivered);
-    }
-    return Status::Ok();
-  };
-  auto events = PumpEventLines(f, source_name, timestamped, resume, deliver);
-  if (!events.ok()) return events.status();
+  // One predictable branch per event when neither hook is set.
+  const bool hooked = writer != nullptr || (progress && progress_every != 0);
+  EventLineScanner scanner(source_name, timestamped);
+  const Status status =
+      scanner.ScanFrom(input, resume, [&](const Item& item) -> Status {
+        pump.Push(item);
+        if (!hooked) return Status::Ok();
+        const uint64_t delivered = item.index + 1;
+        // Checkpoints only at batch boundaries — see Pump::buffered().
+        if (writer != nullptr && pump.buffered() == 0 &&
+            writer->Due(delivered)) {
+          CheckpointManifest manifest;
+          manifest.items = delivered;
+          manifest.last_ts = timestamped ? item.timestamp : 0;
+          manifest.shard_items = {delivered};
+          if (Status s = writer->Write(manifest, sinks); !s.ok()) return s;
+        }
+        if (progress && progress_every && delivered % progress_every == 0) {
+          pump.Flush();
+          progress(delivered);
+        }
+        return Status::Ok();
+      });
+  if (!status.ok()) return status;
   pump.Flush();
   pump.FinishLatencies();
   Finalize(begin, sink, &report);
@@ -459,14 +347,58 @@ Result<DriveReport> StreamDriver::DriveLinesCheckpointed(
   return report;
 }
 
-Result<DriveReport> StreamDriver::DriveFileCheckpointed(
+Result<DriveReport> StreamDriver::DriveLines(
+    std::FILE* f, const std::string& source_name, bool timestamped,
+    StreamSink& sink, const ProgressFn& progress, uint64_t progress_every,
+    CheckpointWriter* writer, const CheckpointManifest* resume) const {
+  return DriveEvents(f, source_name, timestamped, sink, progress,
+                     progress_every, writer, resume);
+}
+
+Result<DriveReport> StreamDriver::DriveBuffer(std::string_view data,
+                                              const std::string& source_name,
+                                              bool timestamped,
+                                              StreamSink& sink) const {
+  return DriveEvents(data, source_name, timestamped, sink, nullptr, 0,
+                     nullptr, nullptr);
+}
+
+Result<DriveReport> StreamDriver::DriveFile(
     const std::string& path, bool timestamped, StreamSink& sink,
     CheckpointWriter* writer, const CheckpointManifest* resume) const {
+#if SWSAMPLE_HAVE_MMAP
+  // Fast path: map regular files read-only and parse in place — no
+  // per-line copies, no stdio locking, and the kernel readahead streams
+  // pages in under MADV_SEQUENTIAL.
+  auto fd_or = OpenReadFd("ingest.open", path);
+  if (!fd_or.ok()) return fd_or.status();
+  const int fd = fd_or.value();
+  struct stat st;
+  // The SIZE_MAX guard keeps a >4 GiB file on an ILP32 build from being
+  // silently truncated by the size_t cast — such files take the stdio
+  // path instead.
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0 &&
+      static_cast<uint64_t>(st.st_size) <= SIZE_MAX) {
+    const size_t size = static_cast<size_t>(st.st_size);
+    void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (map != MAP_FAILED) {
+      ::madvise(map, size, MADV_SEQUENTIAL);
+      auto result = DriveEvents(
+          std::string_view(static_cast<const char*>(map), size), path,
+          timestamped, sink, nullptr, 0, writer, resume);
+      ::munmap(map, size);
+      ::close(fd);
+      return result;
+    }
+  }
+  ::close(fd);
+  // Fall through: empty files, pipes/devices, or mmap failure use stdio.
+#endif
   auto f_or = OpenStdioFile("ingest.open", path);
   if (!f_or.ok()) return f_or.status();
   std::FILE* f = f_or.value();
   auto result =
-      DriveLinesCheckpointed(f, path, timestamped, sink, writer, resume);
+      DriveEvents(f, path, timestamped, sink, nullptr, 0, writer, resume);
   std::fclose(f);
   return result;
 }

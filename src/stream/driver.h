@@ -19,8 +19,8 @@
 /// Status conventions: unreadable files and malformed input return
 /// InvalidArgument through Result<DriveReport> with "source:line"-prefixed
 /// messages (e.g. `events.txt:17: malformed event line (expected
-/// "<timestamp> <value>")`); Drive/DriveSynthetic cannot fail and return
-/// plain reports.
+/// "<timestamp> <value>")`); Drive cannot fail and returns a plain
+/// report.
 
 #ifndef SWSAMPLE_STREAM_DRIVER_H_
 #define SWSAMPLE_STREAM_DRIVER_H_
@@ -38,7 +38,6 @@
 #include "core/api.h"
 #include "stream/checkpoint.h"
 #include "stream/item.h"
-#include "stream/stream_gen.h"
 #include "util/bits.h"
 #include "util/status.h"
 
@@ -48,7 +47,6 @@ namespace swsample {
 struct DriveReport {
   uint64_t items = 0;            ///< arrivals delivered
   uint64_t batches = 0;          ///< ObserveBatch (or Observe-run) calls
-  uint64_t empty_steps = 0;      ///< AdvanceTime-only steps (synthetic)
   double seconds = 0.0;          ///< wall-clock ingestion time
   double items_per_sec = 0.0;    ///< items / seconds (0 when instant)
   uint64_t memory_words = 0;     ///< sink MemoryWords() after the run
@@ -86,12 +84,6 @@ class StreamDriver {
   /// Feeds a pre-materialized run of consecutive items.
   DriveReport Drive(std::span<const Item> items, StreamSink& sink) const;
 
-  /// Steps `steps` bursts out of a synthetic stream. Empty bursts become
-  /// AdvanceTime calls (flushing any pending batch first, so the sink
-  /// observes the same arrival/clock order as unbatched feeding).
-  DriveReport DriveSynthetic(SyntheticStream& stream, uint64_t steps,
-                             StreamSink& sink) const;
-
   /// Called every `progress_every` items (pending batches are flushed
   /// first, so the sink state reflects everything delivered so far).
   using ProgressFn = std::function<void(uint64_t items)>;
@@ -102,57 +94,58 @@ class StreamDriver {
   /// Blank (whitespace-only) lines are skipped; a malformed line, an
   /// over-long line, or a decreasing timestamp is an InvalidArgument
   /// error reported against `source_name` with its line number.
+  ///
+  /// Crash recovery: `writer` (nullable = off) takes periodic checkpoints,
+  /// only at batch boundaries, so a resumed run's batch segmentation — and
+  /// therefore its RNG draws — is identical to an uninterrupted run's and
+  /// the final state is bit-identical. `resume` (nullable) is the position
+  /// of a checkpoint read back with LoadCheckpoint (stream/checkpoint.h),
+  /// and `sink` the sink restored from it: the input must replay the
+  /// stream from the beginning, its first `resume->items` events are
+  /// parsed but not delivered, and indices continue from there. Progress
+  /// flushes move batch boundaries, so leave `progress` unset when
+  /// checkpointing. The report counts only items delivered by THIS call.
   Result<DriveReport> DriveLines(std::FILE* f, const std::string& source_name,
                                  bool timestamped, StreamSink& sink,
                                  const ProgressFn& progress = nullptr,
-                                 uint64_t progress_every = 0) const;
+                                 uint64_t progress_every = 0,
+                                 CheckpointWriter* writer = nullptr,
+                                 const CheckpointManifest* resume = nullptr)
+      const;
 
   /// Zero-copy ingestion over an in-memory text buffer with the DriveLines
   /// grammar: events are parsed straight out of `data` (no per-line
   /// std::string, no stdio), errors carry the same "source:line" messages.
-  /// This is the core DriveFile's mmap fast path runs on.
   Result<DriveReport> DriveBuffer(std::string_view data,
                                   const std::string& source_name,
                                   bool timestamped, StreamSink& sink) const;
 
-  /// DriveLines over a file path. Regular files are mmap'ed and ingested
-  /// through DriveBuffer (zero-copy); pipes/devices and platforms without
-  /// mmap fall back to DriveLines. Both run EventLineScanner, so items,
-  /// errors and line numbers are identical on every input.
+  /// DriveLines over a file path, checkpointing and resuming alike.
+  /// Regular files are mmap'ed and parsed in place (zero-copy); pipes,
+  /// devices and platforms without mmap are read through stdio. Both run
+  /// EventLineScanner, so items, errors, line numbers and checkpoints are
+  /// identical on every input.
   Result<DriveReport> DriveFile(const std::string& path, bool timestamped,
-                                StreamSink& sink) const;
-
-  /// DriveLines with crash recovery: writes periodic checkpoints through
-  /// `writer` (nullable = disabled) and, when `resume` is non-null,
-  /// skips the first `resume->items` events (the input must replay the
-  /// stream from the beginning) and continues indices from there into a
-  /// sink restored by ResumeFrom. Checkpoints are taken only at batch
-  /// boundaries, so a resumed run's batch segmentation — and therefore
-  /// its RNG draws — is identical to an uninterrupted run's: the final
-  /// state is bit-identical. The report counts only items delivered by
-  /// THIS call (resumed runs add resume->items for stream totals).
-  Result<DriveReport> DriveLinesCheckpointed(
-      std::FILE* f, const std::string& source_name, bool timestamped,
-      StreamSink& sink, CheckpointWriter* writer,
-      const CheckpointManifest* resume, const ProgressFn& progress = nullptr,
-      uint64_t progress_every = 0) const;
-
-  /// DriveLinesCheckpointed over a file path.
-  Result<DriveReport> DriveFileCheckpointed(
-      const std::string& path, bool timestamped, StreamSink& sink,
-      CheckpointWriter* writer, const CheckpointManifest* resume) const;
-
-  /// Reads back the checkpoint committed in `dir` (see
-  /// stream/checkpoint.h); pass its position as `resume` above.
-  static Result<ResumedCheckpoint> ResumeFrom(const std::string& dir) {
-    return LoadCheckpoint(dir);
-  }
+                                StreamSink& sink,
+                                CheckpointWriter* writer = nullptr,
+                                const CheckpointManifest* resume = nullptr)
+      const;
 
   const Options& options() const { return options_; }
 
  private:
   /// Shared pump: delivers buffered items, tracks batches + peak memory.
   class Pump;
+
+  /// The one event loop behind DriveLines, DriveBuffer and DriveFile;
+  /// `input` is a std::FILE* or a std::string_view.
+  template <typename Input>
+  Result<DriveReport> DriveEvents(Input input, const std::string& source_name,
+                                  bool timestamped, StreamSink& sink,
+                                  const ProgressFn& progress,
+                                  uint64_t progress_every,
+                                  CheckpointWriter* writer,
+                                  const CheckpointManifest* resume) const;
 
   Options options_;
 };
@@ -194,9 +187,9 @@ Status ParseEventLine(const char* line, size_t line_cap, bool timestamped,
                       Timestamp last_ts, uint64_t* value, Timestamp* ts,
                       bool* skip);
 
-/// The event-line scanner every text ingestion path runs: DriveBuffer over
-/// a whole buffer; both drivers' DriveLines and PumpEventLines over blocks
-/// of a FILE*. It numbers lines, assigns arrival indices from 0 (also the
+/// The event-line scanner every text ingestion path runs: over a whole
+/// buffer (mmap'ed files, DriveBuffer) or over blocks of a FILE*. It
+/// numbers lines, assigns arrival indices from 0 (also the
 /// timestamps of sequence-mode events), checks timestamp order, and hands
 /// each event to `on_event(const Item&)`; a non-OK Status from it stops
 /// the scan and is returned. A NUL ends the parsed part of its line, but
@@ -266,10 +259,17 @@ class EventLineScanner {
     return status;
   }
 
+  /// Scans all of `data`.
+  template <typename OnEvent>
+  Status ScanAll(std::string_view data, OnEvent&& on_event) {
+    const char* p = data.data();
+    return Scan(&p, p + data.size(), /*at_eof=*/true, on_event);
+  }
+
   /// Scans all of `f`, read in fixed-size blocks; each block's incomplete
   /// last line is carried into the next, so pipes work as files do.
   template <typename OnEvent>
-  Status ScanFile(std::FILE* f, OnEvent&& on_event) {
+  Status ScanAll(std::FILE* f, OnEvent&& on_event) {
     constexpr size_t kBlock = size_t{64} << 10;
     // A carried tail is shorter than kEventLineCap (longer is an error).
     std::vector<char> buffer(kEventLineCap + kBlock);
@@ -286,12 +286,43 @@ class EventLineScanner {
     }
   }
 
-  /// Events handed to `on_event` so far (the next arrival index).
-  uint64_t events() const { return index_; }
-
-  /// Lines consumed so far, blank ones included; after a failed scan,
-  /// the number of the line it stopped on.
-  uint64_t line_no() const { return line_no_; }
+  /// ScanAll for a run resuming from checkpoint position `resume`
+  /// (nullable: a fresh run, every event delivered). The input must
+  /// replay the stream from the beginning: its first `resume->items`
+  /// events were ingested before the checkpoint, so they are parsed but
+  /// not handed to `deliver`, and the scan fails if the clock at the
+  /// handoff differs from the checkpoint's or the input ends early.
+  /// Delivered items continue the checkpoint's index numbering.
+  template <typename Input, typename Deliver>
+  Status ScanFrom(Input input, const CheckpointManifest* resume,
+                  Deliver&& deliver) {
+    if (resume == nullptr) return ScanAll(input, deliver);
+    const uint64_t skip = resume->items;
+    bool diverged = false;
+    const Status status = ScanAll(input, [&](const Item& item) -> Status {
+      if (item.index >= skip) return deliver(item);
+      if (item.index + 1 == skip && timestamped_ &&
+          item.timestamp != resume->last_ts) {
+        diverged = true;
+        // Stops the scan; the message below names the line it stopped on.
+        return Status::InvalidArgument("diverged");
+      }
+      return Status::Ok();
+    });
+    if (diverged) {
+      return Status::InvalidArgument(
+          source_name_ + ":" + std::to_string(line_no_) +
+          ": replayed input does not match the checkpoint (timestamp "
+          "diverges at the resume point)");
+    }
+    if (!status.ok()) return status;
+    if (index_ < skip) {
+      return Status::InvalidArgument(
+          source_name_ + ": replayed input ends before the checkpoint's " +
+          std::to_string(skip) + " ingested events");
+    }
+    return Status::Ok();
+  }
 
  private:
   const std::string source_name_;

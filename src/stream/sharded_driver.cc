@@ -131,9 +131,8 @@ class ShardedStreamDriver::Engine {
     QueueOf(shard).Push(std::move(msg));
   }
 
-  /// Moves every shard's clock to `now` (empty synthetic steps, and the
-  /// final clock sync so post-drive queries of timestamp sinks all see
-  /// the stream-end time).
+  /// Moves every shard's clock to `now`: the final clock sync, so
+  /// post-drive queries of timestamp sinks all see the stream-end time.
   void BroadcastAdvance(Timestamp now) {
     for (uint32_t shard = 0; shard < sinks_.size(); ++shard) {
       Msg msg;
@@ -281,9 +280,9 @@ class ShardedStreamDriver::Engine {
 
 namespace {
 
-/// Producer-side accumulator for streams that are not pre-materialized
-/// (synthetic bursts, parsed lines): buffers items into chunk_items-sized
-/// owned chunks per routing target and ships them through the engine.
+/// Producer-side accumulator for parsed lines and key-hash routed spans:
+/// buffers items into chunk_items-sized owned chunks per routing target and
+/// ships them through the engine.
 class OwnedRouter {
  public:
   /// `resume` (nullable) restores the router exactly as a checkpoint
@@ -336,15 +335,6 @@ class OwnedRouter {
     }
   }
 
-  /// Empty synthetic step: deliver buffered arrivals first so every shard
-  /// observes the same arrival/clock order as unbatched feeding, then
-  /// move all clocks.
-  void AdvanceAll(Timestamp now) {
-    FlushAll();
-    last_ts_ = now;
-    engine_.BroadcastAdvance(now);
-  }
-
   /// End of stream: flush and sync every shard's clock to the last seen
   /// timestamp so post-drive queries agree on "now".
   void FinishStream() {
@@ -370,8 +360,7 @@ class OwnedRouter {
       }
       return;
     }
-    // Rotate only when a chunk actually shipped, or repeated empty steps
-    // would skip shards in the round-robin rotation.
+    // Rotate only when a chunk actually shipped.
     if (FlushTarget(0, next_chunk_shard_)) {
       next_chunk_shard_ =
           static_cast<uint32_t>((next_chunk_shard_ + 1) % shards_);
@@ -389,11 +378,9 @@ class OwnedRouter {
 
 /// Sums the per-shard reports into the wall-clock total.
 ShardedDriveReport AssembleReport(Clock::time_point begin,
-                                  std::vector<ShardReport> shards,
-                                  uint64_t empty_steps) {
+                                  std::vector<ShardReport> shards) {
   ShardedDriveReport report;
   report.shards = std::move(shards);
-  report.total.empty_steps = empty_steps;
   for (const ShardReport& shard : report.shards) {
     report.total.items += shard.items;
     report.total.batches += shard.batches;
@@ -464,58 +451,7 @@ Result<ShardedDriveReport> ShardedStreamDriver::Drive(
     for (const Item& item : items) router.Add(item);
     router.FinishStream();
   }
-  return AssembleReport(begin, engine.Finish(), /*empty_steps=*/0);
-}
-
-Result<ShardedDriveReport> ShardedStreamDriver::DriveSynthetic(
-    SyntheticStream& stream, uint64_t steps,
-    std::span<StreamSink* const> shards) const {
-  if (Status s = Validate(shards); !s.ok()) return s;
-  const auto begin = Clock::now();
-  uint64_t empty_steps = 0;
-  Engine engine(options_, shards);
-  {
-    OwnedRouter router(options_, shards.size(), engine);
-    for (uint64_t step = 0; step < steps; ++step) {
-      const std::vector<Item>& burst = stream.Step();
-      if (burst.empty()) {
-        ++empty_steps;
-        router.AdvanceAll(stream.now());
-      } else {
-        for (const Item& item : burst) router.Add(item);
-      }
-    }
-    router.FinishStream();
-  }
-  return AssembleReport(begin, engine.Finish(), empty_steps);
-}
-
-Result<ShardedDriveReport> ShardedStreamDriver::DriveLines(
-    std::FILE* f, const std::string& source_name, bool timestamped,
-    std::span<StreamSink* const> shards) const {
-  if (Status s = Validate(shards); !s.ok()) return s;
-  const auto begin = Clock::now();
-  Engine engine(options_, shards);
-  OwnedRouter router(options_, shards.size(), engine);
-  EventLineScanner scanner(source_name, timestamped);
-  const Status status = scanner.ScanFile(f, [&router](const Item& item) {
-    router.Add(item);
-    return Status::Ok();
-  });
-  if (!status.ok()) return status;  // ~Engine stops and joins the workers
-  router.FinishStream();
-  return AssembleReport(begin, engine.Finish(), /*empty_steps=*/0);
-}
-
-Result<ShardedDriveReport> ShardedStreamDriver::DriveFile(
-    const std::string& path, bool timestamped,
-    std::span<StreamSink* const> shards) const {
-  auto f_or = OpenStdioFile("ingest.open", path);
-  if (!f_or.ok()) return f_or.status();
-  std::FILE* f = f_or.value();
-  auto result = DriveLines(f, path, timestamped, shards);
-  std::fclose(f);
-  return result;
+  return AssembleReport(begin, engine.Finish());
 }
 
 Result<ShardedDriveReport> ShardedStreamDriver::DriveLinesCheckpointed(
@@ -569,10 +505,10 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveLinesCheckpointed(
   };
   // Parse errors and failed checkpoint writes return through here;
   // ~Engine stops and joins the workers on every exit path.
-  auto events = PumpEventLines(f, source_name, timestamped, resume, deliver);
-  if (!events.ok()) return events.status();
+  EventLineScanner scanner(source_name, timestamped);
+  if (Status s = scanner.ScanFrom(f, resume, deliver); !s.ok()) return s;
   router.FinishStream();
-  auto report = AssembleReport(begin, engine.Finish(), /*empty_steps=*/0);
+  auto report = AssembleReport(begin, engine.Finish());
   if (writer != nullptr) {
     report.total.io_retries = writer->io_retries();
     report.total.io_giveups = writer->io_giveups();

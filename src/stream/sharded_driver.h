@@ -72,7 +72,6 @@
 #include "stream/checkpoint.h"
 #include "stream/driver.h"
 #include "stream/item.h"
-#include "stream/stream_gen.h"
 #include "util/status.h"
 
 namespace swsample {
@@ -141,54 +140,34 @@ class ShardedStreamDriver {
   Result<ShardedDriveReport> Drive(std::span<const Item> items,
                                    std::span<StreamSink* const> shards) const;
 
-  /// Steps `steps` bursts out of a synthetic stream. Empty bursts become
-  /// AdvanceTime broadcasts to every shard.
-  Result<ShardedDriveReport> DriveSynthetic(
-      SyntheticStream& stream, uint64_t steps,
-      std::span<StreamSink* const> shards) const;
-
   /// Feeds a text stream with StreamDriver::DriveLines' grammar and error
   /// behavior: "<value>" lines (timestamp := arrival index) or
   /// "<timestamp> <value>" with non-decreasing timestamps; blank lines
   /// skipped; malformed/over-long lines and decreasing timestamps are
   /// InvalidArgument against `source_name` with the line number.
-  Result<ShardedDriveReport> DriveLines(
-      std::FILE* f, const std::string& source_name, bool timestamped,
-      std::span<StreamSink* const> shards) const;
-
-  /// DriveLines over a file path.
-  Result<ShardedDriveReport> DriveFile(
-      const std::string& path, bool timestamped,
-      std::span<StreamSink* const> shards) const;
-
-  /// DriveLines with crash recovery: writes periodic checkpoints through
-  /// `writer` (nullable = disabled) and, when `resume` is non-null,
-  /// skips the first `resume->items` events of the replayed input and
-  /// continues into shard sinks restored by ResumeFrom. A checkpoint
-  /// quiesces the workers (barrier through every queue), serializes the
-  /// shard sinks, and persists the router's un-flushed buffers in the
-  /// manifest — so the resumed run's chunk segmentation, per-shard
-  /// delivery order and RNG draws are identical to an uninterrupted
-  /// run's. Requires the same shard count, chunk_items, and partition
-  /// mode as the run that wrote the checkpoint (validated against the
-  /// manifest). The report counts only items delivered by THIS call.
+  ///
+  /// Crash recovery: `writer` (nullable = off) takes periodic checkpoints
+  /// and `resume` (nullable) is the position of a checkpoint read back
+  /// with LoadCheckpoint (stream/checkpoint.h), whose restored sinks are
+  /// passed as `shards`; the first `resume->items` events of the replayed
+  /// input are skipped. A checkpoint quiesces the workers (barrier through
+  /// every queue), serializes the shard sinks, and persists the router's
+  /// un-flushed buffers in the manifest — so the resumed run's chunk
+  /// segmentation, per-shard delivery order and RNG draws are identical
+  /// to an uninterrupted run's. Requires the same shard count,
+  /// chunk_items, and partition mode as the run that wrote the checkpoint
+  /// (validated against the manifest). The report counts only items
+  /// delivered by THIS call.
   Result<ShardedDriveReport> DriveLinesCheckpointed(
       std::FILE* f, const std::string& source_name, bool timestamped,
-      std::span<StreamSink* const> shards, CheckpointWriter* writer,
-      const CheckpointManifest* resume) const;
+      std::span<StreamSink* const> shards, CheckpointWriter* writer = nullptr,
+      const CheckpointManifest* resume = nullptr) const;
 
-  /// DriveLinesCheckpointed over a file path.
+  /// DriveLinesCheckpointed over a file path (read through stdio).
   Result<ShardedDriveReport> DriveFileCheckpointed(
       const std::string& path, bool timestamped,
-      std::span<StreamSink* const> shards, CheckpointWriter* writer,
-      const CheckpointManifest* resume) const;
-
-  /// Reads back the checkpoint committed in `dir` (see
-  /// stream/checkpoint.h); pass its position as `resume` above and its
-  /// restored sinks as the shard span.
-  static Result<ResumedCheckpoint> ResumeFrom(const std::string& dir) {
-    return LoadCheckpoint(dir);
-  }
+      std::span<StreamSink* const> shards, CheckpointWriter* writer = nullptr,
+      const CheckpointManifest* resume = nullptr) const;
 
   const Options& options() const { return options_; }
 

@@ -9,6 +9,9 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/bits.h"
+#include "util/file_ops.h"
+
 namespace swsample {
 
 namespace {
@@ -89,10 +92,12 @@ Result<WorkloadSpec> ParseWorkloadSpec(std::string_view text) {
     spec.arrivals = WorkloadArrivals::kBModel;
   } else if (arrivals_name == "churn") {
     spec.arrivals = WorkloadArrivals::kChurn;
+  } else if (arrivals_name == "doubling") {
+    spec.arrivals = WorkloadArrivals::kDoubling;
   } else {
-    return BadSpec(text, "unknown arrival family \"" +
-                             std::string(arrivals_name) +
-                             "\"; known: constant poisson bmodel churn");
+    return BadSpec(text,
+                   "unknown arrival family \"" + std::string(arrivals_name) +
+                       "\"; known: constant poisson bmodel churn doubling");
   }
 
   if (values_name.empty() || values_name == "uniform") {
@@ -133,6 +138,8 @@ Result<WorkloadSpec> ParseWorkloadSpec(std::string_view text) {
       spec.volume = u;
     } else if (key == "t" && ParseU64Token(value, &u)) {
       spec.t = static_cast<Timestamp>(u);
+    } else if (key == "cap" && ParseU64Token(value, &u)) {
+      spec.cap = u;
     } else if (key == "domain" && ParseU64Token(value, &u)) {
       spec.domain = u;
     } else if (key == "alpha" && ParseDoubleToken(value, &d)) {
@@ -168,6 +175,9 @@ std::string FormatWorkloadSpec(const WorkloadSpec& spec) {
     case WorkloadArrivals::kChurn:
       out = "churn";
       break;
+    case WorkloadArrivals::kDoubling:
+      out = "doubling";
+      break;
   }
   switch (spec.values) {
     case WorkloadValues::kUniform:
@@ -197,6 +207,7 @@ std::string FormatWorkloadSpec(const WorkloadSpec& spec) {
   if (spec.levels != defaults.levels) put_u64("levels", spec.levels);
   if (spec.volume != defaults.volume) put_u64("volume", spec.volume);
   if (spec.t != defaults.t) put_u64("t", static_cast<uint64_t>(spec.t));
+  if (spec.cap != defaults.cap) put_u64("cap", spec.cap);
   if (spec.domain != defaults.domain) put_u64("domain", spec.domain);
   if (spec.alpha != defaults.alpha) put_double("alpha", spec.alpha);
   if (spec.skew != defaults.skew) {
@@ -240,6 +251,15 @@ Result<std::unique_ptr<WorkloadGenerator>> WorkloadGenerator::Create(
         return Status::InvalidArgument("workload: churn t must be >= 2");
       }
       break;
+    case WorkloadArrivals::kDoubling:
+      if (spec.t < 1 || spec.t > (Timestamp{1} << 30)) {
+        return Status::InvalidArgument(
+            "workload: doubling t must be in [1, 2^30]");
+      }
+      if (spec.cap < 1) {
+        return Status::InvalidArgument("workload: cap must be >= 1");
+      }
+      break;
   }
   if (spec.domain < 1) {
     return Status::InvalidArgument("workload: domain must be >= 1");
@@ -272,8 +292,8 @@ Result<std::unique_ptr<WorkloadGenerator>> WorkloadGenerator::Create(
 WorkloadGenerator::WorkloadGenerator(const WorkloadSpec& spec, uint64_t seed)
     : spec_(spec), rng_(seed) {
   if (spec_.values == WorkloadValues::kZipf) {
-    // Same inverse-CDF table as ZipfValues (value_gen.cc); built here so
-    // the generator is one self-contained seeded object.
+    // Inverse-CDF table: P(v = i) proportional to 1/(i+1)^alpha, drawn by
+    // binary search; O(domain) doubles, paid once per generator.
     zipf_cdf_.resize(spec_.domain);
     double acc = 0.0;
     for (uint64_t i = 0; i < spec_.domain; ++i) {
@@ -364,6 +384,14 @@ uint64_t WorkloadGenerator::NextBurst() {
       ++churn_phase_;
       return plateau;
     }
+    case WorkloadArrivals::kDoubling: {
+      ++step_;
+      if (step_ > 2 * spec_.t) return 1;
+      const uint64_t exponent = static_cast<uint64_t>(2 * spec_.t - step_);
+      return exponent >= 63
+                 ? spec_.cap
+                 : std::min(spec_.cap, Pow2(static_cast<uint32_t>(exponent)));
+    }
   }
   return 0;  // unreachable
 }
@@ -427,6 +455,13 @@ std::vector<Item> WorkloadGenerator::Take(uint64_t count) {
   std::vector<Item> out;
   Generate(count, &out);
   return out;
+}
+
+const std::vector<Item>& WorkloadGenerator::Step() {
+  step_items_.clear();
+  if (pending_ == 0) pending_ = NextBurst();
+  Generate(pending_, &step_items_);
+  return step_items_;
 }
 
 // --- trace format -----------------------------------------------------------
@@ -495,36 +530,13 @@ Status WriteTrace(const std::string& path, std::span<const Item> items) {
     PutVarint(&buf, ZigZag(item.timestamp - prev_ts));
     prev_ts = item.timestamp;
   }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::InvalidArgument("WriteTrace: cannot open " + path + ": " +
-                                   std::strerror(errno));
-  }
-  const size_t wrote = std::fwrite(buf.data(), 1, buf.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (wrote != buf.size() || !closed) {
-    return Status::Internal("WriteTrace: short write to " + path);
-  }
-  return Status::Ok();
+  return AtomicWriteFile("trace.write", path, buf, /*do_fsync=*/true);
 }
 
 Result<std::vector<Item>> ReadTrace(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::InvalidArgument("ReadTrace: cannot open " + path + ": " +
-                                   std::strerror(errno));
-  }
-  std::string buf;
-  char chunk[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof chunk, f)) > 0) {
-    buf.append(chunk, got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::Internal("ReadTrace: read error on " + path);
-  }
+  auto read = ReadFileBytes("trace.read", path);
+  if (!read.ok()) return read.status();
+  const std::string& buf = read.value();
   if (buf.size() < sizeof kTraceMagic + 8 ||
       std::memcmp(buf.data(), kTraceMagic, sizeof kTraceMagic) != 0) {
     return Status::InvalidArgument("ReadTrace: " + path +
@@ -556,21 +568,6 @@ Result<std::vector<Item>> ReadTrace(const std::string& path) {
                                    ": trailing bytes after payload");
   }
   return items;
-}
-
-Result<DriveReport> ReplayTrace(const StreamDriver& driver,
-                                const std::string& path, StreamSink& sink) {
-  auto items = ReadTrace(path);
-  if (!items.ok()) return items.status();
-  return driver.Drive(items.value(), sink);
-}
-
-Result<ShardedDriveReport> ReplayTraceSharded(
-    const ShardedStreamDriver& driver, const std::string& path,
-    std::span<StreamSink* const> shards) {
-  auto items = ReadTrace(path);
-  if (!items.ok()) return items.status();
-  return driver.Drive(items.value(), shards);
 }
 
 }  // namespace swsample

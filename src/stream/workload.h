@@ -11,8 +11,11 @@
 //  * arrival families: `constant` (r items/step), `poisson` (Poisson(lambda)
 //    bursts), `bmodel` (the b-model self-similar burst cascade: an epoch's
 //    volume is split bias/(1-bias) recursively over 2^levels slots, the
-//    standard model for long-range-dependent network traffic), and `churn`
-//    (adversarial covering-decomposition churn, below);
+//    standard model for long-range-dependent network traffic), `churn`
+//    (adversarial covering-decomposition churn, below), and `doubling`
+//    (the Lemma 3.10 lower-bound stream: min(2^(2t - s), cap) items at
+//    step s <= 2t, then one per step, which forces ANY single-sample
+//    algorithm to hold Omega(log n) words);
 //  * value families: `uniform`, `zipf(alpha)`, `seq` over a domain;
 //  * modifiers: `skew` (bounded backward timestamp jitter, producing genuine
 //    out-of-order input for the StreamSink clamping contract), `dup`
@@ -34,6 +37,8 @@
 //   bmodel              bias=B (default 0.7), levels=V (default 10),
 //                       volume=N (items per epoch, default 4096)
 //   churn               t=T0 (target window parameter, default 64)
+//   doubling            t=T0 (the lemma's window parameter, at most 2^30),
+//                       cap=C (largest burst, default 4096)
 //   @uniform|@zipf|@seq domain=M (default 1024), alpha=A (zipf, default 1.1)
 //   any                 skew=S (max backward ts jitter, default 0 = off),
 //                       skewp=P (probability an item is jittered, 0.25),
@@ -47,12 +52,14 @@
 // item sequences, so a spec string in a test log IS the reproduction
 // recipe. Indices are consecutive from 0 and timestamps non-decreasing
 // unless `skew` is set (skewed streams exercise the documented clamping
-// contract; see core/api.h).
+// contract; see core/api.h). Take/Generate skip empty steps; Step() hands
+// out one step at a time, empty ones included, for callers that move a
+// clock on quiet steps.
 //
 // Trace format (record/replay for real datasets): little-endian, magic
 // "SWSTRC1\n", u64 item count, then per item a varint value and a zigzag
 // varint timestamp delta. Indices are not stored (consecutive from 0).
-// Typical text traces shrink ~10x; replay feeds the standard drivers.
+// Typical text traces shrink ~10x; replay is ReadTrace plus a Drive call.
 
 #ifndef SWSAMPLE_STREAM_WORKLOAD_H_
 #define SWSAMPLE_STREAM_WORKLOAD_H_
@@ -63,9 +70,7 @@
 #include <string_view>
 #include <vector>
 
-#include "stream/driver.h"
 #include "stream/item.h"
-#include "stream/sharded_driver.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -77,6 +82,7 @@ enum class WorkloadArrivals {
   kPoisson,   ///< Poisson(`lambda`) items per step.
   kBModel,    ///< b-model self-similar cascade (bias, levels, volume).
   kChurn,     ///< adversarial covering-decomposition churn (t).
+  kDoubling,  ///< Lemma 3.10 doubling bursts (t, cap).
 };
 
 /// Value-distribution family of a workload.
@@ -96,7 +102,8 @@ struct WorkloadSpec {
   double bias = 0.7;        ///< bmodel: cascade split in (0.5, 1)
   uint64_t levels = 10;     ///< bmodel: 2^levels slots per epoch
   uint64_t volume = 4096;   ///< bmodel: items per epoch
-  Timestamp t = 64;         ///< churn: target window parameter t0
+  Timestamp t = 64;         ///< churn, doubling: window parameter t0
+  uint64_t cap = 4096;      ///< doubling: largest burst
   uint64_t domain = 1024;   ///< value domain size
   double alpha = 1.1;       ///< zipf exponent
   Timestamp skew = 0;       ///< max backward ts jitter (0 = monotone)
@@ -132,6 +139,13 @@ class WorkloadGenerator {
   /// Returns the next `count` items as a fresh vector.
   std::vector<Item> Take(uint64_t count);
 
+  /// Advances the clock one step and returns that step's burst, which is
+  /// empty when nothing arrives (a quiet Poisson step). A `churn` step
+  /// jumps the clock by its gap. After a Generate that stopped inside a
+  /// burst, returns the rest of that burst instead. The reference is
+  /// invalidated by the next call.
+  const std::vector<Item>& Step();
+
   const WorkloadSpec& spec() const { return spec_; }
 
   /// Index the next generated item will carry.
@@ -162,25 +176,20 @@ class WorkloadGenerator {
   uint64_t recent_pos_ = 0;
   // churn phase machine: cycles plateau lengths x gap offsets.
   uint64_t churn_phase_ = 0;
+  std::vector<Item> step_items_;  ///< the burst Step() returns
 };
 
 /// Writes `items` to `path` in the trace format above. Timestamps must fit
-/// the zigzag delta encoding (any int64 does); indices are dropped.
+/// the zigzag delta encoding (any int64 does); indices are dropped. The
+/// file is replaced atomically through the FileOps seam (failpoint site
+/// `trace.write`), so a failed write leaves a previous trace intact.
 Status WriteTrace(const std::string& path, std::span<const Item> items);
 
-/// Reads a trace written by WriteTrace; indices are regenerated as
-/// consecutive from 0. Fails with a descriptive Status on a bad magic,
-/// truncation, or a count that disagrees with the payload.
+/// Reads a trace written by WriteTrace (failpoint site `trace.read`);
+/// indices are regenerated as consecutive from 0. Fails with a
+/// descriptive Status on a bad magic, truncation, or a count that
+/// disagrees with the payload.
 Result<std::vector<Item>> ReadTrace(const std::string& path);
-
-/// Replays a trace through the single-threaded driver into `sink`.
-Result<DriveReport> ReplayTrace(const StreamDriver& driver,
-                                const std::string& path, StreamSink& sink);
-
-/// Replays a trace through the sharded driver into `shards`.
-Result<ShardedDriveReport> ReplayTraceSharded(
-    const ShardedStreamDriver& driver, const std::string& path,
-    std::span<StreamSink* const> shards);
 
 }  // namespace swsample
 

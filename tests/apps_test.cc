@@ -18,7 +18,7 @@
 #include "apps/triangles.h"
 #include "stats/exact.h"
 #include "stats/tests.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 #include "util/rng.h"
 
 namespace swsample {
@@ -39,10 +39,16 @@ double RunOnStream(WindowEstimator& est, const std::vector<uint64_t>& values,
 
 std::vector<uint64_t> ZipfStream(uint64_t len, uint64_t domain, double alpha,
                                  uint64_t seed) {
-  auto gen = ZipfValues::Create(domain, alpha).ValueOrDie();
-  Rng rng(seed);
-  std::vector<uint64_t> values(len);
-  for (auto& v : values) v = gen->Next(rng);
+  WorkloadSpec spec;
+  spec.values = WorkloadValues::kZipf;
+  spec.rate = 1;
+  spec.domain = domain;
+  spec.alpha = alpha;
+  std::vector<uint64_t> values;
+  for (const Item& item :
+       WorkloadGenerator::Create(spec, seed).ValueOrDie()->Take(len)) {
+    values.push_back(item.value);
+  }
   return values;
 }
 

@@ -338,7 +338,7 @@ TEST(DriverCheckpointTest, SingleSinkResumeMatchesUninterruptedRun) {
     CheckpointWriter writer(
         policy, MakeSinkSerializers(SamplerSinkSpec("bop-seq-swor", config), 1)
                     .ValueOrDie());
-    auto report = driver.DriveFileCheckpointed(prefix, false, *crashed,
+    auto report = driver.DriveFile(prefix, false, *crashed,
                                                &writer, nullptr);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     // Checkpoints land on batch boundaries: 1024 and 2048.
@@ -346,11 +346,11 @@ TEST(DriverCheckpointTest, SingleSinkResumeMatchesUninterruptedRun) {
   }
 
   // Resume in a "new process": restore from disk, replay the full input.
-  auto resumed = StreamDriver::ResumeFrom(dir);
+  auto resumed = LoadCheckpoint(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ASSERT_EQ(resumed.value().samplers.size(), 1u);
   EXPECT_EQ(resumed.value().position.items, 2048u);
-  auto report = driver.DriveFileCheckpointed(
+  auto report = driver.DriveFile(
       stream, false, *resumed.value().sinks[0], nullptr,
       &resumed.value().position);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -362,6 +362,70 @@ TEST(DriverCheckpointTest, SingleSinkResumeMatchesUninterruptedRun) {
     auto b = resumed.value().samplers[0]->Sample();
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
+  }
+}
+
+// A checkpoint records a position in the event stream, not in a file: one
+// taken while DriveFile parses an mmap'ed file resumes through DriveLines
+// over a pipe, and the reverse, both bit-identical to an uninterrupted run.
+TEST(DriverCheckpointTest, ResumeCrossesMmapAndPipeInputs) {
+  const std::string stream =
+      WriteStreamFile("ckpt_cross.txt", 5000, /*timestamped=*/true, 37);
+  const std::string prefix = TruncateFile(stream, 3000);
+  const std::string dir = testing::TempDir() + "ckpt_cross_dir";
+
+  SamplerConfig config;
+  config.window_t = 30;
+  config.k = 8;
+  config.seed = 0xc0de;
+  StreamDriver::Options options;
+  options.batch_size = 128;
+  StreamDriver driver(options);
+
+  auto reference = CreateSampler("bop-ts-swor", config).ValueOrDie();
+  ASSERT_TRUE(driver.DriveFile(stream, true, *reference).ok());
+  const std::string reference_state =
+      SaveSampler(*reference, config).ValueOrDie();
+
+  auto drive_pipe = [&](const std::string& path, StreamSink& sink,
+                        CheckpointWriter* writer,
+                        const CheckpointManifest* resume) {
+    std::FILE* f = popen(("cat '" + path + "'").c_str(), "r");
+    EXPECT_NE(f, nullptr);
+    auto result = driver.DriveLines(f, path, true, sink, nullptr, 0, writer,
+                                    resume);
+    pclose(f);
+    return result;
+  };
+  for (const bool mmap_first : {true, false}) {
+    SCOPED_TRACE(mmap_first ? "mmap, then pipe" : "pipe, then mmap");
+    fs::remove_all(dir);
+    {
+      auto crashed = CreateSampler("bop-ts-swor", config).ValueOrDie();
+      CheckpointPolicy policy;
+      policy.dir = dir;
+      policy.every_items = 1000;
+      CheckpointWriter writer(
+          policy,
+          MakeSinkSerializers(SamplerSinkSpec("bop-ts-swor", config), 1)
+              .ValueOrDie());
+      auto report = mmap_first
+                        ? driver.DriveFile(prefix, true, *crashed, &writer)
+                        : drive_pipe(prefix, *crashed, &writer, nullptr);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(writer.last_written_items(), 2048u);
+    }
+    auto resumed = LoadCheckpoint(dir);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    StreamSink& sink = *resumed.value().sinks[0];
+    const CheckpointManifest* position = &resumed.value().position;
+    auto report = mmap_first
+                      ? drive_pipe(stream, sink, nullptr, position)
+                      : driver.DriveFile(stream, true, sink, nullptr, position);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report.value().items, 5000u - 2048u);
+    EXPECT_EQ(SaveSampler(*resumed.value().samplers[0], config).ValueOrDie(),
+              reference_state);
   }
 }
 
@@ -411,18 +475,18 @@ TEST(DriverCheckpointTest, TsSamplerResumeCutInsideSameTimestampRun) {
         policy, MakeSinkSerializers(SamplerSinkSpec("bop-ts-swor", config), 1)
                     .ValueOrDie());
     auto report =
-        driver.DriveFileCheckpointed(prefix, true, *crashed, &writer, nullptr);
+        driver.DriveFile(prefix, true, *crashed, &writer, nullptr);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     // 2048 is not a multiple of the 96-item plateau length, so the saved
     // state ends mid-run with pending same-timestamp arrivals.
     EXPECT_EQ(writer.last_written_items(), 2048u);
   }
 
-  auto resumed = StreamDriver::ResumeFrom(dir);
+  auto resumed = LoadCheckpoint(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ASSERT_EQ(resumed.value().samplers.size(), 1u);
   EXPECT_EQ(resumed.value().position.items, 2048u);
-  auto report = driver.DriveFileCheckpointed(
+  auto report = driver.DriveFile(
       path, true, *resumed.value().sinks[0], nullptr,
       &resumed.value().position);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -465,17 +529,17 @@ TEST(DriverCheckpointTest, SingleEstimatorResumeMatchesUninterruptedRun) {
         policy,
         MakeSinkSerializers(EstimatorSinkSpec("ams-fk", config), 1).ValueOrDie());
     ASSERT_TRUE(driver
-                    .DriveFileCheckpointed(prefix, true, *crashed, &writer,
+                    .DriveFile(prefix, true, *crashed, &writer,
                                            nullptr)
                     .ok());
     EXPECT_GT(writer.last_written_items(), 0u);
   }
 
-  auto resumed = StreamDriver::ResumeFrom(dir);
+  auto resumed = LoadCheckpoint(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ASSERT_EQ(resumed.value().estimators.size(), 1u);
   ASSERT_TRUE(driver
-                  .DriveFileCheckpointed(stream, true,
+                  .DriveFile(stream, true,
                                          *resumed.value().sinks[0], nullptr,
                                          &resumed.value().position)
                   .ok());
@@ -512,7 +576,7 @@ TEST(DriverCheckpointTest, ShardedChunksResumeMatchesUninterruptedRun) {
       CreateShardedSinks(SamplerSinkSpec("bop-seq-swor", config), kShards).ValueOrDie();
   {
     auto sinks = SinkPointers(reference);
-    ASSERT_TRUE(driver.DriveFile(stream, false, sinks).ok());
+    ASSERT_TRUE(driver.DriveFileCheckpointed(stream, false, sinks).ok());
   }
 
   {
@@ -531,7 +595,7 @@ TEST(DriverCheckpointTest, ShardedChunksResumeMatchesUninterruptedRun) {
     EXPECT_EQ(writer.last_written_items(), 3000u);
   }
 
-  auto resumed = ShardedStreamDriver::ResumeFrom(dir);
+  auto resumed = LoadCheckpoint(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ASSERT_EQ(resumed.value().samplers.size(), kShards);
   EXPECT_EQ(resumed.value().position.items, 3000u);
@@ -582,7 +646,7 @@ TEST(DriverCheckpointTest, ShardedKeyHashEstimatorResumeMatches) {
       CreateShardedSinks(EstimatorSinkSpec("ams-fk", config), kShards).ValueOrDie();
   {
     auto sinks = SinkPointers(reference);
-    ASSERT_TRUE(driver.DriveFile(stream, true, sinks).ok());
+    ASSERT_TRUE(driver.DriveFileCheckpointed(stream, true, sinks).ok());
   }
 
   {
@@ -600,7 +664,7 @@ TEST(DriverCheckpointTest, ShardedKeyHashEstimatorResumeMatches) {
             .ok());
   }
 
-  auto resumed = ShardedStreamDriver::ResumeFrom(dir);
+  auto resumed = LoadCheckpoint(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ASSERT_EQ(resumed.value().estimators.size(), kShards);
   {
@@ -652,7 +716,7 @@ TEST(DriverCheckpointTest, ResumeRejectsMismatchedGeometryAndBadDirs) {
         driver.DriveFileCheckpointed(stream, false, sinks, &writer, nullptr)
             .ok());
   }
-  auto resumed = ShardedStreamDriver::ResumeFrom(dir);
+  auto resumed = LoadCheckpoint(dir);
   ASSERT_TRUE(resumed.ok());
 
   // Changed chunk size must be rejected.
@@ -669,7 +733,7 @@ TEST(DriverCheckpointTest, ResumeRejectsMismatchedGeometryAndBadDirs) {
   // A sharded checkpoint cannot resume through the single-sink driver.
   StreamDriver single;
   EXPECT_FALSE(single
-                   .DriveFileCheckpointed(stream, false,
+                   .DriveFile(stream, false,
                                           *resumed.value().sinks[0], nullptr,
                                           &resumed.value().position)
                    .ok());
@@ -716,16 +780,16 @@ TEST(DriverCheckpointTest, ResumeDetectsDivergentReplay) {
         policy,
         MakeSinkSerializers(SamplerSinkSpec("bop-ts-swr", config), 1).ValueOrDie());
     ASSERT_TRUE(
-        driver.DriveFileCheckpointed(stream, true, *sink, &writer, nullptr)
+        driver.DriveFile(stream, true, *sink, &writer, nullptr)
             .ok());
   }
-  auto resumed = StreamDriver::ResumeFrom(dir);
+  auto resumed = LoadCheckpoint(dir);
   ASSERT_TRUE(resumed.ok());
   // Replay a DIFFERENT stream (same length, different timestamps).
   const std::string other =
       WriteStreamFile("ckpt_diverge_other.txt", 2000, true, 82);
   const CheckpointManifest& position = resumed.value().position;
-  auto diverged = driver.DriveFileCheckpointed(
+  auto diverged = driver.DriveFile(
       other, true, *resumed.value().sinks[0], nullptr, &position);
   ASSERT_FALSE(diverged.ok());
   // Named against the line of the last already-ingested event.
@@ -736,7 +800,7 @@ TEST(DriverCheckpointTest, ResumeDetectsDivergentReplay) {
       << diverged.status().message();
   // A replay shorter than the checkpointed prefix fails too.
   const std::string short_replay = TruncateFile(stream, position.items / 2);
-  auto truncated = driver.DriveFileCheckpointed(
+  auto truncated = driver.DriveFile(
       short_replay, true, *resumed.value().sinks[0], nullptr, &position);
   ASSERT_FALSE(truncated.ok());
   EXPECT_NE(truncated.status().message().find("replayed input ends before"),

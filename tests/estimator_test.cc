@@ -26,10 +26,7 @@
 #include "core/registry.h"
 #include "stat_check.h"
 #include "stats/tests.h"
-#include "stream/arrival.h"
 #include "stream/driver.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
 
 namespace swsample {
 namespace {
@@ -428,27 +425,6 @@ TEST(EstimatorDriverTest, DriverPumpsEveryEstimator) {
     EXPECT_EQ(report.memory_words, est->MemoryWords()) << spec.name;
     EXPECT_GE(report.peak_memory_words, report.memory_words) << spec.name;
   }
-}
-
-TEST(EstimatorDriverTest, SyntheticStreamAdvancesEstimatorClock) {
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 10).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(0.2)).ValueOrDie(), 42);
-  EstimatorConfig config;
-  config.substrate = "bop-ts-single";
-  config.window_t = 10;
-  config.r = 2;
-  config.seed = 3;
-  auto est = CreateEstimator("window-count", config).ValueOrDie();
-  StreamDriver::Options options;
-  options.batch_size = 32;
-  DriveReport report =
-      StreamDriver(options).DriveSynthetic(stream, 2000, *est);
-  EXPECT_GT(report.items, 0u);
-  EXPECT_GT(report.empty_steps, 0u);
-  // After the drive the DGIM count must reflect only the last 10 ticks —
-  // a loose sanity band around the Poisson(0.2)/tick rate.
-  EXPECT_LT(est->Estimate().value, 40.0);
 }
 
 }  // namespace

@@ -11,10 +11,8 @@
 
 #include <gtest/gtest.h>
 
-#include "stream/arrival.h"
 #include "stream/exp_histogram.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 #include "util/bits.h"
 #include "util/rng.h"
 
@@ -50,12 +48,14 @@ TEST(ExpHistogramTest, AllExpire) {
 void CheckRelativeError(double eps, double lambda, Timestamp t0,
                         uint64_t seed) {
   auto h = ExpHistogram::Create(t0, eps).ValueOrDie();
-  auto stream = SyntheticStream(
-      UniformValues::Create(16).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(lambda)).ValueOrDie(), seed);
+  WorkloadSpec spec;
+  spec.arrivals = WorkloadArrivals::kPoisson;
+  spec.lambda = lambda;
+  spec.domain = 16;
+  auto stream = WorkloadGenerator::Create(spec, seed).ValueOrDie();
   std::deque<Timestamp> exact;  // timestamps of active arrivals
   for (Timestamp t = 0; t < 6 * t0; ++t) {
-    for (const Item& item : stream.Step()) {
+    for (const Item& item : stream->Step()) {
       h.Add(item.timestamp);
       exact.push_back(item.timestamp);
     }

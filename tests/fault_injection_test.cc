@@ -36,7 +36,7 @@
 #include "stream/checkpoint.h"
 #include "stream/driver.h"
 #include "stream/keyed_engine.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 #include "util/failpoint.h"
 #include "util/file_ops.h"
 #include "util/rng.h"
@@ -254,16 +254,23 @@ KeyedEngineOptions ShedOptions(const std::string& dir) {
   return options;
 }
 
-/// Zipf arrivals: the skewed, evict/restore-heavy traffic shape the
-/// adversarial workloads of the stress matrix use.
+/// Zipf arrivals, one per timestamp: the skewed, evict/restore-heavy
+/// traffic shape the adversarial workloads of the stress matrix use.
+std::vector<Item> ZipfItems(uint64_t items, uint64_t domain, uint64_t seed) {
+  return WorkloadGenerator::Create("constant@zipf,rate=1,alpha=1.2,domain=" +
+                                       std::to_string(domain),
+                                   seed)
+      .ValueOrDie()
+      ->Take(items);
+}
+
 void DriveZipf(KeyedWindowEngine& engine, uint64_t items, uint64_t domain,
                uint64_t seed, uint64_t budget_or_zero) {
-  auto zipf = ZipfValues::Create(domain, 1.2).ValueOrDie();
-  Rng rng(seed);
-  for (uint64_t i = 0; i < items; ++i) {
-    engine.Observe(Item{zipf->Next(rng), i, static_cast<Timestamp>(i)});
+  for (const Item& item : ZipfItems(items, domain, seed)) {
+    engine.Observe(item);
     if (budget_or_zero != 0) {
-      ASSERT_LE(engine.ChargedBytes(), budget_or_zero) << "item " << i;
+      ASSERT_LE(engine.ChargedBytes(), budget_or_zero)
+          << "item " << item.index;
     }
   }
 }
@@ -463,11 +470,10 @@ TEST_F(FaultInjectionTest, BlockModeLatchesOnAPermanentOutage) {
   // Fail-stop mode keeps re-attempting the blocked eviction on every
   // arrival, so stop shortly after the latch instead of grinding through
   // the whole stream.
-  auto zipf = ZipfValues::Create(4000, 1.2).ValueOrDie();
-  Rng rng(11);
   uint64_t post_latch = 0;
-  for (uint64_t i = 0; i < 20000 && post_latch < 64; ++i) {
-    engine->Observe(Item{zipf->Next(rng), i, static_cast<Timestamp>(i)});
+  for (const Item& item : ZipfItems(20000, 4000, 11)) {
+    if (post_latch >= 64) break;
+    engine->Observe(item);
     if (!engine->status().ok()) ++post_latch;
   }
   EXPECT_FALSE(engine->status().ok());
@@ -608,6 +614,39 @@ TEST_F(FaultInjectionTest, CheckpointLoadFaultsSurfaceAsStatusNotCrash) {
   }
   DisarmFailpoints();
   EXPECT_TRUE(LoadCheckpoint(dir).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Trace files
+
+TEST_F(FaultInjectionTest, FailedTraceWriteKeepsThePreviousTrace) {
+  const std::string dir = FreshDir("fi_trace_write");
+  const std::string path = dir + "/stream.trace";
+  auto generator = WorkloadGenerator::Create("poisson@zipf", 5).ValueOrDie();
+  const std::vector<Item> first = generator->Take(500);
+  ASSERT_TRUE(WriteTrace(path, first).ok());
+  ASSERT_TRUE(ArmFailpoints("trace.write=eio", 1).ok());
+  EXPECT_FALSE(WriteTrace(path, generator->Take(700)).ok());
+  DisarmFailpoints();
+  EXPECT_EQ(ReadTrace(path).ValueOrDie(), first);
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+}
+
+TEST_F(FaultInjectionTest, TornTraceReadReportsTruncation) {
+  const std::string dir = FreshDir("fi_trace_read");
+  const std::string path = dir + "/stream.trace";
+  // Values of several varint bytes keep the torn half above the payload
+  // count guard, so the reader reaches the truncated item.
+  ASSERT_TRUE(
+      WriteTrace(path, WorkloadGenerator::Create("constant,domain=1000000", 6)
+                           .ValueOrDie()
+                           ->Take(1000))
+          .ok());
+  ASSERT_TRUE(ArmFailpoints("trace.read=torn", 1).ok());
+  auto torn = ReadTrace(path);
+  ASSERT_FALSE(torn.ok());
+  EXPECT_NE(torn.status().message().find("truncated"), std::string::npos)
+      << torn.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

@@ -19,9 +19,7 @@
 #include "core/registry.h"
 #include "core/sliding_adapter.h"
 #include "stats/tests.h"
-#include "stream/arrival.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 
 namespace swsample {
 namespace {
@@ -29,9 +27,9 @@ namespace {
 // Every registered sampler's output must lie inside the exact window at
 // all times, under a bursty timestamped stream with silent gaps.
 TEST(IntegrationTest, AllRegisteredSamplersAgreeWithOracleOnMembership) {
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 16).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(2.0)).ValueOrDie(), 99);
+  auto stream =
+      WorkloadGenerator::Create("poisson,lambda=2,domain=65536", 99)
+          .ValueOrDie();
   const Timestamp t0 = 20;
   const uint64_t seq_n = 64, k = 4;
 
@@ -53,7 +51,7 @@ TEST(IntegrationTest, AllRegisteredSamplersAgreeWithOracleOnMembership) {
       ExactWindow::CreateSequence(seq_n, 1, true, 32).ValueOrDie();
 
   for (Timestamp t = 0; t < 1500; ++t) {
-    for (const Item& item : stream.Step()) {
+    for (const Item& item : stream->Step()) {
       for (auto& s : ts_samplers) s->Observe(item);
       for (auto& s : seq_samplers) s->Observe(item);
       ts_oracle->Observe(item);
@@ -195,9 +193,9 @@ TEST(IntegrationTest, SlidingAdapterTracksWindowedMean) {
 // End-to-end determinism: identical seeds yield identical sample streams.
 TEST(IntegrationTest, FullyDeterministic) {
   auto run = [] {
-    auto stream = SyntheticStream(
-        ZipfValues::Create(100, 1.1).ValueOrDie(),
-        std::move(PoissonBurstArrivals::Create(1.7)).ValueOrDie(), 21);
+    auto stream = WorkloadGenerator::Create(
+                      "poisson@zipf,lambda=1.7,domain=100,alpha=1.1", 21)
+                      .ValueOrDie();
     SamplerConfig config;
     config.window_t = 9;
     config.k = 3;
@@ -205,7 +203,7 @@ TEST(IntegrationTest, FullyDeterministic) {
     auto s = CreateSampler("bop-ts-swor", config).ValueOrDie();
     std::vector<uint64_t> trace;
     for (Timestamp t = 0; t < 300; ++t) {
-      for (const Item& item : stream.Step()) s->Observe(item);
+      for (const Item& item : stream->Step()) s->Observe(item);
       s->AdvanceTime(t);
       for (const Item& item : s->Sample()) trace.push_back(item.index);
     }

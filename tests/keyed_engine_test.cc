@@ -23,7 +23,6 @@
 #include "stats/tests.h"
 #include "stream/keyed_engine.h"
 #include "stream/sharded_driver.h"
-#include "stream/value_gen.h"
 #include "stream/workload.h"
 #include "util/rng.h"
 
@@ -168,12 +167,15 @@ TEST(KeyedEngineTest, BudgetNeverExceededUnderZipfianSkew) {
   options.spill_dir = dir;
   auto engine = KeyedWindowEngine::Create(options).ValueOrDie();
 
-  auto zipf = ZipfValues::Create(kDomain, 1.1).ValueOrDie();
-  Rng rng(17);
-  for (uint64_t i = 0; i < kItems; ++i) {
-    engine->Observe(
-        Item{zipf->Next(rng), i, static_cast<Timestamp>(i)});
-    ASSERT_LE(engine->ChargedBytes(), kBudget) << "item " << i;
+  const std::vector<Item> items =
+      WorkloadGenerator::Create("constant@zipf,rate=1,alpha=1.1,domain=" +
+                                    std::to_string(kDomain),
+                                17)
+          .ValueOrDie()
+          ->Take(kItems);
+  for (const Item& item : items) {
+    engine->Observe(item);
+    ASSERT_LE(engine->ChargedBytes(), kBudget) << "item " << item.index;
   }
   ASSERT_TRUE(engine->status().ok()) << engine->status().ToString();
   EXPECT_GT(engine->stats().evictions, 0u);  // the budget actually bound

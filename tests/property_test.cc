@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -21,9 +22,7 @@
 #include "core/ts_swor.h"
 #include "core/ts_swr.h"
 #include "stats/tests.h"
-#include "stream/arrival.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 #include "util/bits.h"
 
 namespace swsample {
@@ -106,18 +105,25 @@ class TsSweep
     : public ::testing::TestWithParam<std::tuple<int64_t, uint64_t, double>> {
 };
 
+// Poisson(lambda) bursts of uniform values over [0, 2^16).
+std::unique_ptr<WorkloadGenerator> PoissonStream(double lambda,
+                                                 uint64_t seed) {
+  WorkloadSpec spec;
+  spec.arrivals = WorkloadArrivals::kPoisson;
+  spec.lambda = lambda;
+  spec.domain = 1 << 16;
+  return WorkloadGenerator::Create(spec, seed).ValueOrDie();
+}
+
 TEST_P(TsSweep, SwrInvariantsHoldEverywhere) {
   const auto [t0, k, lambda] = GetParam();
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 16).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(lambda)).ValueOrDie(),
-      static_cast<uint64_t>(t0) * 100 + k);
+  auto stream = PoissonStream(lambda, static_cast<uint64_t>(t0) * 100 + k);
   auto s = TsSwrSampler::Create(t0, k, k * 17 + 5).ValueOrDie();
   uint64_t active = 0;
   uint64_t max_active = 0;
   std::vector<Item> window;
   for (Timestamp t = 0; t < 400; ++t) {
-    for (const Item& item : stream.Step()) {
+    for (const Item& item : stream->Step()) {
       s->Observe(item);
       window.push_back(item);
     }
@@ -148,14 +154,11 @@ TEST_P(TsSweep, SwrInvariantsHoldEverywhere) {
 
 TEST_P(TsSweep, SworInvariantsHoldEverywhere) {
   const auto [t0, k, lambda] = GetParam();
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 16).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(lambda)).ValueOrDie(),
-      static_cast<uint64_t>(t0) * 131 + k);
+  auto stream = PoissonStream(lambda, static_cast<uint64_t>(t0) * 131 + k);
   auto s = TsSworSampler::Create(t0, k, k * 13 + 3).ValueOrDie();
   std::vector<Item> window;
   for (Timestamp t = 0; t < 400; ++t) {
-    for (const Item& item : stream.Step()) {
+    for (const Item& item : stream->Step()) {
       s->Observe(item);
       window.push_back(item);
     }

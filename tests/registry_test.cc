@@ -19,10 +19,7 @@
 #include "core/registry.h"
 #include "stat_check.h"
 #include "stats/tests.h"
-#include "stream/arrival.h"
 #include "stream/driver.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
 
 namespace swsample {
 namespace {
@@ -217,31 +214,6 @@ TEST(RegistryTest, DriverDeliversEveryItemToEveryRegisteredSampler) {
     EXPECT_EQ(report.batches, (1000u + 63) / 64) << spec.name;
     EXPECT_EQ(report.memory_words, sampler->MemoryWords()) << spec.name;
     EXPECT_GE(report.peak_memory_words, report.memory_words) << spec.name;
-  }
-}
-
-TEST(RegistryTest, DriverAdvancesClockOnEmptySyntheticSteps) {
-  // A sparse Poisson stream has many empty steps; the driver must turn
-  // them into AdvanceTime calls so timestamp samplers expire correctly.
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 10).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(0.2)).ValueOrDie(), 42);
-  SamplerConfig config;
-  config.window_t = 10;
-  config.k = 1;
-  config.seed = 3;
-  auto sampler = CreateSampler("bop-ts-swr", config).ValueOrDie();
-  StreamDriver::Options options;
-  options.batch_size = 32;
-  DriveReport report =
-      StreamDriver(options).DriveSynthetic(stream, 2000, *sampler);
-  EXPECT_GT(report.items, 0u);
-  EXPECT_GT(report.empty_steps, 0u);
-  EXPECT_EQ(report.items, stream.total_items());
-  // After the drive, any sample must be within the window of the final
-  // clock position.
-  for (const Item& item : sampler->Sample()) {
-    EXPECT_GT(item.timestamp, stream.now() - 10);
   }
 }
 

@@ -20,9 +20,7 @@
 #include "core/registry.h"
 #include "core/ts_single.h"
 #include "reservoir/reservoir.h"
-#include "stream/arrival.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 #include "util/serial.h"
 
 namespace swsample {
@@ -157,12 +155,12 @@ void CheckResumedEquivalence(const std::string& name,
                              const SamplerConfig& config,
                              bool timestamped) {
   auto original = CreateSampler(name, config).ValueOrDie();
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 16).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(2.5)).ValueOrDie(), 99);
+  auto stream =
+      WorkloadGenerator::Create("poisson,lambda=2.5,domain=65536", 99)
+          .ValueOrDie();
   // Warm-up phase.
   for (Timestamp t = 0; t < 200; ++t) {
-    for (const Item& item : stream.Step()) original->Observe(item);
+    for (const Item& item : stream->Step()) original->Observe(item);
     if (timestamped) original->AdvanceTime(t);
   }
   std::string blob = SaveSampler(*original, config).ValueOrDie();
@@ -171,7 +169,7 @@ void CheckResumedEquivalence(const std::string& name,
 
   // Lockstep phase: identical inputs, identical outputs.
   for (Timestamp t = 200; t < 500; ++t) {
-    for (const Item& item : stream.Step()) {
+    for (const Item& item : stream->Step()) {
       original->Observe(item);
       restored->Observe(item);
     }
@@ -223,11 +221,11 @@ TEST(SerialTest, TsSworResumesExactly) {
 
 TEST(SerialTest, TsSingleRoundTripPreservesInvariants) {
   auto original = TsSingleSampler::Create(17, 11).ValueOrDie();
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 10).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(3.0)).ValueOrDie(), 12);
+  auto stream =
+      WorkloadGenerator::Create("poisson,lambda=3,domain=1024", 12)
+          .ValueOrDie();
   for (Timestamp t = 0; t < 300; ++t) {
-    for (const Item& item : stream.Step()) original.Observe(item);
+    for (const Item& item : stream->Step()) original.Observe(item);
   }
   BinaryWriter w;
   original.SaveState(&w);

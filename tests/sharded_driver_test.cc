@@ -23,10 +23,8 @@
 #include "core/api.h"
 #include "core/registry.h"
 #include "stats/tests.h"
-#include "stream/arrival.h"
 #include "stream/sharded_driver.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 
 namespace swsample {
 namespace {
@@ -327,29 +325,21 @@ TEST(ShardedEstimatorTest, MergeCapabilityMatrix) {
   }
 }
 
-// Timestamp windows with bursts and quiet steps through DriveSynthetic:
-// merged DGIM counts stay within the (1 +/- eps) envelope of the exact
-// oracle count, and AdvanceTime broadcasts keep expiry moving on empty
-// steps.
-TEST(ShardedDriverTest, SyntheticTimestampCountsTrackExact) {
-  auto make_stream = [] {
-    return SyntheticStream(UniformValues::Create(1 << 16).ValueOrDie(),
-                           PoissonBurstArrivals::Create(4.0).ValueOrDie(),
-                           /*seed=*/77);
-  };
-  constexpr uint64_t kSteps = 4000;
-  constexpr Timestamp kT0 = 500;
+// Timestamp windows with bursts and quiet steps: Poisson(0.7) arrivals
+// leave about half the steps empty, so the stream carries timestamp gaps.
+// Merged DGIM counts stay within the (1 +/- eps) envelope of the exact
+// oracle count, and the final AdvanceTime broadcast syncs every shard's
+// expiry to the stream end.
+TEST(ShardedDriverTest, BurstyTimestampCountsTrackExact) {
+  const std::vector<Item> items =
+      WorkloadGenerator::Create("poisson,lambda=0.7,domain=65536",
+                                /*seed=*/77)
+          .ValueOrDie()
+          ->Take(12000);
+  constexpr Timestamp kT0 = 2000;
 
-  auto exact = make_stream();
   auto oracle = ExactWindow::CreateTimestamp(kT0, 1, true, 1).ValueOrDie();
-  for (uint64_t step = 0; step < kSteps; ++step) {
-    const std::vector<Item>& burst = exact.Step();
-    if (burst.empty()) {
-      oracle->AdvanceTime(exact.now());
-    } else {
-      for (const Item& item : burst) oracle->Observe(item);
-    }
-  }
+  for (const Item& item : items) oracle->Observe(item);
 
   EstimatorConfig config;
   config.substrate = "bop-ts-single";
@@ -359,13 +349,12 @@ TEST(ShardedDriverTest, SyntheticTimestampCountsTrackExact) {
   auto replicas =
       CreateShardedSinks(EstimatorSinkSpec("window-count", config), 4).ValueOrDie();
   auto sinks = SinkPointers(replicas);
-  auto stream = make_stream();
   auto report =
       ShardedStreamDriver(SmallChunkOptions(4, ShardPartition::kKeyHash))
-          .DriveSynthetic(stream, kSteps, sinks)
+          .Drive(items, sinks)
           .ValueOrDie();
-  EXPECT_GT(report.total.items, 0u);
-  EXPECT_GT(report.total.empty_steps, 0u);
+  EXPECT_EQ(report.total.items, items.size());
+  EXPECT_GT(items.back().timestamp, static_cast<Timestamp>(items.size()));
 
   auto merged = MergedEstimate(EstimatorPointers(replicas).ValueOrDie()).ValueOrDie();
   const double exact_count = static_cast<double>(oracle->size());
@@ -397,11 +386,13 @@ TEST(ShardedDriverTest, DriveFileParsesAndPropagatesErrors) {
   auto replicas = CreateShardedSinks(SamplerSinkSpec("bop-seq-swr", config), 2).ValueOrDie();
   auto sinks = SinkPointers(replicas);
   ShardedStreamDriver driver(SmallChunkOptions(2, ShardPartition::kChunks));
-  auto good = driver.DriveFile(good_path, /*timestamped=*/false, sinks);
+  auto good =
+      driver.DriveFileCheckpointed(good_path, /*timestamped=*/false, sinks);
   ASSERT_TRUE(good.ok());
   EXPECT_EQ(good.value().total.items, 1000u);
 
-  auto bad = driver.DriveFile(bad_path, /*timestamped=*/false, sinks);
+  auto bad =
+      driver.DriveFileCheckpointed(bad_path, /*timestamped=*/false, sinks);
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find(":3"), std::string::npos)
       << bad.status().ToString();
@@ -409,7 +400,7 @@ TEST(ShardedDriverTest, DriveFileParsesAndPropagatesErrors) {
             std::string::npos);
 
   EXPECT_FALSE(
-      driver.DriveFile("/no/such/file", false, sinks).ok());
+      driver.DriveFileCheckpointed("/no/such/file", false, sinks).ok());
   std::remove(good_path.c_str());
   std::remove(bad_path.c_str());
 }

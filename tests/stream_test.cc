@@ -1,157 +1,149 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 //
-// Unit tests for the stream substrate: value generators, arrival processes
-// and the composed SyntheticStream.
+// Unit tests for the stream substrate: the workload generator's value and
+// arrival families, and the text ingestion paths of both drivers.
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/registry.h"
-#include "stream/arrival.h"
+#include "stream/checkpoint.h"
 #include "stream/driver.h"
 #include "stream/sharded_driver.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 #include "util/rng.h"
 #include "util/serial.h"
 
 namespace swsample {
 namespace {
 
-TEST(UniformValuesTest, RejectsEmptyDomain) {
-  EXPECT_FALSE(UniformValues::Create(0).ok());
+std::vector<Item> TakeFrom(const std::string& spec, uint64_t seed,
+                           uint64_t count) {
+  return WorkloadGenerator::Create(spec, seed).ValueOrDie()->Take(count);
 }
 
-TEST(UniformValuesTest, StaysInDomain) {
-  auto gen = UniformValues::Create(10).ValueOrDie();
-  Rng rng(1);
-  for (int i = 0; i < 10000; ++i) EXPECT_LT(gen->Next(rng), 10u);
+// Burst sizes of the first `steps` steps of `spec`.
+std::vector<uint64_t> StepSizes(const std::string& spec, uint64_t steps) {
+  auto stream = WorkloadGenerator::Create(spec, 1).ValueOrDie();
+  std::vector<uint64_t> sizes;
+  for (uint64_t t = 0; t < steps; ++t) sizes.push_back(stream->Step().size());
+  return sizes;
 }
 
-TEST(UniformValuesTest, CoversDomain) {
-  auto gen = UniformValues::Create(8).ValueOrDie();
-  Rng rng(2);
+TEST(WorkloadValuesTest, RejectsBadDomainAndAlpha) {
+  EXPECT_FALSE(WorkloadGenerator::Create("constant,domain=0", 1).ok());
+  EXPECT_FALSE(WorkloadGenerator::Create("constant@zipf,domain=0", 1).ok());
+  EXPECT_FALSE(WorkloadGenerator::Create("constant@zipf,alpha=-1", 1).ok());
+}
+
+TEST(WorkloadValuesTest, UniformStaysInAndCoversDomain) {
   std::vector<uint64_t> counts(8, 0);
-  for (int i = 0; i < 8000; ++i) ++counts[gen->Next(rng)];
+  for (const Item& item : TakeFrom("constant,domain=8", 2, 8000)) {
+    ASSERT_LT(item.value, 8u);
+    ++counts[item.value];
+  }
   for (uint64_t c : counts) EXPECT_GT(c, 800u);
 }
 
-TEST(ZipfValuesTest, RejectsBadParams) {
-  EXPECT_FALSE(ZipfValues::Create(0, 1.0).ok());
-  EXPECT_FALSE(ZipfValues::Create(10, -1.0).ok());
-}
-
-TEST(ZipfValuesTest, SkewFavorsSmallValues) {
-  auto gen = ZipfValues::Create(100, 1.2).ValueOrDie();
-  Rng rng(3);
+TEST(WorkloadValuesTest, ZipfSkewFavorsSmallValues) {
   std::vector<uint64_t> counts(100, 0);
-  for (int i = 0; i < 100000; ++i) ++counts[gen->Next(rng)];
+  for (const Item& item :
+       TakeFrom("constant@zipf,domain=100,alpha=1.2", 3, 100000)) {
+    ++counts[item.value];
+  }
   // Head value must dominate the tail value heavily under alpha=1.2.
   EXPECT_GT(counts[0], 10 * counts[50] / 2);
   EXPECT_GT(counts[0], counts[1]);
 }
 
-TEST(ZipfValuesTest, AlphaZeroIsUniform) {
-  auto gen = ZipfValues::Create(16, 0.0).ValueOrDie();
-  Rng rng(4);
+TEST(WorkloadValuesTest, ZipfAlphaZeroIsUniform) {
   std::vector<uint64_t> counts(16, 0);
-  for (int i = 0; i < 64000; ++i) ++counts[gen->Next(rng)];
+  for (const Item& item :
+       TakeFrom("constant@zipf,domain=16,alpha=0", 4, 64000)) {
+    ++counts[item.value];
+  }
   for (uint64_t c : counts) {
     EXPECT_GT(c, 3000u);
     EXPECT_LT(c, 5000u);
   }
 }
 
-TEST(ZipfValuesTest, FrequencyMatchesTheory) {
-  const double alpha = 1.0;
-  auto gen = ZipfValues::Create(50, alpha).ValueOrDie();
-  Rng rng(5);
+TEST(WorkloadValuesTest, ZipfHeadFrequencyMatchesTheory) {
   const int trials = 200000;
   uint64_t head = 0;
-  for (int i = 0; i < trials; ++i) head += (gen->Next(rng) == 0);
+  for (const Item& item :
+       TakeFrom("constant@zipf,domain=50,alpha=1", 5, trials)) {
+    head += item.value == 0;
+  }
   double harmonic = 0.0;
   for (int i = 1; i <= 50; ++i) harmonic += 1.0 / i;
   EXPECT_NEAR(static_cast<double>(head) / trials, 1.0 / harmonic, 0.01);
 }
 
-TEST(SequentialValuesTest, RoundRobin) {
-  auto gen = SequentialValues::Create(3).ValueOrDie();
-  Rng rng(6);
+TEST(WorkloadValuesTest, SeqIsRoundRobin) {
   std::vector<uint64_t> seen;
-  for (int i = 0; i < 7; ++i) seen.push_back(gen->Next(rng));
+  for (const Item& item : TakeFrom("constant@seq,domain=3", 6, 7)) {
+    seen.push_back(item.value);
+  }
   EXPECT_EQ(seen, (std::vector<uint64_t>{0, 1, 2, 0, 1, 2, 0}));
 }
 
-TEST(ConstantRateArrivalsTest, ExactCount) {
-  ConstantRateArrivals arrivals(5);
-  Rng rng(7);
-  for (Timestamp t = 0; t < 100; ++t) EXPECT_EQ(arrivals.CountAt(t, rng), 5u);
+TEST(WorkloadArrivalsTest, ConstantRateExactCount) {
+  for (uint64_t size : StepSizes("constant,rate=5", 100)) EXPECT_EQ(size, 5u);
 }
 
-TEST(PoissonBurstArrivalsTest, RejectsBadLambda) {
-  EXPECT_FALSE(PoissonBurstArrivals::Create(0.0).ok());
-  EXPECT_FALSE(PoissonBurstArrivals::Create(-3.0).ok());
+TEST(WorkloadArrivalsTest, PoissonMeanMatchesLambda) {
+  for (const auto& [lambda, steps, tolerance] :
+       {std::tuple{4.0, 50000, 0.1}, std::tuple{100.0, 20000, 1.0}}) {
+    uint64_t total = 0;
+    for (uint64_t size :
+         StepSizes("poisson,lambda=" + std::to_string(lambda), steps)) {
+      total += size;
+    }
+    EXPECT_NEAR(static_cast<double>(total) / steps, lambda, tolerance);
+  }
 }
 
-TEST(PoissonBurstArrivalsTest, MeanMatchesLambdaSmall) {
-  auto arrivals = PoissonBurstArrivals::Create(4.0).ValueOrDie();
-  Rng rng(8);
-  uint64_t total = 0;
-  const int steps = 50000;
-  for (int t = 0; t < steps; ++t) total += arrivals->CountAt(t, rng);
-  EXPECT_NEAR(static_cast<double>(total) / steps, 4.0, 0.1);
-}
-
-TEST(PoissonBurstArrivalsTest, MeanMatchesLambdaLarge) {
-  auto arrivals = PoissonBurstArrivals::Create(100.0).ValueOrDie();
-  Rng rng(9);
-  uint64_t total = 0;
-  const int steps = 20000;
-  for (int t = 0; t < steps; ++t) total += arrivals->CountAt(t, rng);
-  EXPECT_NEAR(static_cast<double>(total) / steps, 100.0, 1.0);
-}
-
-TEST(DoublingBurstArrivalsTest, RejectsBadParams) {
-  EXPECT_FALSE(DoublingBurstArrivals::Create(0, 10).ok());
-  EXPECT_FALSE(DoublingBurstArrivals::Create(31, 10).ok());
-  EXPECT_FALSE(DoublingBurstArrivals::Create(5, 0).ok());
-}
-
-TEST(DoublingBurstArrivalsTest, DoublingShape) {
-  auto arrivals =
-      DoublingBurstArrivals::Create(/*t0=*/4, /*max_burst=*/1 << 20)
-          .ValueOrDie();
-  Rng rng(10);
+TEST(WorkloadArrivalsTest, DoublingShapeAndCap) {
   // 2^(2*4 - t) for t <= 8, then 1.
-  EXPECT_EQ(arrivals->CountAt(0, rng), 256u);
-  EXPECT_EQ(arrivals->CountAt(1, rng), 128u);
-  EXPECT_EQ(arrivals->CountAt(8, rng), 1u);
-  EXPECT_EQ(arrivals->CountAt(9, rng), 1u);
-  EXPECT_EQ(arrivals->CountAt(100, rng), 1u);
+  const auto shape = StepSizes("doubling,t=4,cap=1048576", 101);
+  EXPECT_EQ(shape[0], 256u);
+  EXPECT_EQ(shape[1], 128u);
+  EXPECT_EQ(shape[8], 1u);
+  EXPECT_EQ(shape[9], 1u);
+  EXPECT_EQ(shape[100], 1u);
+  const auto capped = StepSizes("doubling,t=10,cap=64", 16);
+  EXPECT_EQ(capped[0], 64u);   // 2^20 capped
+  EXPECT_EQ(capped[14], 64u);  // 2^6 == 64
+  EXPECT_EQ(capped[15], 32u);
 }
 
-TEST(DoublingBurstArrivalsTest, CapsAtMaxBurst) {
-  auto arrivals =
-      DoublingBurstArrivals::Create(/*t0=*/10, /*max_burst=*/64).ValueOrDie();
-  Rng rng(11);
-  EXPECT_EQ(arrivals->CountAt(0, rng), 64u);   // 2^20 capped
-  EXPECT_EQ(arrivals->CountAt(14, rng), 64u);  // 2^6 == 64
-  EXPECT_EQ(arrivals->CountAt(15, rng), 32u);
+TEST(WorkloadArrivalsTest, DoublingRejectsBadParamsAndRoundTrips) {
+  EXPECT_FALSE(WorkloadGenerator::Create("doubling,t=0", 1).ok());
+  EXPECT_FALSE(WorkloadGenerator::Create("doubling,t=2000000000", 1).ok());
+  EXPECT_FALSE(WorkloadGenerator::Create("doubling,cap=0", 1).ok());
+  const WorkloadSpec spec =
+      ParseWorkloadSpec("doubling@seq,t=12,cap=64").ValueOrDie();
+  EXPECT_EQ(spec.arrivals, WorkloadArrivals::kDoubling);
+  EXPECT_EQ(spec.t, 12);
+  EXPECT_EQ(spec.cap, 64u);
+  EXPECT_EQ(FormatWorkloadSpec(spec), "doubling@seq,t=12,cap=64");
 }
 
-TEST(SyntheticStreamTest, IndicesAndTimestampsConsistent) {
-  auto stream = SyntheticStream(
-      UniformValues::Create(100).ValueOrDie(),
-      std::make_unique<ConstantRateArrivals>(3), /*seed=*/12);
+TEST(WorkloadStepTest, IndicesAndTimestampsConsistent) {
+  auto stream =
+      WorkloadGenerator::Create("constant,rate=3,domain=100", 12).ValueOrDie();
   StreamIndex expect_index = 0;
   for (Timestamp t = 0; t < 50; ++t) {
-    const auto& burst = stream.Step();
-    EXPECT_EQ(stream.now(), t);
+    const auto& burst = stream->Step();
     ASSERT_EQ(burst.size(), 3u);
     for (const Item& item : burst) {
       EXPECT_EQ(item.index, expect_index++);
@@ -159,24 +151,87 @@ TEST(SyntheticStreamTest, IndicesAndTimestampsConsistent) {
       EXPECT_LT(item.value, 100u);
     }
   }
-  EXPECT_EQ(stream.total_items(), 150u);
+  EXPECT_EQ(stream->next_index(), 150u);
 }
 
-TEST(SyntheticStreamTest, EmptyStepsAreLegal) {
+TEST(WorkloadStepTest, EmptyStepsAreLegal) {
   // Poisson with tiny lambda produces many empty steps; the stream must
   // keep the clock moving and indices contiguous.
-  auto stream = SyntheticStream(UniformValues::Create(10).ValueOrDie(),
-                                std::move(PoissonBurstArrivals::Create(0.2))
-                                    .ValueOrDie(),
-                                /*seed=*/13);
+  auto stream =
+      WorkloadGenerator::Create("poisson,lambda=0.2,domain=10", 13)
+          .ValueOrDie();
   StreamIndex expect_index = 0;
   int empty_steps = 0;
   for (Timestamp t = 0; t < 2000; ++t) {
-    const auto& burst = stream.Step();
+    const auto& burst = stream->Step();
     if (burst.empty()) ++empty_steps;
-    for (const Item& item : burst) EXPECT_EQ(item.index, expect_index++);
+    for (const Item& item : burst) {
+      EXPECT_EQ(item.index, expect_index++);
+      EXPECT_EQ(item.timestamp, t);
+    }
   }
   EXPECT_GT(empty_steps, 1000);  // e^-0.2 ~ 0.82 of steps are empty
+}
+
+TEST(WorkloadStepTest, StepsConcatenateToTake) {
+  // Take skips empty steps; otherwise both hand out one stream, and a Step
+  // after a Take that stopped inside a burst finishes that burst.
+  for (const char* spec : {"poisson,lambda=0.7", "bmodel,levels=4,volume=64",
+                           "churn,t=8", "doubling,t=5,cap=16",
+                           "constant,rate=4,skew=3"}) {
+    SCOPED_TRACE(spec);
+    auto stream = WorkloadGenerator::Create(spec, 21).ValueOrDie();
+    std::vector<Item> stepped = stream->Take(2);
+    for (int t = 0; t < 300; ++t) {
+      const auto& burst = stream->Step();
+      stepped.insert(stepped.end(), burst.begin(), burst.end());
+    }
+    EXPECT_EQ(stepped, TakeFrom(spec, 21, stepped.size()));
+  }
+}
+
+// FNV-1a over every item's (value, index, timestamp).
+uint64_t StreamHash(const std::vector<Item>& items) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const Item& item : items) {
+    for (uint64_t v : {item.value, item.index,
+                       static_cast<uint64_t>(item.timestamp)}) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 1099511628211ULL;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(WorkloadGoldenTest, TakeMatchesPinnedStreams) {
+  // Hashes of Take(4096) at seed 2024, one per arrival x value family plus
+  // the skew and dup decorators. Seeded tests, benches and the benchmark's
+  // inputs all draw from these streams, so a change to any draw fails here
+  // first.
+  const std::pair<const char*, uint64_t> kPinned[] = {
+      {"constant", 0xa69633209496a341ULL},
+      {"constant@zipf", 0x190db1b948abf38fULL},
+      {"constant@seq", 0x890e7c06c97a3903ULL},
+      {"poisson", 0x7cf85f00af550363ULL},
+      {"poisson@zipf", 0x37e95d64dd1d3d0aULL},
+      {"poisson@seq", 0xe03ad47fb4b6b2bcULL},
+      {"bmodel", 0xab2ac664f5e6c982ULL},
+      {"bmodel@zipf", 0x4621d76c43e10bddULL},
+      {"bmodel@seq", 0x5c1aa168298de896ULL},
+      {"churn", 0x425f691b0b3a9ad3ULL},
+      {"churn@zipf", 0x8a7687c3b7dc9885ULL},
+      {"churn@seq", 0x4523e57fffbea3b5ULL},
+      {"doubling,t=12,cap=1024", 0x4c9333b1245e3219ULL},
+      {"doubling@zipf,t=12,cap=1024", 0x2d61ef4a0e7743f3ULL},
+      {"doubling@seq,t=12,cap=1024", 0xf01af188ce3e1383ULL},
+      {"poisson,skew=8", 0x87ab3bd2a0156229ULL},
+      {"constant@zipf,dup=0.1", 0x68dfc5ed745d5217ULL},
+  };
+  for (const auto& [spec, hash] : kPinned) {
+    EXPECT_EQ(StreamHash(TakeFrom(spec, 2024, 4096)), hash) << spec;
+  }
 }
 
 // --- One parse semantics across every text ingestion path ---------------
@@ -192,7 +247,10 @@ class DriverEquivalenceTest : public ::testing::Test {
   void SetUp() override {
     path_ = ::testing::TempDir() + "/drive_equiv_stream.txt";
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override {
+    std::remove(path_.c_str());
+    std::filesystem::remove_all(path_ + ".ckpt");
+  }
 
   void WriteFile(const std::string& text) {
     std::FILE* f = std::fopen(path_.c_str(), "w");
@@ -216,9 +274,9 @@ class DriverEquivalenceTest : public ::testing::Test {
 
   /// Runs the same file through every text ingestion path on same-seeded
   /// samplers. DriveFile (mmap) is the reference. DriveLines over stdio
-  /// and over a pipe, and DriveFileCheckpointed, must match it in items,
-  /// batches, errors and final sampler state; the one-shard sharded
-  /// DriveFile and DriveFileCheckpointed, which batch by chunk, in item
+  /// and over a pipe, and a checkpointing DriveFile, must match it in
+  /// items, batches, errors and final sampler state; the one-shard sharded
+  /// driver over stdio and over a path, which batches by chunk, in item
   /// count and errors.
   void ExpectEquivalent(const std::string& text, bool timestamped) {
     WriteFile(text);
@@ -270,10 +328,17 @@ class DriverEquivalenceTest : public ::testing::Test {
       expect_same("DriveLines over a pipe", result, sampler.get());
     }
     {
+      // Checkpoints are taken between batches and leave the sink as is.
       auto sampler = make_sampler();
-      auto result = driver.DriveFileCheckpointed(path_, timestamped, *sampler,
-                                                 nullptr, nullptr);
-      expect_same("DriveFileCheckpointed", result, sampler.get());
+      CheckpointPolicy policy;
+      policy.dir = path_ + ".ckpt";
+      policy.every_items = 1000;
+      CheckpointWriter writer(
+          policy,
+          MakeSinkSerializers(SamplerSinkSpec("bop-seq-swr", config), 1)
+              .ValueOrDie());
+      auto result = driver.DriveFile(path_, timestamped, *sampler, &writer);
+      expect_same("DriveFile with checkpoints", result, sampler.get());
     }
     ShardedStreamDriver::Options options;
     options.threads = 1;
@@ -281,14 +346,18 @@ class DriverEquivalenceTest : public ::testing::Test {
     {
       auto sampler = make_sampler();
       StreamSink* const sinks[] = {sampler.get()};
-      auto result = sharded.DriveFile(path_, timestamped, sinks);
-      expect_same("ShardedStreamDriver::DriveFile", result, nullptr);
+      std::FILE* f = std::fopen(path_.c_str(), "r");
+      ASSERT_NE(f, nullptr);
+      auto result = sharded.DriveLinesCheckpointed(f, path_, timestamped,
+                                                   sinks);
+      std::fclose(f);
+      expect_same("ShardedStreamDriver::DriveLinesCheckpointed", result,
+                  nullptr);
     }
     {
       auto sampler = make_sampler();
       StreamSink* const sinks[] = {sampler.get()};
-      auto result = sharded.DriveFileCheckpointed(path_, timestamped, sinks,
-                                                  nullptr, nullptr);
+      auto result = sharded.DriveFileCheckpointed(path_, timestamped, sinks);
       expect_same("ShardedStreamDriver::DriveFileCheckpointed", result,
                   nullptr);
     }

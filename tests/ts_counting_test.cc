@@ -19,7 +19,7 @@
 #include "apps/estimator_registry.h"
 #include "apps/payload_substrate.h"
 #include "stats/exact.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 #include "util/rng.h"
 
 namespace swsample {
@@ -229,16 +229,17 @@ TEST(TsEntropyEstimatorTest, CloseToExactOnZipfWindow) {
   const Timestamp t0 = 512;
   auto est =
       CreateEstimator("ccm-entropy", TsConfig(t0, 2500, 0.05, 3)).ValueOrDie();
-  auto gen = ZipfValues::Create(32, 1.0).ValueOrDie();
+  auto zipf =
+      WorkloadGenerator::Create("constant@zipf,rate=1,domain=32,alpha=1", 4)
+          .ValueOrDie();
   Rng rng(4);
   std::deque<std::pair<Timestamp, uint64_t>> window;
   uint64_t index = 0;
   for (Timestamp t = 0; t < 3 * t0; ++t) {
     const uint64_t burst = 1 + rng.UniformIndex(3);
-    for (uint64_t i = 0; i < burst; ++i) {
-      const uint64_t v = gen->Next(rng);
-      est->Observe(Item{v, index++, t});
-      window.emplace_back(t, v);
+    for (const Item& item : zipf->Take(burst)) {
+      est->Observe(Item{item.value, index++, t});
+      window.emplace_back(t, item.value);
     }
     est->AdvanceTime(t);
     while (!window.empty() && t - window.front().first >= t0) {
@@ -255,16 +256,17 @@ TEST(TsFkEstimatorTest, F2CloseToExactOnSkewedWindow) {
   const Timestamp t0 = 512;
   auto est =
       CreateEstimator("ams-fk", TsConfig(t0, 1500, 0.05, 5)).ValueOrDie();
-  auto gen = ZipfValues::Create(8, 1.4).ValueOrDie();
+  auto zipf =
+      WorkloadGenerator::Create("constant@zipf,rate=1,domain=8,alpha=1.4", 6)
+          .ValueOrDie();
   Rng rng(6);
   std::deque<std::pair<Timestamp, uint64_t>> window;
   uint64_t index = 0;
   for (Timestamp t = 0; t < 3 * t0; ++t) {
     const uint64_t burst = 1 + rng.UniformIndex(3);
-    for (uint64_t i = 0; i < burst; ++i) {
-      const uint64_t v = gen->Next(rng);
-      est->Observe(Item{v, index++, t});
-      window.emplace_back(t, v);
+    for (const Item& item : zipf->Take(burst)) {
+      est->Observe(Item{item.value, index++, t});
+      window.emplace_back(t, item.value);
     }
     est->AdvanceTime(t);
     while (!window.empty() && t - window.front().first >= t0) {

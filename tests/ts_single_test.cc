@@ -14,9 +14,7 @@
 
 #include "core/ts_single.h"
 #include "stats/tests.h"
-#include "stream/arrival.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 #include "util/bits.h"
 
 namespace swsample {
@@ -75,13 +73,13 @@ TEST(TsSingleTest, PreExpiredInsertIsSkipped) {
 
 TEST(TsSingleTest, SampleAlwaysActive) {
   // Long bursty run: every query must return an element inside the window.
-  auto stream = SyntheticStream(
-      UniformValues::Create(1000).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(3.0)).ValueOrDie(), 42);
+  auto stream =
+      WorkloadGenerator::Create("poisson,lambda=3,domain=1000", 42)
+          .ValueOrDie();
   const Timestamp t0 = 25;
   auto s = TsSingleSampler::Create(t0, 6).ValueOrDie();
   for (Timestamp t = 0; t < 3000; ++t) {
-    for (const Item& item : stream.Step()) s.Observe(item);
+    for (const Item& item : stream->Step()) s.Observe(item);
     s.AdvanceTime(t);
     ASSERT_TRUE(s.CheckInvariants()) << "t=" << t;
     auto sample = s.SampleOne();
@@ -117,12 +115,14 @@ TEST(TsSingleTest, InvariantsUnderAdversarialBursts) {
 void CheckUniformOverWindow(double lambda, Timestamp horizon, Timestamp t0,
                             uint64_t seed, int trials) {
   // Materialize one stream.
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 20).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(lambda)).ValueOrDie(), seed);
+  WorkloadSpec spec;
+  spec.arrivals = WorkloadArrivals::kPoisson;
+  spec.lambda = lambda;
+  spec.domain = 1 << 20;
+  auto stream = WorkloadGenerator::Create(spec, seed).ValueOrDie();
   std::vector<Item> items;
   for (Timestamp t = 0; t < horizon; ++t) {
-    for (const Item& item : stream.Step()) items.push_back(item);
+    for (const Item& item : stream->Step()) items.push_back(item);
   }
   // Active set at the end.
   std::vector<uint64_t> active;  // indices

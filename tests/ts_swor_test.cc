@@ -16,9 +16,7 @@
 #include "core/ts_swor.h"
 #include "core/ts_swr.h"
 #include "stats/tests.h"
-#include "stream/arrival.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 #include "util/bits.h"
 
 namespace swsample {
@@ -97,13 +95,13 @@ TEST(TsSworTest, KDistinctActiveWhenWindowLarge) {
 }
 
 TEST(TsSworTest, DistinctUnderBursts) {
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 20).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(2.5)).ValueOrDie(), 77);
+  auto stream =
+      WorkloadGenerator::Create("poisson,lambda=2.5,domain=1048576", 77)
+          .ValueOrDie();
   auto s = TsSworSampler::Create(15, 4, 5).ValueOrDie();
   uint64_t active_total = 0;
   for (Timestamp t = 0; t < 2000; ++t) {
-    for (const Item& item : stream.Step()) s->Observe(item);
+    for (const Item& item : stream->Step()) s->Observe(item);
     s->AdvanceTime(t);
     auto sample = s->Sample();
     std::set<uint64_t> idx;

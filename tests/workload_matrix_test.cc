@@ -464,9 +464,8 @@ TEST(WorkloadMatrixTest, TraceRoundTripsAndReplaysBitIdentically) {
   auto direct = CreateSink(spec).ValueOrDie();
   driver.Drive(items, *direct.sink);
   auto replayed = CreateSink(spec).ValueOrDie();
-  auto report = ReplayTrace(driver, path, *replayed.sink);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().items, items.size());
+  const DriveReport report = driver.Drive(back, *replayed.sink);
+  EXPECT_EQ(report.items, items.size());
   EXPECT_EQ(SaveSink(*direct.sink, spec).ValueOrDie(),
             SaveSink(*replayed.sink, spec).ValueOrDie());
 
@@ -490,7 +489,7 @@ TEST(WorkloadMatrixTest, TraceRoundTripsAndReplaysBitIdentically) {
   for (auto& s : shards_a) ptrs_a.push_back(s.sink.get());
   for (auto& s : shards_b) ptrs_b.push_back(s.sink.get());
   ASSERT_TRUE(sharded.Drive(items, ptrs_a).ok());
-  ASSERT_TRUE(ReplayTraceSharded(sharded, path, ptrs_b).ok());
+  ASSERT_TRUE(sharded.Drive(back, ptrs_b).ok());
   for (int s = 0; s < 2; ++s) {
     EXPECT_EQ(SaveSink(*shards_a[s].sink, spec).ValueOrDie(),
               SaveSink(*shards_b[s].sink, spec).ValueOrDie())
