@@ -1,12 +1,13 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 //
-// E19: ingestion front-end micro-benchmarks. Isolates the three stages
-// every byte passes through before any sampler sees an Item -- newline
-// scanning (SWAR word-at-a-time vs byte-at-a-time), event-line parsing
-// (ParseEventSpan with its eight-digit gulp), and the full DriveBuffer
-// pipeline into a null sink -- and reports MB/s per stage. The stage
-// numbers bound how fast any end-to-end ingestion can go; the drive-buffer
-// row shows how close the assembled pipeline gets.
+// E19: ingestion front-end micro-benchmarks. Isolates the stages every
+// byte passes through before any sampler sees an Item -- newline scanning
+// (SWAR word-at-a-time vs byte-at-a-time), event-line parsing
+// (ParseEventSpan with its eight-digit gulp), the EventLineScanner every
+// text driver runs (its fast shape plus that general path), and the full
+// DriveBuffer pipeline into a null sink -- and reports MB/s per stage. The
+// stage numbers bound how fast any end-to-end ingestion can go; the
+// drive-buffer row shows how close the assembled pipeline gets.
 //
 // All rows are absolute-throughput micro-measurements, so they are
 // recorded with "gated": 0 -- informational in BENCH.json, never scored
@@ -119,7 +120,7 @@ class NullSink final : public StreamSink {
 }  // namespace
 
 int main() {
-  Banner("E19: ingestion front-end (split / parse / drive) MB/s",
+  Banner("E19: ingestion front-end (split / parse / scan / drive) MB/s",
          "word-at-a-time newline scanning and eight-digit-gulp decimal "
          "parsing keep the text front-end out of the samplers' way");
 
@@ -183,7 +184,34 @@ int main() {
       if (checksum == 0) std::fprintf(stderr, "checksum zero?\n");
     }
 
-    // Stage 3: the assembled DriveBuffer pipeline into a null sink.
+    // Stage 3: EventLineScanner::ScanAll into a no-op consumer -- the
+    // split + parse every text driver runs, with the scanner's fast shape
+    // for plain "<digits> <digits>" lines, and no batch assembly.
+    {
+      uint64_t checksum = 0;
+      uint64_t scanned = 0;
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int r = 0; r < reps; ++r) {
+        EventLineScanner scanner("corpus", timestamped);
+        const Status status =
+            scanner.ScanAll(std::string_view(corpus), [&](const Item& item) {
+              checksum += item.value;
+              ++scanned;
+              return Status::Ok();
+            });
+        if (!status.ok()) {
+          std::fprintf(stderr, "ScanAll: %s\n", status.ToString().c_str());
+          return 1;
+        }
+      }
+      const double secs = Seconds(t0);
+      const double mb = corpus.size() * static_cast<double>(reps) / secs / 1e6;
+      ReportRow(std::string("scan-") + tag, mb,
+                static_cast<double>(scanned) / secs);
+      if (checksum == 0) std::fprintf(stderr, "checksum zero?\n");
+    }
+
+    // Stage 4: the assembled DriveBuffer pipeline into a null sink.
     {
       NullSink sink;
       StreamDriver::Options options;

@@ -36,7 +36,9 @@ Keyed (e18) rows additionally WARN when speedup_batch16k sits below
 throughput, and a slide below that — while not an outright failure —
 deserves a look.
 Entries whose baseline carries "gated": 0 are informational full-mode
-rows (not reproduced by CI smoke runs) and are skipped entirely.
+rows (not reproduced by CI smoke runs) and are never scored; they only
+WARN when items_per_sec_batch16k sits below items_per_sec_item (the
+fresh row's numbers when a run reproduced it, else the baseline's).
 Other absolute metrics are printed for information.
 
 Several FRESH files may be given (repeat runs); each metric is scored on
@@ -85,6 +87,17 @@ def check(baseline_path, fresh_paths, threshold):
     for key, base_entry in sorted(baseline.items()):
         if base_entry.get("gated") == 0:
             print(f"skip {key[0]}/{key[1]}: full-mode-only row")
+            # Not scored, but batch slower than per-item is still worth
+            # a look; smoke runs rarely reproduce the row, so fall back
+            # to the committed numbers.
+            row = fresh.get(key, base_entry)
+            item = row.get("items_per_sec_item")
+            batch = row.get("items_per_sec_batch16k")
+            if item and batch is not None and batch < item:
+                warnings.append(
+                    f"{key[0]}/{key[1]}: ungated row runs batch at "
+                    f"{batch / item:.2f}x per-item ({batch:.0f} vs "
+                    f"{item:.0f} items/s)")
             continue
         fresh_entry = fresh.get(key)
         if fresh_entry is None:

@@ -72,7 +72,7 @@ inline bool ParseDecimal(const char*& p, const char* end, uint64_t* magnitude,
     while (end - p >= 8 && v <= kGulpSafe) {
       uint64_t chunk;
       __builtin_memcpy(&chunk, p, 8);
-      if (!IsEightDigits(chunk)) break;
+      if (NonDigitMask(chunk) != 0) break;
       v = v * 100000000 + ParseEightDigits(chunk);
       p += 8;
     }

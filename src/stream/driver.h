@@ -26,6 +26,9 @@
 #define SWSAMPLE_STREAM_DRIVER_H_
 
 #include <algorithm>
+#include <bit>
+#include <cerrno>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -93,7 +96,8 @@ class StreamDriver {
   /// "<timestamp> <value>" with non-decreasing timestamps when true.
   /// Blank (whitespace-only) lines are skipped; a malformed line, an
   /// over-long line, or a decreasing timestamp is an InvalidArgument
-  /// error reported against `source_name` with its line number.
+  /// error reported against `source_name` with its line number; so is a
+  /// read error on `f`, which never passes for the end of the stream.
   ///
   /// Crash recovery: `writer` (nullable = off) takes periodic checkpoints,
   /// only at batch boundaries, so a resumed run's batch segmentation — and
@@ -215,27 +219,35 @@ class EventLineScanner {
     Status status;
     const char* p = *pos;
     while (p != end) {
-      // One word-wise scan finds whichever of '\n' or '\0' comes first;
-      // only after a stray NUL does a second pass look for the newline.
-      const char* const line_end = FindNewlineOrNul(p, end);
-      const char* const nl = line_end == end || *line_end == '\n'
-                                 ? line_end
-                                 : std::find(line_end, end, '\n');
-      const bool too_long =
-          static_cast<size_t>(nl - p) + 1 >= kEventLineCap;
-      if (nl == end && !at_eof && !too_long) break;  // carry the tail
-      ++line_no;
-      if (too_long) {
-        status = Status::InvalidArgument(
-            source_name_ + ":" + std::to_string(line_no) +
-            ": event line too long (limit " +
-            std::to_string(kEventLineCap - 2) + " characters)");
-        break;
-      }
       uint64_t value = 0;
       Timestamp ts = 0;
-      const LineParse parsed =
-          ParseEventSpan(p, line_end, timestamped_, last_ts, &value, &ts);
+      LineParse parsed = LineParse::kOk;
+      const char* next = end - p >= kFastShapeBytes
+                             ? MatchFastShape(p, last_ts, &value, &ts)
+                             : nullptr;
+      if (next == nullptr) {
+        // The general path. One word-wise scan finds whichever of '\n' or
+        // '\0' comes first; only after a stray NUL does a second pass
+        // look for the newline.
+        const char* const line_end = FindNewlineOrNul(p, end);
+        const char* const nl = line_end == end || *line_end == '\n'
+                                   ? line_end
+                                   : std::find(line_end, end, '\n');
+        const bool too_long =
+            static_cast<size_t>(nl - p) + 1 >= kEventLineCap;
+        if (nl == end && !at_eof && !too_long) break;  // carry the tail
+        if (too_long) {
+          status = Status::InvalidArgument(
+              source_name_ + ":" + std::to_string(++line_no) +
+              ": event line too long (limit " +
+              std::to_string(kEventLineCap - 2) + " characters)");
+          break;
+        }
+        parsed =
+            ParseEventSpan(p, line_end, timestamped_, last_ts, &value, &ts);
+        next = nl == end ? end : nl + 1;
+      }
+      ++line_no;
       if (parsed == LineParse::kOk) {
         if (timestamped_) {
           last_ts = ts;
@@ -250,7 +262,7 @@ class EventLineScanner {
         status = LineParseError(parsed, source_name_, line_no, timestamped_);
         break;
       }
-      p = nl == end ? end : nl + 1;
+      p = next;
     }
     index_ = index;
     last_ts_ = last_ts;
@@ -267,7 +279,9 @@ class EventLineScanner {
   }
 
   /// Scans all of `f`, read in fixed-size blocks; each block's incomplete
-  /// last line is carried into the next, so pipes work as files do.
+  /// last line is carried into the next, so pipes work as files do. A
+  /// read error is an InvalidArgument naming the source and the errno
+  /// text: the stream position is lost, so it is not retryable.
   template <typename OnEvent>
   Status ScanAll(std::FILE* f, OnEvent&& on_event) {
     constexpr size_t kBlock = size_t{64} << 10;
@@ -275,8 +289,14 @@ class EventLineScanner {
     std::vector<char> buffer(kEventLineCap + kBlock);
     size_t carry = 0;
     for (;;) {
+      errno = 0;
       const size_t got = std::fread(buffer.data() + carry, 1, kBlock, f);
       const bool at_eof = got < kBlock;  // short reads only at EOF/error
+      if (at_eof && std::ferror(f) != 0) {
+        return Status::InvalidArgument(
+            source_name_ + ": read error: " +
+            std::strerror(errno != 0 ? errno : EIO));
+      }
       const char* p = buffer.data();
       const char* const end = p + carry + got;
       if (Status s = Scan(&p, end, at_eof, on_event); !s.ok()) return s;
@@ -325,6 +345,58 @@ class EventLineScanner {
   }
 
  private:
+  /// Readable bytes MatchFastShape needs at a line start: 16 per field.
+  static constexpr std::ptrdiff_t kFastShapeBytes = 32;
+
+  /// Reads a field of 1-15 ASCII digits at `p` ended by `terminator`,
+  /// with two 8-byte loads (16 readable bytes at `p`). Returns the byte
+  /// after the terminator, or nullptr when the bytes are not that shape.
+  static const char* MatchDigitField(const char* p, char terminator,
+                                     uint64_t* value) {
+    static constexpr uint32_t kPow10[8] = {1,      10,      100,     1000,
+                                           10000,  100000,  1000000, 10000000};
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+    __builtin_memcpy(&lo, p, 8);
+    __builtin_memcpy(&hi, p + 8, 8);
+    const uint64_t lo_mask = NonDigitMask(lo);
+    const uint32_t digits =
+        lo_mask != 0
+            ? static_cast<uint32_t>(std::countr_zero(lo_mask)) >> 3
+            : 8 + (static_cast<uint32_t>(
+                       std::countr_zero(NonDigitMask(hi))) >> 3);
+    if (digits == 0 || digits == 16 || p[digits] != terminator) {
+      return nullptr;
+    }
+    *value = digits <= 8 ? ParseDigits(lo, digits)
+             : uint64_t{ParseEightDigits(lo)} * kPow10[digits - 8] +
+                   ParseDigits(hi, digits - 8);
+    return p + digits + 1;
+  }
+
+  /// The common line shape, recognised before the general path runs:
+  /// "<digits> <digits>\n" when timestamped, else "<digits>\n", each
+  /// field 1-15 digits, and a timestamp no smaller than `last_ts`. Needs
+  /// kFastShapeBytes readable bytes at `p`. On a match sets *value (and
+  /// *ts) as ParseEventSpan would and returns the next line's start;
+  /// otherwise returns nullptr and the line takes the general path, which
+  /// alone defines the grammar.
+  const char* MatchFastShape(const char* p, Timestamp last_ts,
+                             uint64_t* value, Timestamp* ts) const {
+    if constexpr (std::endian::native != std::endian::little) {
+      return nullptr;
+    }
+    if (!timestamped_) return MatchDigitField(p, '\n', value);
+    uint64_t ts_digits = 0;
+    const char* const q = MatchDigitField(p, ' ', &ts_digits);
+    // 15 digits stay below INT64_MAX, so the timestamp never saturates.
+    if (q == nullptr || static_cast<Timestamp>(ts_digits) < last_ts) {
+      return nullptr;
+    }
+    *ts = static_cast<Timestamp>(ts_digits);
+    return MatchDigitField(q, '\n', value);
+  }
+
   const std::string source_name_;
   const bool timestamped_;
   StreamIndex index_ = 0;

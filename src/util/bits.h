@@ -38,11 +38,12 @@ inline uint64_t Pow2(uint32_t e) {
 
 // --- SWAR (SIMD-within-a-register) byte tricks -----------------------------
 //
-// The ingestion hot loops (stream/driver.cc) process text eight bytes at a
-// time: a word-wise scanner finds line breaks and a word-wise parser folds
-// eight ASCII digits per multiply ladder. Everything below is plain
-// uint64_t arithmetic — portable, no intrinsics — but the byte-order-
-// sensitive helpers are only used behind std::endian checks.
+// The ingestion hot loops (stream/driver.h, stream/driver.cc) process text
+// eight bytes at a time: a word-wise scanner finds line breaks, a per-byte
+// digit mask measures digit runs, and a multiply ladder folds up to eight
+// ASCII digits at once. Everything below is plain uint64_t arithmetic —
+// portable, no intrinsics — but the byte-order-sensitive helpers are only
+// used behind std::endian checks.
 
 /// The byte `b` replicated into all eight lanes.
 inline constexpr uint64_t RepeatByte(uint8_t b) {
@@ -80,12 +81,17 @@ inline const char* FindNewlineOrNul(const char* p, const char* end) {
   return end;
 }
 
-/// True iff all eight bytes of the (little-endian-loaded) chunk are ASCII
-/// digits '0'..'9'.
-inline constexpr bool IsEightDigits(uint64_t chunk) {
-  return ((chunk & RepeatByte(0xF0)) |
-          (((chunk + RepeatByte(0x06)) & RepeatByte(0xF0)) >> 4)) ==
-         RepeatByte(0x33);
+/// 0x80 in every lane of `chunk` whose byte is not an ASCII digit
+/// '0'..'9', 0 in the others. Exact per lane: neither sum below carries
+/// out of its lane, so for a little-endian-loaded chunk
+/// `countr_zero(mask) >> 3` is the length of its leading digit run (8
+/// when all eight bytes are digits).
+inline constexpr uint64_t NonDigitMask(uint64_t chunk) {
+  const uint64_t low7 = chunk & RepeatByte(0x7F);
+  // low7 + 0x46 sets a lane's top bit iff low7 >= ':', and low7 + 0x50
+  // iff low7 >= '0'; bytes >= 0x80 carry their own top bit.
+  return (chunk | (low7 + RepeatByte(0x46)) | ~(low7 + RepeatByte(0x50))) &
+         RepeatByte(0x80);
 }
 
 /// Decimal value of eight ASCII digits loaded little-endian (lowest byte =
@@ -99,6 +105,17 @@ inline constexpr uint32_t ParseEightDigits(uint64_t chunk) {
   chunk = (((chunk & kMask) * kMul1) + (((chunk >> 16) & kMask) * kMul2)) >>
           32;
   return static_cast<uint32_t>(chunk);
+}
+
+/// Decimal value of the first `n` (1..8) ASCII digits of a
+/// little-endian-loaded chunk; the bytes after them are ignored. The
+/// digits are shifted into the top lanes and the lanes below padded with
+/// '0', so one ParseEightDigits ladder folds any width.
+inline uint32_t ParseDigits(uint64_t chunk, uint32_t n) {
+  SWS_DCHECK(n >= 1 && n <= 8);
+  const uint32_t shift = 64 - 8 * n;
+  return ParseEightDigits((chunk << shift) |
+                          (RepeatByte('0') & ((uint64_t{1} << shift) - 1)));
 }
 
 }  // namespace swsample

@@ -5,12 +5,17 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -485,6 +490,379 @@ TEST_F(DriverEquivalenceTest, EmptyFileDeliversNothing) {
   auto result = StreamDriver().DriveFile(path_, false, *sampler);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().items, 0u);
+}
+
+// --- Read errors ------------------------------------------------------------
+
+/// Records every delivered item; `after_observe` (nullable) runs after each.
+class RecordingSink final : public StreamSink {
+ public:
+  void Observe(const Item& item) override {
+    items.push_back(item);
+    if (after_observe) after_observe();
+  }
+  void AdvanceTime(Timestamp) override {}
+  uint64_t MemoryWords() const override { return 0; }
+  const char* name() const override { return "recording"; }
+
+  std::vector<Item> items;
+  std::function<void()> after_observe;
+};
+
+void ExpectReadError(const char* label, const Status& status,
+                     const std::string& source) {
+  SCOPED_TRACE(label);
+  ASSERT_FALSE(status.ok());
+  // The stream position is lost, so the error must not read as transient.
+  EXPECT_NE(status.code(), StatusCode::kUnavailable);
+  EXPECT_NE(status.message().find(source + ": read error: "),
+            std::string::npos)
+      << status.message();
+}
+
+TEST_F(DriverEquivalenceTest, ReadErrorIsNotACleanEof) {
+  // A directory opens for reading, but every read of it fails (EISDIR).
+  const std::string dir = path_ + ".ckpt";  // TearDown removes it
+  std::filesystem::create_directories(dir);
+  RecordingSink sink;
+  StreamSink* const sinks[] = {&sink};
+  const StreamDriver driver;
+  ShardedStreamDriver::Options options;
+  options.threads = 1;
+  const ShardedStreamDriver sharded(options);
+  {
+    std::FILE* f = std::fopen(dir.c_str(), "r");
+    ASSERT_NE(f, nullptr);
+    auto result = driver.DriveLines(f, dir, /*timestamped=*/true, sink);
+    std::fclose(f);
+    ExpectReadError("DriveLines", result.status(), dir);
+  }
+  // Not a regular file, so DriveFile falls back to stdio.
+  ExpectReadError("DriveFile",
+                  driver.DriveFile(dir, /*timestamped=*/false, sink).status(),
+                  dir);
+  {
+    std::FILE* f = std::fopen(dir.c_str(), "r");
+    ASSERT_NE(f, nullptr);
+    auto result = sharded.DriveLinesCheckpointed(f, dir, /*timestamped=*/true,
+                                                 sinks);
+    std::fclose(f);
+    ExpectReadError("DriveLinesCheckpointed", result.status(), dir);
+  }
+  ExpectReadError(
+      "DriveFileCheckpointed",
+      sharded.DriveFileCheckpointed(dir, /*timestamped=*/false, sinks)
+          .status(),
+      dir);
+  EXPECT_TRUE(sink.items.empty());
+}
+
+TEST_F(DriverEquivalenceTest, MidStreamReadErrorIsReported) {
+  // Several read blocks of valid lines; once the first item is delivered
+  // the stream's descriptor is swapped for a directory's, so a later
+  // block read fails after items have already gone out.
+  std::string text;
+  for (int i = 0; i < 40000; ++i) text += std::to_string(i) + " 7\n";
+  ASSERT_GT(text.size(), size_t{3} << 16);
+  WriteFile(text);
+  const std::string dir = path_ + ".ckpt";  // TearDown removes it
+  std::filesystem::create_directories(dir);
+  std::FILE* f = std::fopen(path_.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY);
+  ASSERT_GE(dir_fd, 0);
+  RecordingSink sink;
+  sink.after_observe = [&] {
+    if (sink.items.size() == 1) {
+      ASSERT_GE(::dup2(dir_fd, ::fileno(f)), 0);
+    }
+  };
+  StreamDriver::Options options;
+  options.batch_size = 0;  // deliver each item as it is parsed
+  auto result = StreamDriver(options).DriveLines(f, path_,
+                                                 /*timestamped=*/true, sink);
+  std::fclose(f);
+  ::close(dir_fd);
+  ExpectReadError("DriveLines", result.status(), path_);
+  EXPECT_GT(sink.items.size(), 0u);
+  EXPECT_LT(sink.items.size(), 40000u);
+}
+
+// --- Differential grammar fuzzer --------------------------------------------
+//
+// The reference scanner below defines what every text path must deliver:
+// split at each '\n' with memchr, cut the parsed span at the first NUL, and
+// parse it with ParseEventSpan. EventLineScanner recognises the common line
+// shape before that general path runs; the fuzzer checks the shortcut never
+// changes an item, an error or a line number.
+
+struct ScanOutcome {
+  std::vector<Item> items;
+  std::string error;  ///< empty when the whole input parsed
+};
+
+ScanOutcome ReferenceScan(const std::string& text, const std::string& source,
+                          bool timestamped) {
+  ScanOutcome out;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  uint64_t line_no = 0;
+  Timestamp last_ts = 0;
+  while (p != end) {
+    const void* hit = std::memchr(p, '\n', static_cast<size_t>(end - p));
+    const char* const nl =
+        hit == nullptr ? end : static_cast<const char*>(hit);
+    ++line_no;
+    const std::string where = source + ":" + std::to_string(line_no);
+    if (static_cast<size_t>(nl - p) + 1 >= kEventLineCap) {
+      out.error = where + ": event line too long (limit " +
+                  std::to_string(kEventLineCap - 2) + " characters)";
+      return out;
+    }
+    const void* nul = std::memchr(p, '\0', static_cast<size_t>(nl - p));
+    const char* const line_end =
+        nul == nullptr ? nl : static_cast<const char*>(nul);
+    uint64_t value = 0;
+    Timestamp ts = 0;
+    const LineParse parsed =
+        ParseEventSpan(p, line_end, timestamped, last_ts, &value, &ts);
+    if (parsed == LineParse::kOk) {
+      const StreamIndex index = out.items.size();
+      if (timestamped) {
+        last_ts = ts;
+      } else {
+        ts = static_cast<Timestamp>(index);
+      }
+      out.items.push_back(Item{value, index, ts});
+    } else if (parsed != LineParse::kBlank) {
+      out.error =
+          LineParseError(parsed, source, line_no, timestamped).message();
+      return out;
+    }
+    p = nl == end ? end : nl + 1;
+  }
+  return out;
+}
+
+/// `lines` event lines from `seed`: mostly the fast shape, with every
+/// fallback the grammar allows mixed in, and at most one line that ends
+/// the scan with an error.
+std::string FuzzEventText(uint64_t seed, bool timestamped, uint64_t lines) {
+  static const char* const kSpaces[] = {" ", "\t", "\v", "\f", "\r",
+                                        "  ", " \t", "\r\t "};
+  // Around the 15-digit fast-shape limit and the i64/u64 saturation points.
+  static const char* const kWide[] = {
+      "999999999999999",      "1000000000000000",
+      "9999999999999999",     "9223372036854775807",
+      "9223372036854775808",  "18446744073709551615",
+      "18446744073709551616", "99999999999999999999",
+      "100000000000000000000", "000000000000000000007"};
+  Rng rng(seed);
+  auto pick = [&](const auto& options) {
+    return std::string(options[rng.UniformIndex(std::size(options))]);
+  };
+  auto digits = [&](uint64_t n) {
+    std::string s;
+    for (uint64_t i = 0; i < n; ++i) {
+      s += static_cast<char>('0' + rng.UniformIndex(10));
+    }
+    return s;
+  };
+  // Some streams run their timestamps across the 15-digit limit.
+  Timestamp ts = seed % 3 == 0 ? 999999999999000 : 0;
+  const uint64_t error_line =
+      rng.Bernoulli(0.5) ? rng.UniformIndex(lines) : lines;
+  std::string text;
+  for (uint64_t i = 0; i < lines; ++i) {
+    ts += static_cast<Timestamp>(rng.Bernoulli(0.05) ? rng.UniformIndex(1000)
+                                                     : rng.UniformIndex(3));
+    std::string field = std::to_string(ts);
+    std::string value = digits(1 + rng.UniformIndex(15));
+    std::string sep = " ";
+    bool blank = false;
+    if (i == error_line) {
+      switch (rng.UniformIndex(6)) {
+        case 0:  // decreasing timestamp (a value in sequence mode)
+          field = std::to_string(ts > 0 ? ts - 1 : -1);
+          ts += 2;
+          break;
+        case 1:
+          value = "x" + value;
+          break;
+        case 2:
+          value += std::string(300, '7');
+          break;
+        case 3:  // saturates the timestamp; every later line decreases
+          field = "18446744073709551616";
+          break;
+        case 4:  // a NUL cuts the second field off
+          sep = std::string(1, '\0');
+          break;
+        default:
+          value = "- " + value;
+          break;
+      }
+    } else {
+      // Decorations of the line's first field: the timestamp, or the
+      // value in sequence mode.
+      std::string& first = timestamped ? field : value;
+      switch (rng.UniformIndex(20)) {
+        case 0:
+          first = pick(kSpaces) + first;
+          break;
+        case 1:
+          value += pick(kSpaces);
+          break;
+        case 2:
+          sep = pick(kSpaces);
+          break;
+        case 3:
+          first = "+" + first;
+          break;
+        case 4:
+          value = (rng.Bernoulli(0.5) ? "-" : "+") + value;
+          break;
+        case 5:
+          first = std::string(1 + rng.UniformIndex(8), '0') + first;
+          break;
+        case 6:
+          value = pick(kWide);
+          break;
+        case 7:
+          value = digits(16 + rng.UniformIndex(6));
+          break;
+        case 8:
+          value += rng.Bernoulli(0.5) ? " junk" : "x";
+          break;
+        case 9:
+          value += std::string(1, '\0') + "tail";
+          break;
+        case 10:
+          blank = true;
+          break;
+        case 11:
+          first = std::string(1, '\0') + first;
+          break;
+        case 12:  // within 254 characters, padded with whitespace
+          first = std::string(200, ' ') + first;
+          break;
+        default:  // the fast shape
+          break;
+      }
+    }
+    if (blank) {
+      text += rng.Bernoulli(0.5) ? "" : pick(kSpaces);
+    } else {
+      text += timestamped ? field + sep + value : value;
+    }
+    if (i + 1 < lines || rng.Bernoulli(0.5)) text += '\n';
+  }
+  return text;
+}
+
+class EventGrammarFuzzTest : public DriverEquivalenceTest {
+ protected:
+  /// Runs `text` through DriveBuffer (over an exactly sized heap copy, so
+  /// an over-read trips ASan), DriveFile (mmap) and DriveLines over a
+  /// pipe, item by item, and checks each against ReferenceScan.
+  void ExpectMatchesReference(const std::string& text, bool timestamped) {
+    WriteFile(text);
+    const ScanOutcome reference = ReferenceScan(text, path_, timestamped);
+    StreamDriver::Options options;
+    options.batch_size = 0;  // items reach the sink before any error
+    const StreamDriver driver(options);
+    auto expect_same = [&](const char* label, const Result<DriveReport>& r,
+                           const RecordingSink& sink) {
+      SCOPED_TRACE(label);
+      EXPECT_EQ(r.ok() ? std::string() : r.status().message(),
+                reference.error);
+      EXPECT_EQ(sink.items, reference.items);
+    };
+    {
+      const std::vector<char> exact(text.begin(), text.end());
+      RecordingSink sink;
+      expect_same("DriveBuffer",
+                  driver.DriveBuffer(
+                      std::string_view(exact.data(), exact.size()), path_,
+                      timestamped, sink),
+                  sink);
+    }
+    {
+      RecordingSink sink;
+      expect_same("DriveFile",
+                  driver.DriveFile(path_, timestamped, sink), sink);
+    }
+    {
+      RecordingSink sink;
+      std::FILE* f = popen(("cat '" + path_ + "'").c_str(), "r");
+      ASSERT_NE(f, nullptr);
+      auto result = driver.DriveLines(f, path_, timestamped, sink);
+      pclose(f);
+      expect_same("DriveLines over a pipe", result, sink);
+    }
+  }
+};
+
+TEST_F(EventGrammarFuzzTest, SeededMixedLinesMatchReference) {
+  uint64_t errors = 0;
+  for (const bool timestamped : {true, false}) {
+    for (uint64_t seed = 1; seed <= 48; ++seed) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (timestamped ? " timestamped" : " sequence"));
+      const std::string text = FuzzEventText(seed, timestamped, 600);
+      errors += !ReferenceScan(text, path_, timestamped).error.empty();
+      ExpectMatchesReference(text, timestamped);
+      if (HasFailure()) return;
+    }
+  }
+  // Both outcomes are exercised: clean streams and streams ending in error.
+  EXPECT_GT(errors, 20u);
+  EXPECT_LT(errors, 80u);
+}
+
+TEST_F(EventGrammarFuzzTest, DigitsToEndOfPageSizedFile) {
+  // The last line runs to EOF with no newline, so the scan ends exactly at
+  // the end of the mapping; the fast shape must not read past it.
+  for (const size_t size : {size_t{4096}, size_t{8192}}) {
+    for (const size_t last : {1, 7, 8, 9, 15, 16, 17, 31, 32, 33}) {
+      for (const bool timestamped : {true, false}) {
+        if (timestamped && last < 5) continue;
+        std::string text;
+        while (text.size() + last + 24 < size) text += "123 4567890\n";
+        // One padding line lands the last line at the exact offset.
+        const size_t pad = size - last - text.size() - 1;
+        text += timestamped ? "123 " + std::string(pad - 4, '5') + "\n"
+                            : std::string(pad, '5') + "\n";
+        text += timestamped ? "124 " + std::string(last - 4, '9')
+                            : std::string(last, '9');
+        ASSERT_EQ(text.size(), size);
+        SCOPED_TRACE(std::to_string(size) + " bytes, last line " +
+                     std::to_string(last));
+        ExpectMatchesReference(text, timestamped);
+      }
+    }
+  }
+}
+
+TEST_F(EventGrammarFuzzTest, FastShapeLinesAcrossReadBlockBoundary) {
+  // A fast-shape line starting `before` bytes ahead of the stdio paths'
+  // 64 KiB block boundary, for every offset where the 32 readable bytes
+  // it needs straddle the block's end.
+  constexpr size_t kBlock = size_t{64} << 10;
+  for (size_t before = 1; before <= 40; ++before) {
+    for (const bool timestamped : {true, false}) {
+      const std::string line =
+          timestamped ? "70000 123456789012345" : "123456789012345";
+      std::string text;
+      while (text.size() + 32 < kBlock - before) text += "1 2345\n";
+      text += std::string(kBlock - before - text.size() - 1, ' ') + "\n";
+      ASSERT_EQ(text.size(), kBlock - before);
+      text += line + "\n" + line + "\n70001 9\n";
+      SCOPED_TRACE("line starts " + std::to_string(before) +
+                   " bytes before the block boundary");
+      ExpectMatchesReference(text, timestamped);
+    }
+  }
 }
 
 TEST(DriveBufferTest, ParsesDirectlyFromMemory) {

@@ -3,6 +3,7 @@
 // Unit tests for the util substrate: PRNG, bit helpers, Status/Result,
 // and the allocation-free hot-path containers (Arena, RingDeque, FlatMap).
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -58,6 +59,51 @@ TEST(BitsTest, Pow2) {
   EXPECT_EQ(Pow2(0), 1u);
   EXPECT_EQ(Pow2(10), 1024u);
   EXPECT_EQ(Pow2(63), uint64_t{1} << 63);
+}
+
+TEST(BitsTest, NonDigitMaskIsExactPerByte) {
+  // Every byte value in every lane, beside lanes of digits and non-digits,
+  // so a borrow or carry leaking across lanes would show.
+  for (const uint64_t background : {RepeatByte('5'), RepeatByte(' '),
+                                    RepeatByte(0xFF), uint64_t{0}}) {
+    for (uint32_t lane = 0; lane < 8; ++lane) {
+      for (uint32_t b = 0; b < 256; ++b) {
+        const uint64_t chunk =
+            (background & ~(uint64_t{0xFF} << (8 * lane))) |
+            (uint64_t{b} << (8 * lane));
+        const uint64_t mask = NonDigitMask(chunk);
+        for (uint32_t i = 0; i < 8; ++i) {
+          const uint8_t byte = static_cast<uint8_t>(chunk >> (8 * i));
+          const bool digit = byte >= '0' && byte <= '9';
+          ASSERT_EQ((mask >> (8 * i)) & 0xFF, digit ? 0u : 0x80u)
+              << "lane " << lane << " byte " << b << " at " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(BitsTest, ParseDigitsFoldsLeadingRun) {
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "chunks are loaded little-endian";
+  }
+  const char text[] = "9081726354";
+  for (uint32_t n = 1; n <= 8; ++n) {
+    for (uint32_t offset = 0; offset + 8 <= sizeof(text) - 1; ++offset) {
+      uint64_t chunk;
+      std::memcpy(&chunk, text + offset, 8);
+      uint64_t expected = 0;
+      for (uint32_t i = 0; i < n; ++i) {
+        expected = expected * 10 + static_cast<uint64_t>(text[offset + i]) -
+                   '0';
+      }
+      EXPECT_EQ(ParseDigits(chunk, n), expected) << n << " @" << offset;
+    }
+  }
+  uint64_t nines;
+  std::memcpy(&nines, "99999999", 8);
+  EXPECT_EQ(ParseDigits(nines, 8), 99999999u);
+  EXPECT_EQ(ParseDigits(nines, 1), 9u);
 }
 
 TEST(RngTest, Deterministic) {
