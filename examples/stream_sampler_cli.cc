@@ -34,9 +34,6 @@
 //   --key-strict-budget  enforce the keyed memory budget after every item
 //                        instead of after every per-key micro-batch (the
 //                        batched default); per-item cost
-//   --key-sync-restore   restore spilled keys synchronously instead of
-//                        prefetching their file bytes on the background
-//                        reader thread (results are identical either way)
 //   --file=<path>        read events from a file instead of stdin
 //   --workload=<spec>    synthesize the stream instead of reading one: a
 //                        seeded workload generator in the grammar of
@@ -51,11 +48,12 @@
 //   --batch=<n>          ingestion batch size (default 1024; 0 = per item)
 //   --seed=<n>           RNG seed (default 0x5eed); equal seeds reproduce
 //                        runs exactly
-//   --threads=<n>        worker threads for sharded ingestion (default 1 =
-//                        the single-threaded driver)
+//   --threads=<n>        worker threads for sharded ingestion (>= 1;
+//                        default 1 = the single-threaded driver)
 //   --shards=<n>         sink replicas for sharded ingestion (default:
 //                        one per thread); sequence windows must divide
-//                        evenly by the shard count
+//                        evenly by the shard count. One shard is the
+//                        unsharded sink (same seed, same window)
 //   --partition=<mode>   chunks | keyhash (default: keyhash for timestamp
 //                        sinks, for estimators whose merge needs
 //                        key-disjoint shards, e.g. ams-fk/ccm-entropy,
@@ -132,7 +130,7 @@ void Usage(const char* argv0) {
                "usage: %s [--sink=<spec> | --algo=<name> | "
                "--estimator=<name> [--substrate=<name>]] "
                "[--keys[=<shift>] [--key-budget=<b> --spill-dir=<d>] "
-               "[--key-ttl=<t>] [--key-strict-budget] [--key-sync-restore] "
+               "[--key-ttl=<t>] [--key-strict-budget] "
                "[--key-degrade=block|shed] [--key-io-retries=<n>]] "
                "[--failpoints=<site>=<class>[,k=v]...[;...]] "
                "[--file=<path> | --workload=<spec> "
@@ -172,385 +170,46 @@ void ListEstimators() {
   }
 }
 
-void ReportSample(WindowSampler& sampler, uint64_t events, FILE* out) {
-  auto sample = sampler.Sample();
+/// Prints `status` to stderr and returns `exit_code`.
+int Fail(const Status& status, int exit_code = 1) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return exit_code;
+}
+
+void PrintSample(FILE* out, uint64_t events, uint64_t memory_words,
+                 const std::vector<Item>& sample) {
   std::fprintf(out, "events=%" PRIu64 " memory=%" PRIu64 " words sample=[",
-               events, sampler.MemoryWords());
+               events, memory_words);
   for (size_t i = 0; i < sample.size(); ++i) {
     std::fprintf(out, "%s%" PRIu64, i ? " " : "", sample[i].value);
   }
   std::fprintf(out, "]\n");
 }
 
-void ReportEstimate(WindowEstimator& estimator, uint64_t events, FILE* out) {
-  EstimateReport report = estimator.Estimate();
+void PrintEstimate(FILE* out, uint64_t events, uint64_t memory_words,
+                   const EstimateReport& report) {
   std::fprintf(out,
                "events=%" PRIu64 " memory=%" PRIu64
                " words %s=%.6g window=%.6g support=%" PRIu64 "\n",
-               events, estimator.MemoryWords(), report.metric.c_str(),
-               report.value, report.window_size, report.support);
+               events, memory_words, report.metric.c_str(), report.value,
+               report.window_size, report.support);
 }
 
-/// Checkpoint/resume flags shared by the single and sharded paths.
-struct CheckpointRun {
-  std::string dir;            // --checkpoint-dir; empty = disabled
-  uint64_t every = 1000000;   // --checkpoint-every
-  bool resume = false;        // --resume
-  uint64_t kill_after = 0;    // --kill-after testing hook
-};
-
-/// The --checkpoint-dir writer for `shards` sinks built from `spec`, with
-/// the --kill-after crash-injection hook installed; null without
-/// --checkpoint-dir. On --resume the checkpoint's own (name, config)
-/// pairs keep stamping the envelopes, so flag drift cannot corrupt later
-/// checkpoints, and the resumed position re-seeds the every-N cadence.
-Result<std::unique_ptr<CheckpointWriter>> MakeCheckpointWriter(
-    const CheckpointRun& checkpoint, const SinkSpec& spec, uint64_t shards,
-    const ResumedCheckpoint& resumed) {
-  if (checkpoint.dir.empty()) return std::unique_ptr<CheckpointWriter>();
-  CheckpointPolicy policy;
-  policy.dir = checkpoint.dir;
-  policy.every_items = checkpoint.every;
-  std::vector<SinkSerializer> serializers;
-  if (checkpoint.resume) {
-    serializers = SerializersFor(resumed);
+/// Queries one sink and prints its sample or estimate.
+void ReportSink(const Sink& sink, uint64_t events, FILE* out) {
+  if (sink.sampler != nullptr) {
+    const std::vector<Item> sample = sink.sampler->Sample();
+    PrintSample(out, events, sink.sampler->MemoryWords(), sample);
   } else {
-    auto made = MakeSinkSerializers(spec, shards);
-    if (!made.ok()) return made.status();
-    serializers = std::move(made).ValueOrDie();
+    const EstimateReport report = sink.estimator->Estimate();
+    PrintEstimate(out, events, sink.estimator->MemoryWords(), report);
   }
-  auto writer = std::make_unique<CheckpointWriter>(
-      policy, std::move(serializers), resumed.position.items);
-  if (checkpoint.kill_after > 0) {
-    writer->set_after_write([kill_after = checkpoint.kill_after](
-                                uint64_t items) {
-      if (items >= kill_after) {
-        std::fprintf(stderr,
-                     "--kill-after: SIGKILL after checkpoint at %" PRIu64
-                     " events\n",
-                     items);
-        std::raise(SIGKILL);
-      }
-    });
-  }
-  return writer;
 }
 
-/// Everything the sharded execution path needs from main's flag parse.
-struct ShardedRun {
-  SinkSpec spec;
-  SinkKind kind = SinkKind::kSampler;
-  std::string file;
-  // --workload/--replay-trace: a pre-materialized stream to drive instead
-  // of parsing stdin/--file (checkpointing is refused in main for these).
-  const std::vector<Item>* items = nullptr;
-  uint64_t threads = 1;
-  uint64_t shards = 1;
-  std::string partition;  // "", "chunks", or "keyhash"
-  uint64_t batch = 1024;
-  uint64_t seed = 0;
-  CheckpointRun checkpoint;
-};
-
-/// Drives the stream through N replicas on worker threads and prints the
-/// merged sample/estimate plus per-shard throughput. Returns the process
-/// exit code.
-int RunSharded(const ShardedRun& run, bool timestamped) {
-  // Fresh shards are Sinks from the unified factory; resumed shards come
-  // back from the checkpoint as owning typed vectors. Either way the
-  // driver sees StreamSink* views and the merge sees typed views.
-  std::vector<Sink> fresh;
-  std::vector<std::unique_ptr<WindowSampler>> resumed_samplers;
-  std::vector<std::unique_ptr<WindowEstimator>> resumed_estimators;
-  std::vector<StreamSink*> sinks;
-  std::vector<WindowSampler*> sampler_views;
-  std::vector<WindowEstimator*> estimator_views;
-  ResumedCheckpoint resumed;  // --resume: restored state + skip position
-  const bool want_estimators = run.kind == SinkKind::kEstimator;
-  if (run.checkpoint.resume) {
-    auto loaded = LoadCheckpoint(run.checkpoint.dir);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    resumed = std::move(loaded).ValueOrDie();
-    if (want_estimators != !resumed.estimators.empty() ||
-        resumed.sinks.size() != run.shards) {
-      std::fprintf(stderr,
-                   "--resume: checkpoint in %s holds %zu %s shard(s), but "
-                   "the flags request %" PRIu64 " %s shard(s)\n",
-                   run.checkpoint.dir.c_str(), resumed.sinks.size(),
-                   resumed.estimators.empty() ? "sampler" : "estimator",
-                   run.shards,
-                   want_estimators ? "estimator" : "sampler");
-      return 2;
-    }
-    if (resumed.name != run.spec.name) {
-      std::fprintf(stderr,
-                   "--resume: checkpoint in %s holds \"%s\", but the flags "
-                   "request \"%s\"\n",
-                   run.checkpoint.dir.c_str(), resumed.name.c_str(),
-                   run.spec.name.c_str());
-      return 2;
-    }
-    std::fprintf(stderr,
-                 "resume: restored %s (%" PRIu64
-                 " shard(s)) at %" PRIu64 " events; the checkpoint's "
-                 "configuration is authoritative\n",
-                 resumed.name.c_str(), run.shards, resumed.position.items);
-    resumed_samplers = std::move(resumed.samplers);
-    resumed_estimators = std::move(resumed.estimators);
-    sinks = want_estimators
-                ? SinkPointers(resumed_estimators)
-                : SinkPointers(resumed_samplers);
-    sampler_views = SamplerPointers(resumed_samplers);
-    estimator_views = EstimatorPointers(resumed_estimators);
-  } else {
-    auto created = CreateShardedSinks(run.spec, run.shards);
-    if (!created.ok()) {
-      std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
-      return 1;
-    }
-    fresh = std::move(created).ValueOrDie();
-    sinks = SinkPointers(fresh);
-    if (want_estimators) {
-      estimator_views = EstimatorPointers(fresh).ValueOrDie();
-    } else {
-      sampler_views = SamplerPointers(fresh).ValueOrDie();
-    }
-  }
-  // Sharded output only exists through the merge surface, so refuse
-  // non-mergeable sinks up front instead of after ingesting the stream.
-  bool needs_key_disjoint = false;
-  if (want_estimators) {
-    if (estimator_views[0]->merge_kind() == EstimateMergeKind::kNone) {
-      std::fprintf(stderr,
-                   "%s is not merge-capable; run it single-threaded "
-                   "(--threads=1)\n",
-                   run.spec.name.c_str());
-      return 2;
-    }
-    needs_key_disjoint =
-        MergeNeedsKeyDisjointShards(estimator_views[0]->merge_kind());
-  } else if (!sampler_views[0]->mergeable()) {
-    std::fprintf(stderr,
-                 "%s is not merge-capable; run it single-threaded "
-                 "(--threads=1)\n",
-                 run.spec.name.c_str());
-    return 2;
-  }
-
-  ShardedStreamDriver::Options options;
-  options.threads = run.threads;
-  // --batch=0 selects the per-item slow path in the single-threaded
-  // driver; chunks are the sharded transfer unit, so keep them batched.
-  options.chunk_items = run.batch == 0 ? 1024 : run.batch;
-  // Default partitioning: key-hash whenever the merge algebra needs
-  // key-disjoint shards (F_k, entropy) or the window model is
-  // timestamp-based; round-robin chunks otherwise. An explicit
-  // --partition wins (and owns the statistical consequences).
-  options.partition =
-      run.partition.empty()
-          ? (timestamped || needs_key_disjoint ? ShardPartition::kKeyHash
-                                               : ShardPartition::kChunks)
-          : (run.partition == "keyhash" ? ShardPartition::kKeyHash
-                                        : ShardPartition::kChunks);
-  if (options.partition == ShardPartition::kKeyHash && !timestamped) {
-    std::fprintf(stderr,
-                 "note: key-hash sharding of a sequence window assumes "
-                 "near-uniform key load; for skewed keys prefer a "
-                 "timestamp substrate (e.g. --substrate=bop-ts-single)\n");
-  }
-  ShardedStreamDriver driver(options);
-
-  auto writer =
-      MakeCheckpointWriter(run.checkpoint, run.spec, run.shards, resumed);
-  if (!writer.ok()) {
-    std::fprintf(stderr, "%s\n", writer.status().ToString().c_str());
-    return 1;
-  }
-  const CheckpointManifest* resume_pos =
-      run.checkpoint.resume ? &resumed.position : nullptr;
-  const Result<ShardedDriveReport> result =
-      run.items != nullptr ? driver.Drive(*run.items, sinks)
-      : run.file.empty()
-          ? driver.DriveLinesCheckpointed(stdin, "stdin", timestamped, sinks,
-                                          writer.value().get(), resume_pos)
-          : driver.DriveFileCheckpointed(run.file, timestamped, sinks,
-                                         writer.value().get(), resume_pos);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  const ShardedDriveReport& report = result.value();
-  // Stream totals include the prefix a resumed run skipped — minus the
-  // checkpoint's pending router items, which that prefix already counts
-  // but which are delivered (and counted) by this run.
-  uint64_t resumed_pending = 0;
-  for (const auto& buffer : resumed.position.pending) {
-    resumed_pending += buffer.size();
-  }
-  const uint64_t total_events =
-      report.total.items + resumed.position.items - resumed_pending;
-  std::fprintf(stderr,
-               "sink=%s shards=%" PRIu64 " threads=%" PRIu64
-               " partition=%s items=%" PRIu64
-               " aggregate=%.2fM items/s\n",
-               sinks[0]->name(), run.shards, run.threads,
-               options.partition == ShardPartition::kKeyHash ? "keyhash"
-                                                             : "chunks",
-               total_events, report.total.items_per_sec / 1e6);
-  if (report.total.io_retries > 0 || report.total.io_giveups > 0) {
-    std::fprintf(stderr, "checkpoint: io_retries=%" PRIu64
-                 " io_giveups=%" PRIu64 "\n",
-                 report.total.io_retries, report.total.io_giveups);
-  }
-  for (size_t s = 0; s < report.shards.size(); ++s) {
-    const ShardReport& shard = report.shards[s];
-    std::fprintf(stderr,
-                 "  shard %zu: items=%" PRIu64 " memory=%" PRIu64
-                 " words busy=%.2fM items/s\n",
-                 s, shard.items, shard.memory_words,
-                 shard.items_per_sec / 1e6);
-  }
-  if (want_estimators) {
-    auto merged = MergedEstimate(estimator_views);
-    if (!merged.ok()) {
-      std::fprintf(stderr, "%s\n", merged.status().ToString().c_str());
-      return 1;
-    }
-    const EstimateReport& estimate = merged.value();
-    std::printf("events=%" PRIu64 " memory=%" PRIu64
-                " words %s=%.6g window=%.6g support=%" PRIu64 "\n",
-                total_events, report.total.memory_words,
-                estimate.metric.c_str(), estimate.value,
-                estimate.window_size, estimate.support);
-    return 0;
-  }
-  auto merged = MergedSnapshot(sampler_views, run.seed ^ 0x5eedful);
-  if (!merged.ok()) {
-    std::fprintf(stderr, "%s\n", merged.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("events=%" PRIu64 " memory=%" PRIu64 " words sample=[",
-              total_events, report.total.memory_words);
-  for (size_t i = 0; i < merged.value().sample.size(); ++i) {
-    std::printf("%s%" PRIu64, i ? " " : "", merged.value().sample[i].value);
-  }
-  std::printf("]\n");
-  return 0;
-}
-
-/// Keyed multi-tenant flags (--keys and friends).
-struct KeyedRun {
-  bool enabled = false;
-  uint64_t key_shift = 0;       // --keys=<shift>
-  uint64_t budget_bytes = 0;    // --key-budget
-  Timestamp idle_ttl = 0;       // --key-ttl
-  std::string spill_dir;        // --spill-dir
-  bool strict_budget = false;   // --key-strict-budget
-  bool sync_restore = false;    // --key-sync-restore
-  // --key-degrade: what a spill-outage does to the engine (block = latch,
-  // shed = drop coldest keys and keep serving).
-  KeyedDegradeMode degrade = KeyedDegradeMode::kBlock;
-  uint64_t io_retries = 0;      // --key-io-retries; 0 = policy default
-};
-
-/// Drives the stream through one keyed engine per shard (key-hash
-/// partitioned) — or a single engine for --threads=1 — and prints the
-/// aggregated multi-tenant stats. Returns the process exit code.
-int RunKeyed(const SinkSpec& spec, const KeyedRun& keyed,
-             const ShardedRun& run, bool timestamped, uint64_t report_every) {
-  KeyedEngineOptions options;
-  options.spec = spec;
-  options.key_shift = keyed.key_shift;
-  options.memory_budget_bytes = keyed.budget_bytes;
-  options.idle_ttl = keyed.idle_ttl;
-  options.spill_dir = keyed.spill_dir;
-  options.strict_budget = keyed.strict_budget;
-  options.async_restore = !keyed.sync_restore;
-  options.degrade = keyed.degrade;
-  if (keyed.io_retries > 0) {
-    options.io_retry.max_attempts = static_cast<uint32_t>(keyed.io_retries);
-  }
-
-  const bool sharded = run.threads > 1 || run.shards > 1;
-  std::vector<std::unique_ptr<KeyedWindowEngine>> engines;
-  uint64_t total_events = 0;
-  if (sharded) {
-    auto created = CreateKeyedEngines(options, run.shards);
-    if (!created.ok()) {
-      std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
-      return 1;
-    }
-    engines = std::move(created).ValueOrDie();
-    ShardedStreamDriver::Options driver_options;
-    driver_options.threads = run.threads;
-    driver_options.chunk_items = run.batch == 0 ? 1024 : run.batch;
-    // Keys must be whole: every arrival of a key has to reach the engine
-    // that owns it, so keyed sharding is always key-hash partitioned, and
-    // the router hashes the SHIFTED tenant id so --keys=<shift> keeps
-    // each folded key on one engine.
-    driver_options.partition = ShardPartition::kKeyHash;
-    driver_options.key_shift = keyed.key_shift;
-    ShardedStreamDriver driver(driver_options);
-    std::vector<StreamSink*> sinks = SinkPointers(engines);
-    auto result =
-        run.items != nullptr
-            ? driver.Drive(*run.items, sinks)
-            : run.file.empty()
-                  ? driver.DriveLinesCheckpointed(stdin, "stdin", timestamped,
-                                                  sinks)
-                  : driver.DriveFileCheckpointed(run.file, timestamped, sinks);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-      return 1;
-    }
-    total_events = result.value().total.items;
-    std::fprintf(stderr,
-                 "sink=keyed-engine(%s) shards=%" PRIu64 " threads=%" PRIu64
-                 " partition=keyhash items=%" PRIu64
-                 " aggregate=%.2fM items/s\n",
-                 FormatSinkSpec(spec).c_str(), run.shards, run.threads,
-                 total_events, result.value().total.items_per_sec / 1e6);
-  } else {
-    auto created = KeyedWindowEngine::Create(options);
-    if (!created.ok()) {
-      std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
-      return 1;
-    }
-    engines.push_back(std::move(created).ValueOrDie());
-    StreamDriver::Options driver_options;
-    driver_options.batch_size = run.batch;
-    StreamDriver driver(driver_options);
-    KeyedWindowEngine& engine = *engines[0];
-    auto progress = [&engine](uint64_t items) {
-      const KeyedEngineStats& stats = engine.stats();
-      std::fprintf(stderr,
-                   "events=%" PRIu64 " live_keys=%" PRIu64
-                   " spilled=%" PRIu64 " charged=%" PRIu64 " bytes\n",
-                   items, stats.live_keys, stats.spilled_keys,
-                   stats.charged_bytes);
-    };
-    Result<DriveReport> result =
-        run.items != nullptr
-            ? Result<DriveReport>(driver.Drive(*run.items, engine))
-            : run.file.empty()
-                  ? driver.DriveLines(stdin, "stdin", timestamped, engine,
-                                      progress, report_every)
-                  : driver.DriveFile(run.file, timestamped, engine);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-      return 1;
-    }
-    total_events = result.value().items;
-    std::fprintf(stderr,
-                 "sink=keyed-engine(%s) items=%" PRIu64
-                 " throughput=%.2fM items/s\n",
-                 FormatSinkSpec(spec).c_str(), total_events,
-                 result.value().items_per_sec / 1e6);
-  }
-
+/// Prints the keyed engines' aggregated multi-tenant stats; returns the
+/// exit code (non-zero when the run was lossy or ended in an outage).
+int ReportKeyed(const std::vector<std::unique_ptr<KeyedWindowEngine>>& engines,
+                uint64_t events) {
   // A spill/restore I/O failure in block mode latches into the engine
   // status instead of aborting ingestion; surface it as a run failure
   // here. Shed mode never latches — its outage shows up as a degraded
@@ -561,7 +220,7 @@ int RunKeyed(const SinkSpec& spec, const KeyedRun& keyed,
   bool latched = false;
   for (const auto& engine : engines) {
     if (!engine->status().ok()) {
-      std::fprintf(stderr, "%s\n", engine->status().ToString().c_str());
+      Fail(engine->status());
       latched = true;
     }
     const KeyedEngineStats& stats = engine->stats();
@@ -570,7 +229,6 @@ int RunKeyed(const SinkSpec& spec, const KeyedRun& keyed,
     total.evictions += stats.evictions;
     total.restores += stats.restores;
     total.expirations += stats.expirations;
-    total.promotions += stats.promotions;
     total.charged_bytes += stats.charged_bytes;
     total.retained_bytes += stats.retained_bytes;
     total.io_retries += stats.io_retries;
@@ -587,14 +245,13 @@ int RunKeyed(const SinkSpec& spec, const KeyedRun& keyed,
       worst = stats.health;
     }
   }
-  total.health = worst;
   std::printf("events=%" PRIu64 " live_keys=%" PRIu64 " spilled_keys=%" PRIu64
               " evictions=%" PRIu64 " restores=%" PRIu64
               " expirations=%" PRIu64 " charged=%" PRIu64
               " bytes retained=%" PRIu64 " bytes\n",
-              total_events, total.live_keys, total.spilled_keys,
-              total.evictions, total.restores, total.expirations,
-              total.charged_bytes, total.retained_bytes);
+              events, total.live_keys, total.spilled_keys, total.evictions,
+              total.restores, total.expirations, total.charged_bytes,
+              total.retained_bytes);
   std::printf("io_retries=%" PRIu64 " io_giveups=%" PRIu64
               " degraded_drops=%" PRIu64 " shed_bytes=%" PRIu64
               " quarantined_files=%" PRIu64 " restore_misses=%" PRIu64
@@ -617,6 +274,270 @@ int RunKeyed(const SinkSpec& spec, const KeyedRun& keyed,
                  total.restore_misses);
     return 1;
   }
+  return 0;
+}
+
+/// Everything main's flag parse decides beyond the SinkSpec and the keyed
+/// engine options.
+struct RunFlags {
+  std::string file;  // --file; empty = stdin
+  // --workload/--replay-trace: a pre-materialized stream to drive instead
+  // of parsing stdin/--file (checkpointing is refused in main for these).
+  bool synthesized = false;
+  std::vector<Item> items;
+  uint64_t batch = 1024;
+  uint64_t seed = 0x5eed;
+  uint64_t report_every = 10000;
+  uint64_t threads = 1;
+  uint64_t shards = 0;    // 0 = one per thread
+  std::string partition;  // "", "chunks", or "keyhash"
+  bool keyed = false;     // --keys
+  std::string checkpoint_dir;  // empty = disabled
+  uint64_t checkpoint_every = 1000000;
+  bool resume = false;
+  uint64_t kill_after = 0;  // --kill-after testing hook
+};
+
+/// The --checkpoint-dir writer for `shards` sinks built from `spec`, with
+/// the --kill-after crash-injection hook installed; null without
+/// --checkpoint-dir. On --resume the checkpoint's own specs keep stamping
+/// the envelopes, so flag drift cannot corrupt later checkpoints, and the
+/// resumed position re-seeds the every-N cadence.
+Result<std::unique_ptr<CheckpointWriter>> MakeCheckpointWriter(
+    const RunFlags& run, const SinkSpec& spec, uint64_t shards,
+    const ResumedCheckpoint& resumed) {
+  if (run.checkpoint_dir.empty()) return std::unique_ptr<CheckpointWriter>();
+  CheckpointPolicy policy;
+  policy.dir = run.checkpoint_dir;
+  policy.every_items = run.checkpoint_every;
+  std::vector<SinkSerializer> serializers;
+  if (run.resume) {
+    serializers = SerializersFor(resumed);
+  } else {
+    auto made = MakeSinkSerializers(spec, shards);
+    if (!made.ok()) return made.status();
+    serializers = std::move(made).ValueOrDie();
+  }
+  auto writer = std::make_unique<CheckpointWriter>(
+      policy, std::move(serializers), resumed.position.items);
+  if (run.kill_after > 0) {
+    writer->set_after_write([kill_after = run.kill_after](uint64_t items) {
+      if (items >= kill_after) {
+        std::fprintf(stderr,
+                     "--kill-after: SIGKILL after checkpoint at %" PRIu64
+                     " events\n",
+                     items);
+        std::raise(SIGKILL);
+      }
+    });
+  }
+  return writer;
+}
+
+const char* KindName(SinkKind kind) {
+  return kind == SinkKind::kSampler ? "sampler" : "estimator";
+}
+
+/// Builds the shard set (fresh sinks, sinks restored from a checkpoint,
+/// or keyed engines), drives the stream through the single-threaded
+/// driver for one shard on one thread or the sharded engine otherwise,
+/// and prints the result. Returns the process exit code.
+int Run(const RunFlags& run, const SinkSpec& spec,
+        const KeyedEngineOptions& keyed, bool timestamped) {
+  const uint64_t shard_count = run.shards == 0 ? run.threads : run.shards;
+  const bool sharded = run.threads > 1 || shard_count > 1;
+  std::vector<Sink> sinks;
+  std::vector<std::unique_ptr<KeyedWindowEngine>> engines;
+  ResumedCheckpoint resumed;  // --resume: restored specs + skip position
+  if (run.keyed) {
+    auto created = CreateKeyedEngines(keyed, shard_count);
+    if (!created.ok()) return Fail(created.status());
+    engines = std::move(created).ValueOrDie();
+  } else if (run.resume) {
+    auto loaded = LoadCheckpoint(run.checkpoint_dir);
+    if (!loaded.ok()) return Fail(loaded.status());
+    resumed = std::move(loaded).ValueOrDie();
+    sinks = std::move(resumed.sinks);
+    // Registry names are disjoint across kinds, so a name match is a kind
+    // match too.
+    if (sinks.size() != shard_count || resumed.name != spec.name) {
+      std::fprintf(stderr,
+                   "--resume: checkpoint in %s holds %zu %s shard(s) of "
+                   "\"%s\", but the flags request %" PRIu64
+                   " %s shard(s) of \"%s\"\n",
+                   run.checkpoint_dir.c_str(), sinks.size(),
+                   KindName(sinks[0].kind()), resumed.name.c_str(),
+                   shard_count, KindName(SinkKindOf(spec.name).value()),
+                   spec.name.c_str());
+      return 2;
+    }
+    std::fprintf(stderr, "resume: restored %s", resumed.name.c_str());
+    if (sharded) {
+      std::fprintf(stderr, " (%" PRIu64 " shard(s))", shard_count);
+    }
+    std::fprintf(stderr,
+                 " at %" PRIu64 " events; the checkpoint's configuration "
+                 "is authoritative\n",
+                 resumed.position.items);
+  } else {
+    auto created = CreateShardedSinks(spec, shard_count);
+    if (!created.ok()) return Fail(created.status());
+    sinks = std::move(created).ValueOrDie();
+  }
+  const std::vector<StreamSink*> shards =
+      run.keyed ? SinkPointers(engines) : SinkPointers(sinks);
+
+  // Keys must be whole — every arrival of a key has to reach the engine
+  // that owns it — so keyed sharding is always key-hash partitioned.
+  bool key_hash = run.keyed || run.partition == "keyhash";
+  if (!run.keyed) {
+    const Sink& first = sinks[0];
+    // N-shard output only exists through the merge surface, so refuse
+    // non-mergeable sinks up front instead of after ingesting the stream.
+    if (shard_count > 1 &&
+        (first.sampler != nullptr
+             ? !first.sampler->mergeable()
+             : first.estimator->merge_kind() == EstimateMergeKind::kNone)) {
+      std::fprintf(stderr,
+                   "%s is not merge-capable; run it single-threaded "
+                   "(--threads=1)\n",
+                   spec.name.c_str());
+      return 2;
+    }
+    // Default partitioning: key-hash whenever the merge algebra needs
+    // key-disjoint shards (F_k, entropy) or the window model is
+    // timestamp-based; round-robin chunks otherwise. An explicit
+    // --partition wins (and owns the statistical consequences).
+    if (run.partition.empty()) {
+      key_hash = timestamped ||
+                 (first.estimator != nullptr &&
+                  MergeNeedsKeyDisjointShards(first.estimator->merge_kind()));
+    }
+    if (sharded && key_hash && !timestamped) {
+      std::fprintf(stderr,
+                   "note: key-hash sharding of a sequence window assumes "
+                   "near-uniform key load; for skewed keys prefer a "
+                   "timestamp substrate (e.g. --substrate=bop-ts-single)\n");
+    }
+  }
+
+  auto writer = MakeCheckpointWriter(run, spec, shard_count, resumed);
+  if (!writer.ok()) return Fail(writer.status());
+  const CheckpointManifest* resume_pos =
+      run.resume ? &resumed.position : nullptr;
+  // Progress reports flush batches early, which would move checkpoints
+  // off the uninterrupted run's batch grid; checkpointed runs skip them.
+  const uint64_t progress_every = writer.value() ? 0 : run.report_every;
+  auto progress = [&](uint64_t items) {
+    if (!run.keyed) return ReportSink(sinks[0], items, stderr);
+    const KeyedEngineStats& stats = engines[0]->stats();
+    std::fprintf(stderr,
+                 "events=%" PRIu64 " live_keys=%" PRIu64 " spilled=%" PRIu64
+                 " charged=%" PRIu64 " bytes\n",
+                 items, stats.live_keys, stats.spilled_keys,
+                 stats.charged_bytes);
+  };
+  auto drive = [&]() -> Result<ShardedDriveReport> {
+    if (!sharded) {
+      StreamDriver::Options options;
+      options.batch_size = run.batch;
+      const StreamDriver driver(options);
+      StreamSink& sink = *shards[0];
+      Result<DriveReport> single =
+          run.synthesized
+              ? Result<DriveReport>(driver.Drive(run.items, sink))
+          : run.file.empty()
+              ? driver.DriveLines(stdin, "stdin", timestamped, sink, progress,
+                                  progress_every, writer.value().get(),
+                                  resume_pos)
+              : driver.DriveFile(run.file, timestamped, sink,
+                                 writer.value().get(), resume_pos);
+      if (!single.ok()) return single.status();
+      return ShardedDriveReport{std::move(single).ValueOrDie(), {}};
+    }
+    ShardedStreamDriver::Options options;
+    options.threads = run.threads;
+    // --batch=0 selects the per-item slow path in the single-threaded
+    // driver; chunks are the sharded transfer unit, so keep them batched.
+    options.chunk_items = run.batch == 0 ? 1024 : run.batch;
+    options.partition =
+        key_hash ? ShardPartition::kKeyHash : ShardPartition::kChunks;
+    // The router hashes the SHIFTED tenant id so --keys=<shift> keeps
+    // each folded key on one engine.
+    options.key_shift = keyed.key_shift;
+    const ShardedStreamDriver driver(options);
+    return run.synthesized ? driver.Drive(run.items, shards)
+           : run.file.empty()
+               ? driver.DriveLinesCheckpointed(stdin, "stdin", timestamped,
+                                               shards, writer.value().get(),
+                                               resume_pos)
+               : driver.DriveFileCheckpointed(run.file, timestamped, shards,
+                                              writer.value().get(),
+                                              resume_pos);
+  };
+  const Result<ShardedDriveReport> result = drive();
+  if (!result.ok()) return Fail(result.status());
+  const ShardedDriveReport& report = result.value();
+
+  // Stream totals include the prefix a resumed run skipped — minus the
+  // checkpoint's pending router items, which that prefix already counts
+  // but which are delivered (and counted) by this run.
+  uint64_t resumed_pending = 0;
+  for (const auto& buffer : resumed.position.pending) {
+    resumed_pending += buffer.size();
+  }
+  const uint64_t total_events =
+      report.total.items + resumed.position.items - resumed_pending;
+  const std::string label =
+      run.keyed ? "keyed-engine(" + FormatSinkSpec(spec) + ")"
+                : std::string(shards[0]->name());
+  if (sharded) {
+    std::fprintf(stderr,
+                 "sink=%s shards=%" PRIu64 " threads=%" PRIu64
+                 " partition=%s items=%" PRIu64 " aggregate=%.2fM items/s\n",
+                 label.c_str(), shard_count, run.threads,
+                 key_hash ? "keyhash" : "chunks", total_events,
+                 report.total.items_per_sec / 1e6);
+  } else {
+    std::fprintf(stderr, "sink=%s items=%" PRIu64, label.c_str(),
+                 total_events);
+    if (!run.keyed) {
+      std::fprintf(stderr, " batches=%" PRIu64, report.total.batches);
+    }
+    std::fprintf(stderr, " throughput=%.2fM items/s\n",
+                 report.total.items_per_sec / 1e6);
+  }
+  if (report.total.io_retries > 0 || report.total.io_giveups > 0) {
+    std::fprintf(stderr, "checkpoint: io_retries=%" PRIu64
+                 " io_giveups=%" PRIu64 "\n",
+                 report.total.io_retries, report.total.io_giveups);
+  }
+  if (run.keyed) return ReportKeyed(engines, total_events);
+  for (size_t s = 0; s < report.shards.size(); ++s) {
+    const ShardReport& shard = report.shards[s];
+    std::fprintf(stderr,
+                 "  shard %zu: items=%" PRIu64 " memory=%" PRIu64
+                 " words busy=%.2fM items/s\n",
+                 s, shard.items, shard.memory_words,
+                 shard.items_per_sec / 1e6);
+  }
+
+  if (sinks.size() == 1) {
+    ReportSink(sinks[0], total_events, stdout);
+    return 0;
+  }
+  if (sinks[0].estimator != nullptr) {
+    auto merged = MergedEstimate(EstimatorPointers(sinks).ValueOrDie());
+    if (!merged.ok()) return Fail(merged.status());
+    PrintEstimate(stdout, total_events, report.total.memory_words,
+                  merged.value());
+    return 0;
+  }
+  auto merged =
+      MergedSnapshot(SamplerPointers(sinks).ValueOrDie(), run.seed ^ 0x5eedful);
+  if (!merged.ok()) return Fail(merged.status());
+  PrintSample(stdout, total_events, report.total.memory_words,
+              merged.value().sample);
   return 0;
 }
 
@@ -671,26 +592,22 @@ bool ParseBytes(const char* s, uint64_t* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  RunFlags run;
+  // --algo/--estimator/--substrate/--moment/--vertices/--q fill `spec`
+  // directly; --sink replaces it wholesale.
+  SinkSpec spec;
+  KeyedEngineOptions keyed;
   std::string sink_text;  // --sink: the full SinkSpec grammar
   std::string algo;       // --algo alias (default applied when nothing set)
   std::string estimator_name;
-  std::string substrate;
-  std::string file;
   std::string workload;      // --workload generator spec
   uint64_t workload_items = 1000000;  // --items
   std::string record_trace;  // --record-trace
   std::string replay_trace;  // --replay-trace
-  uint64_t batch = 1024;
-  uint64_t seed = 0x5eed;
   uint64_t moment = 2;
   uint64_t vertices = 0;
-  double q = 0.5;
-  uint64_t report_every = 10000;
-  uint64_t threads = 1;
-  uint64_t shards = 0;
-  std::string partition;
-  CheckpointRun checkpoint;
-  KeyedRun keyed;
+  uint64_t key_ttl = 0;
+  uint64_t key_io_retries = 0;  // --key-io-retries; 0 = policy default
   std::string failpoints;    // --failpoints; also SWSAMPLE_FAILPOINTS env
   bool failpoints_set = false;
   std::vector<const char*> positional;
@@ -715,15 +632,15 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--estimator=", 12) == 0) {
       estimator_name = arg + 12;
     } else if (std::strncmp(arg, "--substrate=", 12) == 0) {
-      substrate = arg + 12;
+      spec.substrate = arg + 12;
     } else if (std::strcmp(arg, "--keys") == 0) {
-      keyed.enabled = true;
+      run.keyed = true;
     } else if (std::strncmp(arg, "--keys=", 7) == 0) {
-      keyed.enabled = true;
+      run.keyed = true;
       u64_flag = &keyed.key_shift;
       u64_value = arg + 7;
     } else if (std::strncmp(arg, "--key-budget=", 13) == 0) {
-      if (!ParseBytes(arg + 13, &keyed.budget_bytes)) {
+      if (!ParseBytes(arg + 13, &keyed.memory_budget_bytes)) {
         std::fprintf(stderr,
                      "error: --key-budget expects bytes with an optional "
                      "K/M/G suffix, got \"%s\"\n",
@@ -731,19 +648,16 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strncmp(arg, "--key-ttl=", 10) == 0) {
-      uint64_t ttl = 0;
-      if (!ParseU64(arg + 10, &ttl)) {
+      if (!ParseU64(arg + 10, &key_ttl)) {
         std::fprintf(stderr,
                      "error: --key-ttl expects a non-negative integer, got "
                      "\"%s\"\n",
                      arg + 10);
         return 2;
       }
-      keyed.idle_ttl = static_cast<Timestamp>(ttl);
+      keyed.idle_ttl = static_cast<Timestamp>(key_ttl);
     } else if (std::strcmp(arg, "--key-strict-budget") == 0) {
       keyed.strict_budget = true;
-    } else if (std::strcmp(arg, "--key-sync-restore") == 0) {
-      keyed.sync_restore = true;
     } else if (std::strncmp(arg, "--key-degrade=", 14) == 0) {
       const char* mode = arg + 14;
       if (std::strcmp(mode, "block") == 0) {
@@ -758,7 +672,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strncmp(arg, "--key-io-retries=", 17) == 0) {
-      u64_flag = &keyed.io_retries;
+      u64_flag = &key_io_retries;
       u64_value = arg + 17;
     } else if (std::strncmp(arg, "--failpoints=", 13) == 0) {
       failpoints = arg + 13;
@@ -766,7 +680,7 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--spill-dir=", 12) == 0) {
       keyed.spill_dir = arg + 12;
     } else if (std::strncmp(arg, "--file=", 7) == 0) {
-      file = arg + 7;
+      run.file = arg + 7;
     } else if (std::strncmp(arg, "--workload=", 11) == 0) {
       workload = arg + 11;
     } else if (std::strncmp(arg, "--items=", 8) == 0) {
@@ -777,10 +691,10 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--replay-trace=", 15) == 0) {
       replay_trace = arg + 15;
     } else if (std::strncmp(arg, "--batch=", 8) == 0) {
-      u64_flag = &batch;
+      u64_flag = &run.batch;
       u64_value = arg + 8;
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      u64_flag = &seed;
+      u64_flag = &run.seed;
       u64_value = arg + 7;
     } else if (std::strncmp(arg, "--moment=", 9) == 0) {
       u64_flag = &moment;
@@ -789,38 +703,38 @@ int main(int argc, char** argv) {
       u64_flag = &vertices;
       u64_value = arg + 11;
     } else if (std::strncmp(arg, "--q=", 4) == 0) {
-      if (!ParseDouble(arg + 4, &q)) {
+      if (!ParseDouble(arg + 4, &spec.q)) {
         std::fprintf(stderr, "error: --q requires a number, got \"%s\"\n",
                      arg + 4);
         return 2;
       }
     } else if (std::strncmp(arg, "--report=", 9) == 0) {
-      u64_flag = &report_every;
+      u64_flag = &run.report_every;
       u64_value = arg + 9;
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      u64_flag = &threads;
+      u64_flag = &run.threads;
       u64_value = arg + 10;
     } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      u64_flag = &shards;
+      u64_flag = &run.shards;
       u64_value = arg + 9;
     } else if (std::strncmp(arg, "--partition=", 12) == 0) {
-      partition = arg + 12;
-      if (partition != "chunks" && partition != "keyhash") {
+      run.partition = arg + 12;
+      if (run.partition != "chunks" && run.partition != "keyhash") {
         std::fprintf(stderr,
                      "error: --partition expects chunks or keyhash, got "
                      "\"%s\"\n",
-                     partition.c_str());
+                     run.partition.c_str());
         return 2;
       }
     } else if (std::strncmp(arg, "--checkpoint-dir=", 17) == 0) {
-      checkpoint.dir = arg + 17;
+      run.checkpoint_dir = arg + 17;
     } else if (std::strncmp(arg, "--checkpoint-every=", 19) == 0) {
-      u64_flag = &checkpoint.every;
+      u64_flag = &run.checkpoint_every;
       u64_value = arg + 19;
     } else if (std::strcmp(arg, "--resume") == 0) {
-      checkpoint.resume = true;
+      run.resume = true;
     } else if (std::strncmp(arg, "--kill-after=", 13) == 0) {
-      u64_flag = &checkpoint.kill_after;
+      u64_flag = &run.kill_after;
       u64_value = arg + 13;
     } else if (std::strncmp(arg, "--", 2) == 0) {
       Usage(argv[0]);
@@ -835,13 +749,17 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (run.threads == 0) {
+    std::fprintf(stderr, "error: --threads must be at least 1\n");
+    return 2;
+  }
   // Arm fault injection before any sink or driver touches a file. The
   // failpoint seed forks off --seed so drills are reproducible; the env
   // var reaches runs the harness cannot pass flags to.
   {
     const Status armed = failpoints_set
-                             ? ArmFailpoints(failpoints, seed)
-                             : ArmFailpointsFromEnv(seed);
+                             ? ArmFailpoints(failpoints, run.seed)
+                             : ArmFailpointsFromEnv(run.seed);
     if (!armed.ok()) {
       std::fprintf(stderr, "error: %s\n", armed.ToString().c_str());
       return 2;
@@ -849,7 +767,7 @@ int main(int argc, char** argv) {
     if (AnyFailpointArmed()) std::atexit(PrintFailpointReport);
   }
   if (!sink_text.empty() &&
-      (!algo.empty() || !estimator_name.empty() || !substrate.empty())) {
+      (!algo.empty() || !estimator_name.empty() || !spec.substrate.empty())) {
     std::fprintf(stderr,
                  "error: --sink replaces --algo/--estimator/--substrate; "
                  "give one or the other\n");
@@ -881,8 +799,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if ((checkpoint.resume || checkpoint.kill_after > 0) &&
-      checkpoint.dir.empty()) {
+  if ((run.resume || run.kill_after > 0) && run.checkpoint_dir.empty()) {
     std::fprintf(stderr,
                  "error: --resume/--kill-after require --checkpoint-dir\n");
     return 2;
@@ -891,19 +808,19 @@ int main(int argc, char** argv) {
   // --workload / --replay-trace synthesize the stream up front; the
   // checkpoint cadence is defined over a PARSED input stream, so the two
   // modes don't compose (record a trace and replay the file instead).
-  const bool synthesized = !workload.empty() || !replay_trace.empty();
-  if (synthesized) {
+  run.synthesized = !workload.empty() || !replay_trace.empty();
+  if (run.synthesized) {
     if (!workload.empty() && !replay_trace.empty()) {
       std::fprintf(stderr,
                    "error: --workload and --replay-trace are exclusive\n");
       return 2;
     }
-    if (!file.empty()) {
+    if (!run.file.empty()) {
       std::fprintf(stderr,
                    "error: --workload/--replay-trace replace --file\n");
       return 2;
     }
-    if (!checkpoint.dir.empty() || checkpoint.resume) {
+    if (!run.checkpoint_dir.empty()) {
       std::fprintf(stderr,
                    "error: --workload/--replay-trace are incompatible with "
                    "checkpointing\n");
@@ -914,55 +831,38 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --record-trace requires --workload\n");
     return 2;
   }
-  std::vector<Item> stream_items;
   if (!replay_trace.empty()) {
     auto read = ReadTrace(replay_trace);
-    if (!read.ok()) {
-      std::fprintf(stderr, "%s\n", read.status().ToString().c_str());
-      return 1;
-    }
-    stream_items = std::move(read).ValueOrDie();
-    std::fprintf(stderr, "replay: %zu events from %s\n", stream_items.size(),
+    if (!read.ok()) return Fail(read.status());
+    run.items = std::move(read).ValueOrDie();
+    std::fprintf(stderr, "replay: %zu events from %s\n", run.items.size(),
                  replay_trace.c_str());
   } else if (!workload.empty()) {
-    auto gen = WorkloadGenerator::Create(workload, seed);
-    if (!gen.ok()) {
-      std::fprintf(stderr, "%s\n", gen.status().ToString().c_str());
-      return 2;
-    }
-    stream_items = std::move(gen).ValueOrDie()->Take(workload_items);
+    auto gen = WorkloadGenerator::Create(workload, run.seed);
+    if (!gen.ok()) return Fail(gen.status(), 2);
+    run.items = std::move(gen).ValueOrDie()->Take(workload_items);
     if (!record_trace.empty()) {
-      if (Status status = WriteTrace(record_trace, stream_items);
-          !status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 1;
+      if (Status status = WriteTrace(record_trace, run.items); !status.ok()) {
+        return Fail(status);
       }
       std::fprintf(stderr, "trace: %zu events recorded to %s\n",
-                   stream_items.size(), record_trace.c_str());
+                   run.items.size(), record_trace.c_str());
     }
   }
-  const std::vector<Item>* driven_items =
-      synthesized ? &stream_items : nullptr;
 
   // Resolve the flags into ONE SinkSpec — the --sink grammar directly, or
   // the --algo/--estimator aliases lifted through the same structure.
-  SinkSpec spec;
   if (!sink_text.empty()) {
     auto parsed = ParseSinkSpec(sink_text);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-      return 2;
-    }
+    if (!parsed.ok()) return Fail(parsed.status(), 2);
     spec = std::move(parsed).ValueOrDie();
   } else {
     spec.name = !estimator_name.empty() ? estimator_name
                 : !algo.empty()         ? algo
                                         : "bop-seq-swor";
-    spec.substrate = substrate;
-    spec.seed = seed;
+    spec.seed = run.seed;
     spec.moment = static_cast<uint32_t>(moment);
     spec.num_vertices = static_cast<uint32_t>(vertices);
-    spec.q = q;
   }
   if (have_positionals) {
     spec.window_n = window;
@@ -970,181 +870,40 @@ int main(int argc, char** argv) {
     spec.k = k;
     spec.r = k;
   }
-  auto kind = SinkKindOf(spec.name);
-  if (!kind.ok()) {
-    std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
-    return 2;
+  if (auto kind = SinkKindOf(spec.name); !kind.ok()) {
+    return Fail(kind.status(), 2);
   }
   auto model = SinkWindowModel(spec);
-  if (!model.ok()) {
-    std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-    return 2;
-  }
+  if (!model.ok()) return Fail(model.status(), 2);
   const bool timestamped = model.value() == WindowModel::kTimestamp;
 
-  if (keyed.enabled) {
+  if (run.keyed) {
     // The keyed engine's persistence story is its own spill directory;
     // the flat single-sink checkpoint envelope does not describe it.
-    if (!checkpoint.dir.empty() || checkpoint.resume) {
+    if (!run.checkpoint_dir.empty()) {
       std::fprintf(stderr,
                    "error: --keys is incompatible with --checkpoint-dir/"
                    "--resume (use --key-budget + --spill-dir)\n");
       return 2;
     }
-    if (partition == "chunks") {
+    if (run.partition == "chunks") {
       std::fprintf(stderr,
                    "error: keyed sharding must keep each key on one "
                    "engine; --partition=chunks is incompatible with "
                    "--keys\n");
       return 2;
     }
-    ShardedRun run;
-    run.spec = spec;
-    run.kind = kind.value();
-    run.file = file;
-    run.items = driven_items;
-    run.threads = threads;
-    run.shards = shards == 0 ? threads : shards;
-    run.batch = batch;
-    run.seed = seed;
-    return RunKeyed(spec, keyed, run, timestamped, report_every);
-  }
-  if (!keyed.spill_dir.empty() || keyed.budget_bytes > 0 ||
-      keyed.idle_ttl > 0 || keyed.degrade != KeyedDegradeMode::kBlock ||
-      keyed.io_retries > 0) {
+    keyed.spec = spec;
+    if (key_io_retries > 0) {
+      keyed.io_retry.max_attempts = static_cast<uint32_t>(key_io_retries);
+    }
+  } else if (!keyed.spill_dir.empty() || keyed.memory_budget_bytes > 0 ||
+             keyed.idle_ttl > 0 || keyed.degrade != KeyedDegradeMode::kBlock ||
+             key_io_retries > 0) {
     std::fprintf(stderr,
                  "error: --key-budget/--key-ttl/--spill-dir/--key-degrade/"
                  "--key-io-retries require --keys\n");
     return 2;
   }
-
-  if (threads > 1 || shards > 1) {
-    ShardedRun run;
-    run.spec = spec;
-    run.kind = kind.value();
-    run.file = file;
-    run.items = driven_items;
-    run.threads = threads;
-    run.shards = shards == 0 ? threads : shards;
-    run.partition = partition;
-    run.batch = batch;
-    run.seed = seed;
-    run.checkpoint = checkpoint;
-    return RunSharded(run, timestamped);
-  }
-
-  StreamDriver::Options options;
-  options.batch_size = batch;
-  StreamDriver driver(options);
-
-  // Resolve the sink through the unified factory, then let the batched
-  // driver own parsing and ingestion for both kinds; stdin mode adds
-  // periodic progress reports.
-  Sink created_sink;
-  WindowSampler* sampler = nullptr;
-  WindowEstimator* estimator = nullptr;
-  StreamSink* sink = nullptr;
-  std::unique_ptr<WindowSampler> resumed_sampler;
-  std::unique_ptr<WindowEstimator> resumed_estimator;
-  if (!checkpoint.resume) {
-    auto made = CreateSink(spec);
-    if (!made.ok()) {
-      std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
-      return 1;
-    }
-    created_sink = std::move(made).ValueOrDie();
-    sampler = created_sink.sampler;
-    estimator = created_sink.estimator;
-    sink = created_sink.sink.get();
-  }
-  ResumedCheckpoint resumed;  // --resume: restored state + skip position
-  if (checkpoint.resume) {
-    auto loaded = LoadCheckpoint(checkpoint.dir);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    resumed = std::move(loaded).ValueOrDie();
-    const bool want_estimator = kind.value() == SinkKind::kEstimator;
-    if (want_estimator != !resumed.estimators.empty() ||
-        resumed.sinks.size() != 1) {
-      std::fprintf(stderr,
-                   "--resume: checkpoint in %s holds %zu %s shard(s), but "
-                   "the flags request one %s\n",
-                   checkpoint.dir.c_str(), resumed.sinks.size(),
-                   resumed.estimators.empty() ? "sampler" : "estimator",
-                   want_estimator ? "estimator" : "sampler");
-      return 2;
-    }
-    if (resumed.name != spec.name) {
-      std::fprintf(stderr,
-                   "--resume: checkpoint in %s holds \"%s\", but the flags "
-                   "request \"%s\"\n",
-                   checkpoint.dir.c_str(), resumed.name.c_str(),
-                   spec.name.c_str());
-      return 2;
-    }
-    std::fprintf(stderr,
-                 "resume: restored %s at %" PRIu64 " events; the "
-                 "checkpoint's configuration is authoritative\n",
-                 resumed.name.c_str(), resumed.position.items);
-    if (want_estimator) {
-      resumed_estimator = std::move(resumed.estimators[0]);
-      estimator = resumed_estimator.get();
-      sink = estimator;
-    } else {
-      resumed_sampler = std::move(resumed.samplers[0]);
-      sampler = resumed_sampler.get();
-      sink = sampler;
-    }
-  }
-
-  auto writer = MakeCheckpointWriter(checkpoint, spec, 1, resumed);
-  if (!writer.ok()) {
-    std::fprintf(stderr, "%s\n", writer.status().ToString().c_str());
-    return 1;
-  }
-  const CheckpointManifest* resume_pos =
-      checkpoint.resume ? &resumed.position : nullptr;
-  auto progress = [&](uint64_t items) {
-    if (estimator != nullptr) {
-      ReportEstimate(*estimator, items, stderr);
-    } else {
-      ReportSample(*sampler, items, stderr);
-    }
-  };
-  // Progress reports flush batches early, which would move checkpoints
-  // off the uninterrupted run's batch grid; checkpointed runs skip them.
-  const uint64_t progress_every = writer.value() ? 0 : report_every;
-  const Result<DriveReport> result =
-      driven_items != nullptr
-          ? Result<DriveReport>(driver.Drive(*driven_items, *sink))
-      : file.empty()
-          ? driver.DriveLines(stdin, "stdin", timestamped, *sink, progress,
-                              progress_every, writer.value().get(),
-                              resume_pos)
-          : driver.DriveFile(file, timestamped, *sink, writer.value().get(),
-                             resume_pos);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  const DriveReport& r = result.value();
-  // Stream totals include the prefix a resumed run skipped.
-  const uint64_t total_events = r.items + resumed.position.items;
-  std::fprintf(stderr,
-               "sink=%s items=%" PRIu64 " batches=%" PRIu64
-               " throughput=%.2fM items/s\n",
-               sink->name(), total_events, r.batches, r.items_per_sec / 1e6);
-  if (r.io_retries > 0 || r.io_giveups > 0) {
-    std::fprintf(stderr, "checkpoint: io_retries=%" PRIu64
-                 " io_giveups=%" PRIu64 "\n",
-                 r.io_retries, r.io_giveups);
-  }
-  if (estimator != nullptr) {
-    ReportEstimate(*estimator, total_events, stdout);
-  } else {
-    ReportSample(*sampler, total_events, stdout);
-  }
-  return 0;
+  return Run(run, spec, keyed, timestamped);
 }

@@ -396,7 +396,8 @@ Result<SinkSpec> ShardSinkSpec(const SinkSpec& spec, uint64_t shard,
       level.window = level_window.value();
     }
   }
-  shard_spec.seed = Rng::ForkSeed(spec.seed, shard);
+  // A single shard is the unsharded sink: same window, same seed.
+  if (shards > 1) shard_spec.seed = Rng::ForkSeed(spec.seed, shard);
   return shard_spec;
 }
 

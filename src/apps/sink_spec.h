@@ -187,8 +187,10 @@ class SinkFactory {
 /// sequence-model sinks, window_n (and any bias-level windows) split as
 /// window_n / shards — which must divide evenly so the shard windows
 /// union to the global window. Timestamp windows pass through unchanged
-/// (activity is per-item). This single derivation replaces the deleted
-/// ShardSamplerConfig/ShardEstimatorConfig pair.
+/// (activity is per-item). A single shard is the unsharded sink:
+/// ShardSinkSpec(spec, 0, 1) is `spec` itself, seed included. This single
+/// derivation replaces the deleted ShardSamplerConfig/ShardEstimatorConfig
+/// pair.
 Result<SinkSpec> ShardSinkSpec(const SinkSpec& spec, uint64_t shard,
                                uint64_t shards);
 

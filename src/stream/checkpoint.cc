@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <utility>
 
-#include "apps/estimator_checkpoint.h"
 #include "core/checkpoint.h"
 #include "stream/item_serial.h"
 #include "util/file_ops.h"
@@ -271,84 +270,35 @@ Result<ResumedCheckpoint> LoadCheckpoint(const std::string& dir) {
 
   ResumedCheckpoint resumed;
   resumed.position = std::move(manifest).ValueOrDie();
-  for (size_t s = 0; s < shard_files.size(); ++s) {
-    auto blob =
-        ReadFileBytes("ckpt.read", (fs::path(dir) / shard_files[s]).string());
+  for (const std::string& file : shard_files) {
+    auto blob = ReadFileBytes("ckpt.read", (fs::path(dir) / file).string());
     if (!blob.ok()) return blob.status();
-    // Record the envelope metadata (name + per-shard config) alongside
-    // the restored sink; Restore* re-validates everything.
-    BinaryReader header(blob.value());
-    CheckpointKind kind;
-    std::string name;
-    if (!ReadCheckpointHeader(&header, &kind) || !header.GetString(&name)) {
-      return Status::InvalidArgument("checkpoint: shard file " +
-                                     shard_files[s] +
-                                     " has an invalid envelope");
+    auto restored = RestoreSink(blob.value());
+    if (!restored.ok()) return restored.status();
+    RestoredSink& shard = restored.value();
+    if (!resumed.sinks.empty() &&
+        shard.sink.kind() != resumed.sinks[0].kind()) {
+      return Status::InvalidArgument(
+          "checkpoint: mixed sampler and estimator shard files");
     }
-    if (s == 0) {
-      resumed.name = name;
-    } else if (name != resumed.name) {
+    if (!resumed.sinks.empty() && shard.spec.name != resumed.name) {
       return Status::InvalidArgument(
           "checkpoint: shard files disagree on the registry name (\"" +
-          resumed.name + "\" vs \"" + name + "\")");
+          resumed.name + "\" vs \"" + shard.spec.name + "\")");
     }
-    if (kind == CheckpointKind::kSampler) {
-      SamplerConfig config;
-      if (!resumed.estimators.empty() ||
-          !LoadSamplerConfig(&header, &config)) {
-        return Status::InvalidArgument(
-            "checkpoint: mixed or invalid sampler shard files");
-      }
-      auto sampler = RestoreSampler(blob.value());
-      if (!sampler.ok()) return sampler.status();
-      resumed.sampler_configs.push_back(config);
-      resumed.samplers.push_back(std::move(sampler).ValueOrDie());
-      resumed.sinks.push_back(resumed.samplers.back().get());
-    } else if (kind == CheckpointKind::kEstimator) {
-      EstimatorConfig config;
-      if (!resumed.samplers.empty() ||
-          !LoadEstimatorConfig(&header, &config)) {
-        return Status::InvalidArgument(
-            "checkpoint: mixed or invalid estimator shard files");
-      }
-      auto estimator = RestoreEstimator(blob.value());
-      if (!estimator.ok()) return estimator.status();
-      resumed.estimator_configs.push_back(config);
-      resumed.estimators.push_back(std::move(estimator).ValueOrDie());
-      resumed.sinks.push_back(resumed.estimators.back().get());
-    } else {
-      return Status::InvalidArgument(
-          "checkpoint: shard file " + shard_files[s] +
-          " does not hold a sampler or estimator envelope");
-    }
+    resumed.name = shard.spec.name;
+    resumed.sinks.push_back(std::move(shard.sink));
+    resumed.specs.push_back(std::move(shard.spec));
   }
   return resumed;
 }
 
 std::vector<SinkSerializer> SerializersFor(const ResumedCheckpoint& resumed) {
   std::vector<SinkSerializer> serializers;
-  serializers.reserve(resumed.sinks.size());
-  for (size_t s = 0; s < resumed.sampler_configs.size(); ++s) {
+  serializers.reserve(resumed.specs.size());
+  for (const SinkSpec& spec : resumed.specs) {
     serializers.push_back(
-        [config = resumed.sampler_configs[s]](StreamSink& sink) {
-          auto* sampler = dynamic_cast<WindowSampler*>(&sink);
-          if (sampler == nullptr) {
-            return Result<std::string>(Status::InvalidArgument(
-                "checkpoint: sink is not a WindowSampler"));
-          }
-          return SaveSampler(*sampler, config);
-        });
-  }
-  for (size_t s = 0; s < resumed.estimator_configs.size(); ++s) {
-    serializers.push_back(
-        [config = resumed.estimator_configs[s]](StreamSink& sink) {
-          auto* estimator = dynamic_cast<WindowEstimator*>(&sink);
-          if (estimator == nullptr) {
-            return Result<std::string>(Status::InvalidArgument(
-                "checkpoint: sink is not a WindowEstimator"));
-          }
-          return SaveEstimator(*estimator, config);
-        });
+        [spec](StreamSink& sink) { return SaveSink(sink, spec); });
   }
   return serializers;
 }

@@ -24,7 +24,7 @@
 /// RNG consumption — identical to an uninterrupted run's.
 ///
 /// Ownership: CheckpointWriter borrows sinks per Write call;
-/// LoadCheckpoint returns caller-owned restored sinks.
+/// LoadCheckpoint returns caller-owned restored Sinks.
 ///
 /// Thread-safety: a CheckpointWriter is driven from one producer thread;
 /// the sharded driver quiesces its workers before serializing shards.
@@ -34,15 +34,12 @@
 
 #include <chrono>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "apps/estimator_registry.h"
 #include "apps/sink_spec.h"
 #include "core/api.h"
-#include "core/registry.h"
 #include "stream/item.h"
 #include "util/file_ops.h"
 #include "util/status.h"
@@ -95,7 +92,7 @@ struct CheckpointManifest {
 /// Serializers for spec-constructed shard sinks (samplers AND
 /// estimators): entry `s` binds the same derived spec CreateShardedSinks
 /// gives shard `s` (ShardSinkSpec: window split + forked seed).
-/// `shards` == 1 describes a single-sink run.
+/// `shards` == 1 describes a single-sink run built by CreateSink(spec).
 Result<std::vector<SinkSerializer>> MakeSinkSerializers(const SinkSpec& spec,
                                                         uint64_t shards);
 
@@ -179,31 +176,29 @@ class CheckpointWriter {
 };
 
 /// A checkpoint read back from disk: the ingestion position plus the
-/// restored sinks and the envelope metadata that reconstructed them.
-/// Exactly one of `samplers`/`estimators` is non-empty (all shard files
-/// of one run hold the same kind and registry name); `sinks` views it.
+/// restored sinks, each in the same Sink handle CreateSink returns, and
+/// the specs that reconstruct them. Every shard file of one run holds the
+/// same kind and registry name.
 struct ResumedCheckpoint {
   CheckpointManifest position;
   /// The registry name every shard envelope carried.
   std::string name;
-  /// The per-shard envelope configs (parallel to the sink vectors) —
-  /// the ORIGINAL run's configuration, authoritative over any flags the
-  /// resuming process was started with.
-  std::vector<SamplerConfig> sampler_configs;
-  std::vector<EstimatorConfig> estimator_configs;
-  std::vector<std::unique_ptr<WindowSampler>> samplers;
-  std::vector<std::unique_ptr<WindowEstimator>> estimators;
-  std::vector<StreamSink*> sinks;
+  std::vector<Sink> sinks;
+  /// The per-shard envelope specs (parallel to `sinks`) — the ORIGINAL
+  /// run's configuration, authoritative over any flags the resuming
+  /// process was started with.
+  std::vector<SinkSpec> specs;
 };
 
-/// Reads the checkpoint committed in `dir` and reconstructs every shard
-/// sink. InvalidArgument on missing/corrupt files or mixed-kind shards.
+/// Reads the checkpoint committed in `dir` and restores every shard sink
+/// with RestoreSink. InvalidArgument on missing/corrupt files, mixed-kind
+/// shards, or shards that disagree on the registry name.
 Result<ResumedCheckpoint> LoadCheckpoint(const std::string& dir);
 
-/// Serializers re-bound to the exact (name, config) pairs the resumed
-/// checkpoint's envelopes carried, so a resumed run's further
-/// checkpoints describe the restored sinks — immune to drift in the
-/// resuming process's own flags.
+/// Serializers bound (through SaveSink) to the exact specs the resumed
+/// checkpoint's envelopes carried, so a resumed run's further checkpoints
+/// describe the restored sinks — immune to drift in the resuming
+/// process's own flags.
 std::vector<SinkSerializer> SerializersFor(const ResumedCheckpoint& resumed);
 
 }  // namespace swsample

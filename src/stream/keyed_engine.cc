@@ -1124,13 +1124,17 @@ Result<std::vector<std::unique_ptr<KeyedWindowEngine>>> CreateKeyedEngines(
   for (uint64_t shard = 0; shard < shards; ++shard) {
     KeyedEngineOptions shard_options = options;
     shard_options.memory_budget_bytes = options.memory_budget_bytes / shards;
-    shard_options.spec.seed = Rng::ForkSeed(options.spec.seed, shard);
-    shard_options.hot_spec.seed = Rng::ForkSeed(options.hot_spec.seed, shard);
-    if (!options.spill_dir.empty()) {
-      char sub[32];
-      std::snprintf(sub, sizeof(sub), "shard-%04" PRIu64, shard);
-      shard_options.spill_dir =
-          (fs::path(options.spill_dir) / sub).string();
+    // A single shard is the unsharded engine: same seeds, same spill dir.
+    if (shards > 1) {
+      shard_options.spec.seed = Rng::ForkSeed(options.spec.seed, shard);
+      shard_options.hot_spec.seed =
+          Rng::ForkSeed(options.hot_spec.seed, shard);
+      if (!options.spill_dir.empty()) {
+        char sub[32];
+        std::snprintf(sub, sizeof(sub), "shard-%04" PRIu64, shard);
+        shard_options.spill_dir =
+            (fs::path(options.spill_dir) / sub).string();
+      }
     }
     if (options.max_keys_hint > 0) {
       shard_options.max_keys_hint =

@@ -439,7 +439,8 @@ class KeyedWindowEngine final : public StreamSink {
 /// N per-shard engines for ShardedStreamDriver kKeyHash runs: budget
 /// split evenly, spill_dir suffixed per shard ("<dir>/shard-NNNN"),
 /// seeds forked per shard so no key's RNG stream collides across
-/// reshardings.
+/// reshardings. A single shard is the unsharded engine: `shards` == 1
+/// gives one engine built from `options` unchanged.
 Result<std::vector<std::unique_ptr<KeyedWindowEngine>>> CreateKeyedEngines(
     const KeyedEngineOptions& options, uint64_t shards);
 

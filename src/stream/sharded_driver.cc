@@ -13,6 +13,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -532,38 +533,6 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveFileCheckpointed(
 uint64_t ShardOfKey(uint64_t value, uint64_t shards) {
   SWS_DCHECK(shards >= 1);
   return MixKey(value) % shards;
-}
-
-std::vector<StreamSink*> SinkPointers(
-    const std::vector<std::unique_ptr<WindowSampler>>& shards) {
-  std::vector<StreamSink*> out;
-  out.reserve(shards.size());
-  for (const auto& shard : shards) out.push_back(shard.get());
-  return out;
-}
-
-std::vector<StreamSink*> SinkPointers(
-    const std::vector<std::unique_ptr<WindowEstimator>>& shards) {
-  std::vector<StreamSink*> out;
-  out.reserve(shards.size());
-  for (const auto& shard : shards) out.push_back(shard.get());
-  return out;
-}
-
-std::vector<WindowSampler*> SamplerPointers(
-    const std::vector<std::unique_ptr<WindowSampler>>& shards) {
-  std::vector<WindowSampler*> out;
-  out.reserve(shards.size());
-  for (const auto& shard : shards) out.push_back(shard.get());
-  return out;
-}
-
-std::vector<WindowEstimator*> EstimatorPointers(
-    const std::vector<std::unique_ptr<WindowEstimator>>& shards) {
-  std::vector<WindowEstimator*> out;
-  out.reserve(shards.size());
-  for (const auto& shard : shards) out.push_back(shard.get());
-  return out;
 }
 
 }  // namespace swsample

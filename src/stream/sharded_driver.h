@@ -42,9 +42,9 @@
 /// is the synchronization point — with MergedSnapshot (samplers) or
 /// MergedEstimate (estimators) from the layers below.
 ///
-/// Ownership: the caller owns the shard sinks (create them with the
-/// CreateSharded* helpers below) and passes raw pointers for the duration
-/// of one Drive* call. The driver owns threads and queues per call; no
+/// Ownership: the caller owns the shard sinks (create them with
+/// CreateShardedSinks, apps/sink_spec.h) and passes raw pointers for the
+/// duration of one Drive* call. The driver owns threads and queues per call; no
 /// state outlives a Drive* invocation.
 ///
 /// Thread-safety: a ShardedStreamDriver is itself stateless apart from
@@ -60,7 +60,6 @@
 #define SWSAMPLE_STREAM_SHARDED_DRIVER_H_
 
 #include <cstdio>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -191,18 +190,6 @@ uint64_t ShardOfKey(uint64_t value, uint64_t shards);
 /// (apps/sink_spec.h): ShardSinkSpec derives each shard's configuration
 /// (window split + forked seed) and CreateShardedSinks materializes the
 /// replicas — samplers and estimators through ONE entry point.
-
-/// View adaptors: the Drive* entry points take StreamSink*, so harness
-/// code holding typed unique_ptr replicas (e.g. out of a resumed
-/// checkpoint) flattens them with these.
-std::vector<StreamSink*> SinkPointers(
-    const std::vector<std::unique_ptr<WindowSampler>>& shards);
-std::vector<StreamSink*> SinkPointers(
-    const std::vector<std::unique_ptr<WindowEstimator>>& shards);
-std::vector<WindowSampler*> SamplerPointers(
-    const std::vector<std::unique_ptr<WindowSampler>>& shards);
-std::vector<WindowEstimator*> EstimatorPointers(
-    const std::vector<std::unique_ptr<WindowEstimator>>& shards);
 
 }  // namespace swsample
 

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,6 +33,7 @@
 #include "stream/checkpoint.h"
 #include "stream/driver.h"
 #include "stream/sharded_driver.h"
+#include "util/file_ops.h"
 #include "util/rng.h"
 
 namespace swsample {
@@ -348,10 +350,11 @@ TEST(DriverCheckpointTest, SingleSinkResumeMatchesUninterruptedRun) {
   // Resume in a "new process": restore from disk, replay the full input.
   auto resumed = LoadCheckpoint(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ASSERT_EQ(resumed.value().samplers.size(), 1u);
+  ASSERT_EQ(resumed.value().sinks.size(), 1u);
+  ASSERT_EQ(resumed.value().sinks[0].kind(), SinkKind::kSampler);
   EXPECT_EQ(resumed.value().position.items, 2048u);
   auto report = driver.DriveFile(
-      stream, false, *resumed.value().sinks[0], nullptr,
+      stream, false, *resumed.value().sinks[0].sink, nullptr,
       &resumed.value().position);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report.value().items, 5000u - 2048u);
@@ -359,7 +362,7 @@ TEST(DriverCheckpointTest, SingleSinkResumeMatchesUninterruptedRun) {
   // Bit-identical final state: every subsequent draw agrees.
   for (int q = 0; q < 20; ++q) {
     auto a = reference->Sample();
-    auto b = resumed.value().samplers[0]->Sample();
+    auto b = resumed.value().sinks[0].sampler->Sample();
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
   }
@@ -417,15 +420,16 @@ TEST(DriverCheckpointTest, ResumeCrossesMmapAndPipeInputs) {
     }
     auto resumed = LoadCheckpoint(dir);
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-    StreamSink& sink = *resumed.value().sinks[0];
+    StreamSink& sink = *resumed.value().sinks[0].sink;
     const CheckpointManifest* position = &resumed.value().position;
     auto report = mmap_first
                       ? drive_pipe(stream, sink, nullptr, position)
                       : driver.DriveFile(stream, true, sink, nullptr, position);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report.value().items, 5000u - 2048u);
-    EXPECT_EQ(SaveSampler(*resumed.value().samplers[0], config).ValueOrDie(),
-              reference_state);
+    EXPECT_EQ(
+        SaveSampler(*resumed.value().sinks[0].sampler, config).ValueOrDie(),
+        reference_state);
   }
 }
 
@@ -484,17 +488,18 @@ TEST(DriverCheckpointTest, TsSamplerResumeCutInsideSameTimestampRun) {
 
   auto resumed = LoadCheckpoint(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ASSERT_EQ(resumed.value().samplers.size(), 1u);
+  ASSERT_EQ(resumed.value().sinks.size(), 1u);
+  ASSERT_EQ(resumed.value().sinks[0].kind(), SinkKind::kSampler);
   EXPECT_EQ(resumed.value().position.items, 2048u);
   auto report = driver.DriveFile(
-      path, true, *resumed.value().sinks[0], nullptr,
+      path, true, *resumed.value().sinks[0].sink, nullptr,
       &resumed.value().position);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report.value().items, 5000u - 2048u);
 
   for (int q = 0; q < 20; ++q) {
     auto a = reference->Sample();
-    auto b = resumed.value().samplers[0]->Sample();
+    auto b = resumed.value().sinks[0].sampler->Sample();
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
   }
@@ -537,20 +542,49 @@ TEST(DriverCheckpointTest, SingleEstimatorResumeMatchesUninterruptedRun) {
 
   auto resumed = LoadCheckpoint(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ASSERT_EQ(resumed.value().estimators.size(), 1u);
+  ASSERT_EQ(resumed.value().sinks.size(), 1u);
+  ASSERT_EQ(resumed.value().sinks[0].kind(), SinkKind::kEstimator);
   ASSERT_TRUE(driver
-                  .DriveFile(stream, true,
-                                         *resumed.value().sinks[0], nullptr,
-                                         &resumed.value().position)
+                  .DriveFile(stream, true, *resumed.value().sinks[0].sink,
+                             nullptr, &resumed.value().position)
                   .ok());
 
   for (int q = 0; q < 5; ++q) {
     EstimateReport a = reference->Estimate();
-    EstimateReport b = resumed.value().estimators[0]->Estimate();
+    EstimateReport b = resumed.value().sinks[0].estimator->Estimate();
     ASSERT_EQ(a.value, b.value);
     ASSERT_EQ(a.window_size, b.window_size);
     ASSERT_EQ(a.support, b.support);
   }
+}
+
+// A single-sink run is checkpointed under the spec it was built from
+// (MakeSinkSerializers(spec, 1) forks no seed), so the envelope restores
+// to that same spec, and the resumed serializers stamp it unchanged.
+TEST(DriverCheckpointTest, SingleSinkEnvelopeRestoresItsOwnSpec) {
+  const std::string stream =
+      WriteStreamFile("ckpt_own_spec.txt", 3000, /*timestamped=*/false, 43);
+  const std::string dir = testing::TempDir() + "ckpt_own_spec_dir";
+  fs::remove_all(dir);
+  const SinkSpec spec = ParseSinkSpec("bop-seq-swor,n=1000,k=8,seed=7")
+                            .ValueOrDie();
+  Sink sink = CreateSink(spec).ValueOrDie();
+  CheckpointPolicy policy;
+  policy.dir = dir;
+  policy.every_items = 1000;
+  CheckpointWriter writer(policy, MakeSinkSerializers(spec, 1).ValueOrDie());
+  ASSERT_TRUE(
+      StreamDriver().DriveFile(stream, false, *sink.sink, &writer).ok());
+
+  auto resumed = LoadCheckpoint(dir);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ASSERT_EQ(resumed.value().specs.size(), 1u);
+  const SinkSpec& restored = resumed.value().specs[0];
+  EXPECT_EQ(restored.seed, spec.seed);
+  EXPECT_EQ(FormatSinkSpec(restored), FormatSinkSpec(spec));
+  StreamSink& restored_sink = *resumed.value().sinks[0].sink;
+  EXPECT_EQ(SerializersFor(resumed.value())[0](restored_sink).ValueOrDie(),
+            SaveSink(restored_sink, spec).ValueOrDie());
 }
 
 TEST(DriverCheckpointTest, ShardedChunksResumeMatchesUninterruptedRun) {
@@ -597,7 +631,8 @@ TEST(DriverCheckpointTest, ShardedChunksResumeMatchesUninterruptedRun) {
 
   auto resumed = LoadCheckpoint(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ASSERT_EQ(resumed.value().samplers.size(), kShards);
+  ASSERT_EQ(resumed.value().sinks.size(), kShards);
+  ASSERT_EQ(resumed.value().sinks[0].kind(), SinkKind::kSampler);
   EXPECT_EQ(resumed.value().position.items, 3000u);
   // The manifest carries the un-flushed router buffer (3000 % 64 != 0).
   uint64_t pending_items = 0;
@@ -606,7 +641,7 @@ TEST(DriverCheckpointTest, ShardedChunksResumeMatchesUninterruptedRun) {
   }
   EXPECT_EQ(pending_items, 3000u % 64);
   {
-    auto sinks = resumed.value().sinks;
+    auto sinks = SinkPointers(resumed.value().sinks);
     auto report = driver.DriveFileCheckpointed(
         stream, false, sinks, nullptr, &resumed.value().position);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -614,7 +649,7 @@ TEST(DriverCheckpointTest, ShardedChunksResumeMatchesUninterruptedRun) {
 
   for (uint64_t s = 0; s < kShards; ++s) {
     auto a = reference[s].sampler->Sample();
-    auto b = resumed.value().samplers[s]->Sample();
+    auto b = resumed.value().sinks[s].sampler->Sample();
     ASSERT_EQ(a.size(), b.size()) << "shard " << s;
     for (size_t i = 0; i < a.size(); ++i) {
       ASSERT_EQ(a[i], b[i]) << "shard " << s << " slot " << i;
@@ -666,9 +701,9 @@ TEST(DriverCheckpointTest, ShardedKeyHashEstimatorResumeMatches) {
 
   auto resumed = LoadCheckpoint(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ASSERT_EQ(resumed.value().estimators.size(), kShards);
+  ASSERT_EQ(resumed.value().sinks.size(), kShards);
   {
-    auto sinks = resumed.value().sinks;
+    auto sinks = SinkPointers(resumed.value().sinks);
     ASSERT_TRUE(driver
                     .DriveFileCheckpointed(stream, true, sinks, nullptr,
                                            &resumed.value().position)
@@ -676,7 +711,7 @@ TEST(DriverCheckpointTest, ShardedKeyHashEstimatorResumeMatches) {
   }
 
   auto ref_ptrs = EstimatorPointers(reference).ValueOrDie();
-  auto res_ptrs = EstimatorPointers(resumed.value().estimators);
+  auto res_ptrs = EstimatorPointers(resumed.value().sinks).ValueOrDie();
   auto merged_ref = MergedEstimate(ref_ptrs).ValueOrDie();
   auto merged_res = MergedEstimate(res_ptrs).ValueOrDie();
   EXPECT_EQ(merged_ref.value, merged_res.value);
@@ -724,7 +759,7 @@ TEST(DriverCheckpointTest, ResumeRejectsMismatchedGeometryAndBadDirs) {
   bad_options.chunk_items = 32;
   ShardedStreamDriver bad_driver(bad_options);
   {
-    auto sinks = resumed.value().sinks;
+    auto sinks = SinkPointers(resumed.value().sinks);
     EXPECT_FALSE(bad_driver
                      .DriveFileCheckpointed(stream, false, sinks, nullptr,
                                             &resumed.value().position)
@@ -733,26 +768,51 @@ TEST(DriverCheckpointTest, ResumeRejectsMismatchedGeometryAndBadDirs) {
   // A sharded checkpoint cannot resume through the single-sink driver.
   StreamDriver single;
   EXPECT_FALSE(single
-                   .DriveFile(stream, false,
-                                          *resumed.value().sinks[0], nullptr,
-                                          &resumed.value().position)
+                   .DriveFile(stream, false, *resumed.value().sinks[0].sink,
+                              nullptr, &resumed.value().position)
                    .ok());
+  // Shard files that disagree on kind or registry name are rejected:
+  // swap shard-0001 for an estimator envelope, then for a sampler
+  // envelope of another registry name.
+  {
+    std::string shard1;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("shard-0001-", 0) == 0) shard1 = entry.path().string();
+    }
+    ASSERT_FALSE(shard1.empty());
+    const std::string original =
+        ReadFileBytes("test.read", shard1).ValueOrDie();
+    const std::pair<const char*, const char*> swaps[] = {
+        {"ams-fk@bop-seq-single,n=32,r=4", "mixed sampler and estimator"},
+        {"bop-seq-swr,n=32,k=4", "disagree on the registry name"}};
+    for (const auto& [text, why] : swaps) {
+      SCOPED_TRACE(text);
+      const SinkSpec other = ParseSinkSpec(text).ValueOrDie();
+      const Sink sink = CreateSink(other).ValueOrDie();
+      ASSERT_TRUE(AtomicWriteFile("test.write", shard1,
+                                  SaveSink(*sink.sink, other).ValueOrDie(),
+                                  /*do_fsync=*/false)
+                      .ok());
+      auto loaded = LoadCheckpoint(dir);
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(loaded.status().message().find(why), std::string::npos)
+          << loaded.status().ToString();
+    }
+    ASSERT_TRUE(AtomicWriteFile("test.write", shard1, original,
+                                /*do_fsync=*/false)
+                    .ok());
+    ASSERT_TRUE(LoadCheckpoint(dir).ok());
+  }
   // Corrupt MANIFEST: flip one byte -> Status, not a crash.
   {
     const std::string manifest_path = dir + "/MANIFEST";
-    auto data = [&] {
-      std::FILE* f = std::fopen(manifest_path.c_str(), "rb");
-      std::string d;
-      char buf[4096];
-      size_t got;
-      while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) d.append(buf, got);
-      std::fclose(f);
-      return d;
-    }();
+    std::string data = ReadFileBytes("test.read", manifest_path).ValueOrDie();
     data[0] ^= 0x1;
-    std::FILE* f = std::fopen(manifest_path.c_str(), "wb");
-    std::fwrite(data.data(), 1, data.size(), f);
-    std::fclose(f);
+    ASSERT_TRUE(AtomicWriteFile("test.write", manifest_path, data,
+                                /*do_fsync=*/false)
+                    .ok());
     EXPECT_FALSE(LoadCheckpoint(dir).ok());
   }
 }
@@ -790,7 +850,7 @@ TEST(DriverCheckpointTest, ResumeDetectsDivergentReplay) {
       WriteStreamFile("ckpt_diverge_other.txt", 2000, true, 82);
   const CheckpointManifest& position = resumed.value().position;
   auto diverged = driver.DriveFile(
-      other, true, *resumed.value().sinks[0], nullptr, &position);
+      other, true, *resumed.value().sinks[0].sink, nullptr, &position);
   ASSERT_FALSE(diverged.ok());
   // Named against the line of the last already-ingested event.
   EXPECT_NE(diverged.status().message().find(
@@ -801,7 +861,7 @@ TEST(DriverCheckpointTest, ResumeDetectsDivergentReplay) {
   // A replay shorter than the checkpointed prefix fails too.
   const std::string short_replay = TruncateFile(stream, position.items / 2);
   auto truncated = driver.DriveFile(
-      short_replay, true, *resumed.value().sinks[0], nullptr, &position);
+      short_replay, true, *resumed.value().sinks[0].sink, nullptr, &position);
   ASSERT_FALSE(truncated.ok());
   EXPECT_NE(truncated.status().message().find("replayed input ends before"),
             std::string::npos)

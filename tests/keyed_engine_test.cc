@@ -427,5 +427,35 @@ TEST(KeyedEngineTest, ShardedKeyHashDriveOwnsEachKeyInOneEngine) {
   }
 }
 
+// A single shard is the unsharded engine: CreateKeyedEngines(options, 1)
+// forks no seed and keeps the spill directory, so it behaves exactly like
+// KeyedWindowEngine::Create(options).
+TEST(KeyedEngineTest, OneShardIsTheUnshardedEngine) {
+  const std::string dir = FreshDir("keyed_one_shard");
+  KeyedEngineOptions options;
+  options.spec = ParseSinkSpec("bop-seq-swor,n=16,k=2,seed=31").ValueOrDie();
+  options.spill_dir = dir;
+  auto sharded = CreateKeyedEngines(options, 1).ValueOrDie();
+  ASSERT_EQ(sharded.size(), 1u);
+  options.spill_dir = FreshDir("keyed_one_shard_plain");
+  auto plain = KeyedWindowEngine::Create(options).ValueOrDie();
+  Rng rng(5);
+  for (uint64_t i = 0; i < 4000; ++i) {
+    const Item item{rng.UniformIndex(50), i, static_cast<Timestamp>(i)};
+    sharded[0]->Observe(item);
+    plain->Observe(item);
+  }
+  for (uint64_t key = 0; key < 50; ++key) {
+    EXPECT_EQ(sharded[0]->SampleKey(key).ValueOrDie(),
+              plain->SampleKey(key).ValueOrDie())
+        << "key " << key;
+  }
+  // The spill directory is `options.spill_dir` itself, not a shard-0000
+  // subdirectory.
+  ASSERT_TRUE(sharded[0]->EvictKey(0).ok());
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "shard-0000"));
+  EXPECT_FALSE(fs::is_empty(dir));
+}
+
 }  // namespace
 }  // namespace swsample

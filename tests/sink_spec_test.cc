@@ -197,6 +197,25 @@ TEST(SinkSpecShardTest, CreateShardedSinksBuildsReplicas) {
   EXPECT_FALSE(EstimatorPointers(replicas).ok());
 }
 
+// A single shard is the unsharded sink: no seed fork, no window split, so
+// a one-shard replica and a CreateSink of the same spec are the same
+// object state, byte for byte.
+TEST(SinkSpecShardTest, OneShardIsTheUnshardedSink) {
+  for (const char* text : {"bop-seq-swor,n=4096,k=8,seed=7",
+                           "ams-fk@bop-ts-single,t=60,r=16,seed=7"}) {
+    SCOPED_TRACE(text);
+    const SinkSpec spec = ParseSinkSpec(text).ValueOrDie();
+    const SinkSpec shard = ShardSinkSpec(spec, 0, 1).ValueOrDie();
+    EXPECT_EQ(shard.seed, spec.seed);
+    EXPECT_EQ(FormatSinkSpec(shard), FormatSinkSpec(spec));
+    auto replicas = CreateShardedSinks(spec, 1).ValueOrDie();
+    ASSERT_EQ(replicas.size(), 1u);
+    const Sink single = CreateSink(spec).ValueOrDie();
+    EXPECT_EQ(SaveSink(*replicas[0].sink, spec).ValueOrDie(),
+              SaveSink(*single.sink, spec).ValueOrDie());
+  }
+}
+
 TEST(SinkSpecPersistTest, SamplerSaveRestoreRoundTripsBitExactly) {
   auto spec = ParseSinkSpec("bop-seq-swor,n=64,k=4,seed=21").ValueOrDie();
   auto original = CreateSink(spec).ValueOrDie();
