@@ -7,6 +7,13 @@
 // expected O(k log n) but randomized worst cases; the exact buffer is
 // Theta(n). n here is the (unknown to the algorithms) number of active
 // elements, around lambda * t0.
+//
+// A second table holds the paper samplers to their word count in real
+// bytes: retained_over_words = RetainedBytes() / (8 * MemoryWords()) after
+// 50 windows of 1024 evenly spaced items, fed through ObserveBatch. The
+// streams are fixed, so the ratio is exact and host-independent, and
+// scripts/bench_check.py gates it (lower is better) under
+// SWSAMPLE_BENCH_JSON=<path>.
 
 #include <algorithm>
 #include <memory>
@@ -72,10 +79,53 @@ void Run() {
       "(linear); priority columns sit near bop-swr but vary with the seed.\n");
 }
 
+void RunRetainedOverWords() {
+  Banner("E3b: retained bytes vs paper words (t0=1000, 50 windows of 1024 "
+         "items, batch path)",
+         "each ring holds one buffer sized to its capacity, so real bytes "
+         "stay within ~2x of 8 * MemoryWords()");
+  Row({"sampler", "k", "words", "retained B", "ratio"});
+  struct Case {
+    const char* name;
+    uint64_t k;
+  };
+  constexpr Case kCases[] = {
+      {"bop-ts-single", 1}, {"bop-ts-swr", 16}, {"bop-ts-swor", 16}};
+  for (const Case& c : kCases) {
+    SamplerConfig config;
+    config.window_t = 1000;
+    config.k = c.k;
+    config.seed = 11;
+    auto sampler = CreateSampler(c.name, config).ValueOrDie();
+    std::vector<Item> run(1024);
+    uint64_t index = 0;
+    for (uint64_t w = 0; w < 50; ++w) {
+      for (uint64_t j = 0; j < run.size(); ++j, ++index) {
+        run[j] = Item{index % 257, index,
+                      static_cast<Timestamp>(w * 1000 + j * 1000 / 1024)};
+      }
+      sampler->ObserveBatch(run);
+    }
+    const uint64_t words = sampler->MemoryWords();
+    const uint64_t bytes = sampler->RetainedBytes();
+    const double ratio =
+        static_cast<double>(bytes) / (8.0 * static_cast<double>(words));
+    Row({c.name, U(c.k), U(words), U(bytes), F(ratio, 3)});
+    BenchReporter::Global().Report(
+        "e3", c.name,
+        {{"gated", 1.0},
+         {"retained_over_words", ratio},
+         {"memory_words", static_cast<double>(words)},
+         {"retained_bytes", static_cast<double>(bytes)}});
+  }
+}
+
 }  // namespace
 }  // namespace swsample::bench
 
 int main() {
   swsample::bench::Run();
+  swsample::bench::RunRetainedOverWords();
+  swsample::bench::BenchReporter::Global().WriteJsonIfRequested();
   return 0;
 }

@@ -5,7 +5,7 @@ Usage:
   scripts/bench_check.py BASELINE.json FRESH.json... [--threshold 0.25]
   scripts/bench_check.py --table BENCH.json
 
-The gate scores four metric classes:
+The gate scores these metric classes:
   * ratio metrics (keys starting with "speedup"): absolute items/s
     depends on the host, but the batched-vs-item speedup of a given code
     path is a property of the code, so a >threshold drop in a speedup
@@ -18,6 +18,10 @@ The gate scores four metric classes:
     structure count over a seeded stream is deterministic, so a
     >threshold INCREASE breaks the Theorem 3.9 structure bound under the
     adversarial churn workloads;
+  * "retained_over_words" (E3 paper-sampler rows): real retained bytes
+    over 8 x the paper's word count on a fixed stream — exact and
+    host-independent, so a >threshold INCREASE means the sampler's
+    storage drifted away from the O(k log n)-word bound;
   * "budget_exceeded" (keyed-engine budget rows): 0/1 invariant flag —
     any fresh run reporting 1 fails outright, whatever the baseline;
   * "evict_batch_amortized_us" (keyed-engine budget rows): per-eviction
@@ -77,6 +81,7 @@ def check(baseline_path, fresh_paths, threshold):
                 # tripping the budget flag keeps it tripped.
                 best = (min if metric.startswith(("bytes_per_key",
                                                   "structures_max",
+                                                  "retained_over_words",
                                                   "evict_batch_amortized_us",
                                                   "evict_shed_amortized_us"))
                         else max)
@@ -117,19 +122,21 @@ def check(baseline_path, fresh_paths, threshold):
                 else:
                     print(f"ok  {key[0]}/{key[1]}.{metric}: 0")
                 continue
-            if metric.startswith(("bytes_per_key", "structures_max")):
+            if metric.startswith(("bytes_per_key", "structures_max",
+                                  "retained_over_words")):
                 new_value = fresh_entry.get(metric)
                 compared += 1
+                fmt = ".3f" if metric == "retained_over_words" else ".1f"
                 if new_value is None:
                     failures.append(f"{key[0]}/{key[1]}.{metric}: missing")
                 elif new_value > (1.0 + threshold) * base_value:
                     failures.append(
-                        f"{key[0]}/{key[1]}.{metric}: {new_value:.1f} > "
+                        f"{key[0]}/{key[1]}.{metric}: {new_value:{fmt}} > "
                         f"{(1.0 + threshold):.2f} x baseline "
-                        f"{base_value:.1f}")
+                        f"{base_value:{fmt}}")
                 else:
                     print(f"ok  {key[0]}/{key[1]}.{metric}: "
-                          f"{new_value:.1f} (baseline {base_value:.1f})")
+                          f"{new_value:{fmt}} (baseline {base_value:{fmt}})")
                 continue
             if metric in ("evict_batch_amortized_us",
                           "evict_shed_amortized_us"):

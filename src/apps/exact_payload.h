@@ -18,8 +18,8 @@
 
 #include "stream/item.h"
 #include "stream/item_serial.h"
-#include "util/arena.h"
 #include "util/macros.h"
+#include "util/ring_deque.h"
 #include "util/rng.h"
 #include "util/serial.h"
 
@@ -107,7 +107,7 @@ class ExactPayloadOracle {
   uint64_t MemoryWords() const { return buffer_.size() * kWordsPerItem + 2; }
 
   /// Heap bytes retained beyond the object footprint (the window ring's
-  /// arena reservation).
+  /// buffer).
   uint64_t RetainedBytes() const { return buffer_.ReservedBytes(); }
 
   /// Checkpointing: RNG + the buffered window (payloads are derived at
@@ -158,7 +158,7 @@ class ExactPayloadOracle {
   Rng rng_;
   OnSampledFn on_sampled_;
   OnArrivalFn on_arrival_;
-  RingDeque<Item> buffer_;  // arena-backed O(n) window, zero churn
+  RingDeque<Item> buffer_;  // owned O(n) window ring, zero churn
 };
 
 }  // namespace swsample

@@ -252,7 +252,7 @@ class PayloadSubstrate {
   }
 
   /// Heap bytes retained beyond the object footprint: unit-vector
-  /// capacities plus each unit's arena/table reservations (the sequence
+  /// capacities plus each unit's ring/table buffers (the sequence
   /// units hold their slots inline, so their capacity bytes cover them).
   uint64_t RetainedBytes() const {
     uint64_t bytes = seq_units_.capacity() * sizeof(SeqUnit) +

@@ -96,7 +96,7 @@ class TsPayloadUnit {
   }
 
   /// Heap bytes retained beyond the object footprint: the embedded
-  /// sampler's arena plus the payload map's table reservation.
+  /// sampler's rings plus the payload map's table.
   uint64_t RetainedBytes() const {
     return sampler_.zeta().RetainedBytes() + payloads_.ReservedBytes();
   }

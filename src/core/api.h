@@ -94,8 +94,8 @@ class StreamSink {
   virtual uint64_t MemoryWords() const = 0;
 
   /// Approximate bytes of memory this sink actually RETAINS: object
-  /// footprint plus heap/arena capacity (arena chunk bytes, hash-table
-  /// slots, vector capacity), as opposed to MemoryWords()'s logical
+  /// footprint plus heap capacity (ring buffers, hash-table slots,
+  /// vector capacity), as opposed to MemoryWords()'s logical
   /// word-model count. MemoryWords() stays the paper-model quantity the
   /// memory experiments track; RetainedBytes() is what a budget enforcer
   /// (the keyed multi-tenant engine) charges against. The default scales

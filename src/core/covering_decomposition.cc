@@ -124,7 +124,11 @@ void CoveringDecomposition::ExtendRun(std::span<const Item> run, Rng& rng) {
   const StreamIndex new_start = run.front().index;
   const StreamIndex b_new = run.back().index;
   const size_t old_count = buckets_.size();
-  scratch_.clear();
+  // The final list is rebuilt in place. A final bucket that starts before
+  // new_start starts on an old boundary and absorbs at least one old
+  // bucket, so final bucket `out` is written only after old buckets
+  // [0, out] have been read.
+  size_t out = 0;
   size_t ob = 0;  // next unconsumed old bucket
   StreamIndex x = a();
   uint64_t rem = b_new + 1 - x;
@@ -136,12 +140,13 @@ void CoveringDecomposition::ExtendRun(std::span<const Item> run, Rng& rng) {
     while (ob < old_count && buckets_[ob].x < y) ++ob;
     SWS_DCHECK(obs == ob || buckets_[obs].x == x);
     SWS_DCHECK(ob == old_count || buckets_[ob].x >= y);
+    SWS_DCHECK(obs == old_count || out <= obs);
+    BucketStructure bs;
     if (y <= new_start && ob == obs + 1 && buckets_[obs].y == y) {
       // An old bucket that survives unchanged: keep its samples (the item
       // path would not have merged it either).
-      scratch_.push_back(buckets_[obs]);
+      bs = buckets_[obs];
     } else {
-      BucketStructure bs;
       bs.x = x;
       bs.y = y;
       bs.first_ts = obs < ob ? buckets_[obs].first_ts
@@ -150,18 +155,21 @@ void CoveringDecomposition::ExtendRun(std::span<const Item> run, Rng& rng) {
                            [](const BucketStructure& o) { return o.r; });
       bs.q = ComposeSample(buckets_, x, y, obs, ob, new_start, run, rng,
                            [](const BucketStructure& o) { return o.q; });
-      scratch_.push_back(bs);
     }
+    if (out < buckets_.size()) {
+      buckets_[out] = bs;
+      first_ts_[out] = bs.first_ts;
+    } else {
+      buckets_.push_back(bs);
+      first_ts_.push_back(bs.first_ts);
+    }
+    ++out;
     x = y;
     rem -= bw;
   }
   SWS_DCHECK(ob == old_count);
-  buckets_.clear();
-  first_ts_.clear();
-  for (const BucketStructure& bs : scratch_) {
-    buckets_.push_back(bs);
-    first_ts_.push_back(bs.first_ts);
-  }
+  buckets_.pop_back_n(buckets_.size() - out);
+  first_ts_.pop_back_n(first_ts_.size() - out);
 }
 
 void CoveringDecomposition::DropFront(uint64_t count) {

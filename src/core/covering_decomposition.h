@@ -41,11 +41,10 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/bucket_structure.h"
 #include "stream/item.h"
-#include "util/arena.h"
+#include "util/ring_deque.h"
 #include "util/rng.h"
 
 namespace swsample {
@@ -142,8 +141,8 @@ class CoveringDecomposition {
     return buckets_.size() * BucketStructure::kWords;
   }
 
-  /// Heap bytes retained beyond the object footprint (both rings' arena
-  /// reservations).
+  /// Heap bytes retained beyond the object footprint (both rings'
+  /// buffers; ExtendRun rebuilds in place, so nothing else is held).
   uint64_t RetainedBytes() const {
     return buckets_.ReservedBytes() + first_ts_.ReservedBytes();
   }
@@ -157,7 +156,7 @@ class CoveringDecomposition {
   bool Load(BinaryReader* r);
 
  private:
-  // Arena-backed ring (util/arena.h): contiguous power-of-two storage,
+  // Owned ring (util/ring_deque.h): contiguous power-of-two storage,
   // O(1) pop_front for expiry, no per-item allocator traffic. The O(log n)
   // structures fit one or two cache lines' worth of slots.
   RingDeque<BucketStructure> buckets_;
@@ -165,9 +164,6 @@ class CoveringDecomposition {
   // the expiry boundary scan and the batched no-expiry checks read only
   // timestamps, so they stay off the 72-byte BucketStructure stride.
   RingDeque<Timestamp> first_ts_;
-  // ExtendRun staging area for the rebuilt O(log) bucket list; member so
-  // its allocation is reused across batches. Dead between calls.
-  std::vector<BucketStructure> scratch_;
 };
 
 }  // namespace swsample

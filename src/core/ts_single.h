@@ -131,7 +131,7 @@ class TsSingleSampler final : public WindowSampler {
   uint64_t MemoryWords() const override;
 
   /// Real retained capacity: object footprint plus the covering
-  /// decomposition's arena reservation.
+  /// decomposition's ring buffers.
   uint64_t RetainedBytes() const override {
     return sizeof(*this) + zeta_.RetainedBytes();
   }

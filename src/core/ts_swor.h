@@ -26,7 +26,7 @@
 
 #include "core/api.h"
 #include "core/ts_single.h"
-#include "util/arena.h"
+#include "util/ring_deque.h"
 #include "util/status.h"
 
 namespace swsample {
@@ -80,7 +80,7 @@ class TsSworSampler final : public WindowSampler {
   /// R_0 ... R_{k-1}; structures_[i] runs i arrivals behind the stream.
   std::vector<TsSingleSampler> structures_;
   /// Auxiliary array: the last min(k, arrivals) items, oldest first
-  /// (arena-backed ring, no per-arrival allocator traffic).
+  /// (owned ring, no per-arrival allocator traffic).
   RingDeque<Item> recent_;
   /// Batch-scoped snapshot of recent_ taken at the top of ObserveBatch;
   /// unit i's first (up to i) delayed deliveries read it. Member so the

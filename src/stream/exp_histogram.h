@@ -29,7 +29,7 @@
 #include <cstdint>
 
 #include "stream/item.h"
-#include "util/arena.h"
+#include "util/ring_deque.h"
 #include "util/serial.h"
 #include "util/status.h"
 
@@ -59,7 +59,7 @@ class ExpHistogram {
   uint64_t MemoryWords() const { return 3 + count_.size() * 2; }
 
   /// Heap bytes retained beyond the object footprint (both SoA rings'
-  /// arena reservations).
+  /// buffers).
   uint64_t RetainedBytes() const {
     return newest_.ReservedBytes() + count_.ReservedBytes();
   }

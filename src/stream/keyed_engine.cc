@@ -180,7 +180,7 @@ class KeyedSpillReader {
 };
 
 /// One live key: its sink, tier, per-key stream cursor and LRU linkage.
-/// Pool-allocated from the engine's entry arena (the directory FlatMap
+/// Recycled through the engine's entry pool (the directory FlatMap
 /// stores the pointer, which is trivially copyable as FlatMap values
 /// must be). The per-key SinkSpec is NOT stored: it is a pure function
 /// of (key, tier) under the engine's options (TierSpec), so spilling
@@ -204,7 +204,6 @@ KeyedWindowEngine::KeyedWindowEngine(const KeyedEngineOptions& options)
 
 KeyedWindowEngine::~KeyedWindowEngine() {
   reader_.reset();  // join the restore thread before tearing down state
-  directory_.ForEach([](uint64_t, KeyEntry*& entry) { entry->~KeyEntry(); });
 }
 
 Result<std::unique_ptr<KeyedWindowEngine>> KeyedWindowEngine::Create(
@@ -372,19 +371,16 @@ void KeyedWindowEngine::RechargeEntry(KeyEntry* entry) {
 }
 
 KeyedWindowEngine::KeyEntry* KeyedWindowEngine::AllocEntry() {
-  KeyEntry* storage;
-  if (!entry_free_.empty()) {
-    storage = entry_free_.back();
-    entry_free_.pop_back();
-  } else {
-    storage = static_cast<KeyEntry*>(
-        entry_arena_.Allocate(sizeof(KeyEntry), alignof(KeyEntry)));
+  if (entry_free_.empty()) {
+    return entry_pool_.emplace_back(std::make_unique<KeyEntry>()).get();
   }
-  return new (storage) KeyEntry();
+  KeyEntry* entry = entry_free_.back();
+  entry_free_.pop_back();
+  return entry;
 }
 
 void KeyedWindowEngine::ReleaseEntry(KeyEntry* entry) {
-  entry->~KeyEntry();
+  *entry = KeyEntry();  // frees the sink now; the entry waits for reuse
   entry_free_.push_back(entry);
 }
 
@@ -680,11 +676,9 @@ void KeyedWindowEngine::EnsureDemuxScratch(size_t need) {
   if (need <= demux_capacity_) return;
   size_t cap = demux_capacity_ == 0 ? 1024 : demux_capacity_;
   while (cap < need) cap *= 2;
-  // Both arrays are dead between blocks, so the arena's chunks recycle;
-  // growth doubles, so abandoned bytes stay bounded by the final size.
-  demux_arena_.Reset();
-  demux_next_ = demux_arena_.AllocateArray<uint32_t>(cap);
-  demux_staging_ = demux_arena_.AllocateArray<Item>(cap);
+  // Both arrays are dead between blocks: replace them, contents and all.
+  demux_next_ = AllocateUninit<uint32_t>(cap);
+  demux_staging_ = AllocateUninit<Item>(cap);
   demux_capacity_ = static_cast<uint32_t>(cap);
 }
 
@@ -790,13 +784,13 @@ void KeyedWindowEngine::ObserveBlock(std::span<const Item> block) {
   }
   // --- Adaptive fallback decision. Mean micro-batch under 2 items means
   // the demux amortized nothing, and a majority of runs constructing a
-  // fresh sink means delivery was TTL-churn-bound — worse than that, the
-  // block-scoped create/drop bursts defeat the allocator's chunk reuse
-  // (the item-wise path's drop-then-recreate ping-pong stays in the
-  // thread cache, measured ~2x faster on uniform traffic over 1e6+ keys
-  // with a binding idle_ttl). Hand such traffic to the item-wise path
-  // for a window; one block re-probes after it ends, so a shift back to
-  // skewed or churn-free traffic re-engages the demux within ~16 blocks.
+  // fresh sink means delivery was TTL-churn-bound — worse than that, a
+  // block creates thousands of sinks before one sweep drops as many,
+  // where item-wise delivery reuses each dropped key's buffers at once
+  // (see the file comment for the e18 rows that keep this). Hand such
+  // traffic to the item-wise path for a window; one block re-probes
+  // after it ends, so a shift back to skewed or churn-free traffic
+  // re-engages the demux within ~16 blocks.
   if (run_count * 2 > block.size() && block_creates_ * 2 > run_count) {
     demux_backoff_ = demux_backoff_window_;
     demux_backoff_window_ =
@@ -907,7 +901,7 @@ void KeyedWindowEngine::ProcessRun(std::span<const Item> block,
         idx = demux_next_[idx];
       }
       entry->sink.sink->ObserveBatch(
-          std::span<const Item>(demux_staging_, take));
+          std::span<const Item>(demux_staging_.get(), take));
     }
     entry->local_index += take;
     entry->arrivals += take;
@@ -1025,11 +1019,12 @@ void KeyedWindowEngine::EnforceBudget(const KeyEntry* protect) {
 }
 
 uint64_t KeyedWindowEngine::ScratchBytes() const {
-  // The entry pool's reserved bytes beyond the live entries (free-list
-  // slots + arena slack); live entries are already in ChargedBytes().
-  const uint64_t pool = entry_arena_.ReservedBytes();
+  // The entry pool's bytes beyond the live entries (free-list entries);
+  // live entries are already in ChargedBytes().
+  const uint64_t pool = entry_pool_.size() * sizeof(KeyEntry);
   const uint64_t live = directory_.Size() * sizeof(KeyEntry);
-  return demux_arena_.ReservedBytes() + run_index_.ReservedBytes() +
+  return demux_capacity_ * (sizeof(uint32_t) + sizeof(Item)) +
+         run_index_.ReservedBytes() +
          runs_.capacity() * sizeof(KeyRun) + (pool > live ? pool - live : 0);
 }
 

@@ -52,7 +52,7 @@
 ///
 /// Batched ingestion: ObserveBatch demultiplexes each incoming batch in
 /// 16384-item blocks — ONE scan detects same-key runs and scatter/
-/// gathers the rest into per-key index chains in an engine-owned arena,
+/// gathers the rest into per-key index chains in engine-owned scratch,
 /// then each key's items are delivered as one micro-batch through the
 /// per-key sink's own ObserveBatch (the PR 7 closed-form fast paths).
 /// Charging, LRU touch, TTL sweep and budget enforcement run once per
@@ -70,11 +70,18 @@
 /// resolve, so ObserveBatch is adaptive: a block whose scan yields
 /// near-singleton micro-batches AND whose delivery was dominated by
 /// TTL-churn sink creation (uniform traffic over a huge key space with
-/// a binding idle_ttl — nothing to amortize, and the block-scoped
-/// create/drop bursts defeat the allocator's chunk reuse) puts the
-/// engine into a backoff window: the next kDemuxBackoffBlocks blocks
-/// are delivered item-wise (the reference semantics, so equivalence is
-/// trivial), after which one block re-probes the demux path.
+/// a binding idle_ttl) puts the engine into a backoff window: the next
+/// kDemuxBackoffBlocks blocks are delivered item-wise (the reference
+/// semantics, so equivalence is trivial), after which one block
+/// re-probes the demux path. Such a block has nothing to amortize and
+/// creates thousands of sinks before one sweep drops as many, while
+/// item-wise delivery frees one key's buffers just before the next key
+/// reuses them; the e18 full-mode uniform/1e6, uniform/1e7 and zipf/1e7
+/// rows still run batch at 0.6-0.8x item without the backoff.
+///
+/// KeyEntry objects come from an engine-owned pool: a dropped or
+/// evicted key's entry goes on a free list (its sink is freed at once)
+/// for the next created or restored key.
 ///
 /// Sharded use: the engine is itself a StreamSink, so
 /// ShardedStreamDriver with ShardPartition::kKeyHash drives N engines
@@ -102,9 +109,9 @@
 #include "apps/sink_spec.h"
 #include "core/api.h"
 #include "stream/item.h"
-#include "util/arena.h"
 #include "util/file_ops.h"
 #include "util/flat_map.h"
+#include "util/ring_deque.h"
 #include "util/status.h"
 
 namespace swsample {
@@ -302,7 +309,7 @@ class KeyedWindowEngine final : public StreamSink {
     Timestamp last_seen = 0;
   };
 
-  /// Items demuxed per block: bounds the arena scratch (64 KiB of chain
+  /// Items demuxed per block: bounds the demux scratch (64 KiB of chain
   /// links + 384 KiB of staging) and matches the batch16k bench shape.
   static constexpr uint32_t kDemuxBlockItems = 16384;
   /// Item-wise blocks delivered after a churn-dominated singleton block
@@ -349,8 +356,9 @@ class KeyedWindowEngine final : public StreamSink {
   void DropEntry(KeyEntry* entry);
   void RechargeEntry(KeyEntry* entry);
 
-  /// Entry pool: placement-new over an engine-owned arena + free list,
-  /// so evict/restore churn stops hitting the global allocator.
+  /// Entry pool: entries are recycled through a free list, so evict/
+  /// restore and TTL churn reuse KeyEntry objects instead of the global
+  /// allocator.
   KeyEntry* AllocEntry();
   void ReleaseEntry(KeyEntry* entry);
 
@@ -406,14 +414,15 @@ class KeyedWindowEngine final : public StreamSink {
   uint64_t total_charge_bytes_ = 0;
   uint64_t total_charge_words_ = 0;
 
-  /// Entry pool storage (AllocEntry/ReleaseEntry).
-  Arena entry_arena_{4096};
+  /// Entry pool (AllocEntry/ReleaseEntry): every entry ever built, and
+  /// the released ones awaiting reuse.
+  std::vector<std::unique_ptr<KeyEntry>> entry_pool_;
   std::vector<KeyEntry*> entry_free_;
 
-  /// Batch demux scratch, reset per block, zero steady-state allocation.
-  Arena demux_arena_{4096};
-  uint32_t* demux_next_ = nullptr;
-  Item* demux_staging_ = nullptr;
+  /// Batch demux scratch, overwritten per block, zero steady-state
+  /// allocation.
+  UninitArray<uint32_t> demux_next_;
+  UninitArray<Item> demux_staging_;
   uint32_t demux_capacity_ = 0;
   std::vector<KeyRun> runs_;
   FlatMap<uint64_t, uint32_t> run_index_;

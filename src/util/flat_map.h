@@ -12,8 +12,9 @@
 //  * every element is reachable from its home slot by a linear probe with
 //    no empty slot in between (the invariant Knuth-style backward-shift
 //    deletion restores after every Erase, so no tombstones ever exist);
-//  * Clear() keeps the table memory (the arena reclaims it wholesale),
-//    so steady-state use allocates only when the table grows.
+//  * the table owns one slot array and one occupancy array, freed when
+//    the table grows (util/ring_deque.h ownership rule); Clear() keeps
+//    them, so steady-state use allocates only when the table grows.
 
 #ifndef SWSAMPLE_UTIL_FLAT_MAP_H_
 #define SWSAMPLE_UTIL_FLAT_MAP_H_
@@ -23,8 +24,8 @@
 #include <type_traits>
 #include <utility>
 
-#include "util/arena.h"
 #include "util/macros.h"
+#include "util/ring_deque.h"
 
 namespace swsample {
 
@@ -41,19 +42,29 @@ inline uint64_t SplitMix64Hash(uint64_t x) {
 
 /// Open-addressing hash map from a 64-bit-convertible key to a trivially
 /// copyable V (the estimator payloads are PODs; triviality is what lets
-/// the table live in raw arena memory and rehash with plain stores).
+/// the table live in uninitialized memory and rehash with plain stores).
 /// Not thread-safe. Iteration order is unspecified (serialize sorted).
 template <typename K, typename V>
 class FlatMap {
   static_assert(std::is_integral_v<K> || std::is_enum_v<K>,
                 "FlatMap keys must be integral (hashed via SplitMix64)");
   static_assert(std::is_trivially_copyable_v<V>,
-                "FlatMap values live in raw arena memory");
+                "FlatMap values live in uninitialized memory");
 
  public:
   FlatMap() = default;
-  FlatMap(FlatMap&&) = default;
-  FlatMap& operator=(FlatMap&&) = default;
+  FlatMap(FlatMap&& other) noexcept
+      : slots_(std::move(other.slots_)),
+        full_(std::move(other.full_)),
+        cap_(std::exchange(other.cap_, 0)),
+        size_(std::exchange(other.size_, 0)) {}
+  FlatMap& operator=(FlatMap&& other) noexcept {
+    slots_ = std::move(other.slots_);
+    full_ = std::move(other.full_);
+    cap_ = std::exchange(other.cap_, 0);
+    size_ = std::exchange(other.size_, 0);
+    return *this;
+  }
   FlatMap(const FlatMap&) = delete;
   FlatMap& operator=(const FlatMap&) = delete;
 
@@ -61,10 +72,9 @@ class FlatMap {
   bool Empty() const { return size_ == 0; }
   uint64_t Capacity() const { return cap_; }
 
-  /// Bytes the backing arena has reserved from the system (table slots,
-  /// occupancy flags, abandoned-by-growth blocks) — what budget
-  /// enforcement charges for this map.
-  uint64_t ReservedBytes() const { return arena_.ReservedBytes(); }
+  /// Heap bytes the table holds (slots plus occupancy flags) — what
+  /// budget enforcement charges for this map.
+  uint64_t ReservedBytes() const { return cap_ * (sizeof(Slot) + 1); }
 
   /// Pointer to the mapped value, or nullptr.
   V* Find(K key) {
@@ -147,7 +157,7 @@ class FlatMap {
 
   /// Forgets every entry, keeping the table memory.
   void Clear() {
-    if (cap_ != 0) std::memset(full_, 0, cap_);
+    if (cap_ != 0) std::memset(full_.get(), 0, cap_);
     size_ = 0;
   }
 
@@ -188,14 +198,13 @@ class FlatMap {
     if (cap_ != 0 && need * 4 <= cap_ * 3) return;
     uint64_t new_cap = cap_ == 0 ? 8 : cap_ * 2;
     while (need * 4 > new_cap * 3) new_cap *= 2;
-    Slot* old_slots = slots_;
-    uint8_t* old_full = full_;
-    const uint64_t old_cap = cap_;
-    if (size_ == 0) arena_.Reset();  // nothing live: recycle old tables
-    slots_ = arena_.AllocateArray<Slot>(new_cap);
-    full_ = arena_.AllocateArray<uint8_t>(new_cap);
-    std::memset(full_, 0, new_cap);
-    cap_ = new_cap;
+    // The old arrays are freed when these go out of scope.
+    UninitArray<Slot> old_slots =
+        std::exchange(slots_, AllocateUninit<Slot>(new_cap));
+    UninitArray<uint8_t> old_full =
+        std::exchange(full_, AllocateUninit<uint8_t>(new_cap));
+    std::memset(full_.get(), 0, new_cap);
+    const uint64_t old_cap = std::exchange(cap_, new_cap);
     for (uint64_t i = 0; i < old_cap; ++i) {
       if (!old_full[i]) continue;
       for (uint64_t j = Home(old_slots[i].key);; j = (j + 1) & Mask()) {
@@ -205,13 +214,10 @@ class FlatMap {
         break;
       }
     }
-    // Old arrays are abandoned inside the arena (reclaimed on destruction
-    // or the next empty-grow Reset); geometric growth bounds the waste.
   }
 
-  Arena arena_;
-  Slot* slots_ = nullptr;
-  uint8_t* full_ = nullptr;
+  UninitArray<Slot> slots_;
+  UninitArray<uint8_t> full_;
   uint64_t cap_ = 0;  // power of two (or 0)
   uint64_t size_ = 0;
 };

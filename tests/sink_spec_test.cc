@@ -6,8 +6,11 @@
 // through the one factory; (3) ShardSinkSpec is the single shard
 // derivation (window split, seed fork, bias-level split, divisibility
 // errors); (4) SaveSink/RestoreSink round-trips both kinds bit-exactly;
-// (5) the typed pointer adaptors reject mixed/mismatched vectors.
+// (5) the typed pointer adaptors reject mixed/mismatched vectors;
+// (6) the timestamp sinks' real bytes stay within a small factor of the
+// paper's word count.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -255,6 +258,59 @@ TEST(SinkSpecPersistTest, EstimatorSaveRestoreRoundTripsBitExactly) {
 
   // Restore of garbage is an error, not a crash.
   EXPECT_FALSE(RestoreSink("definitely not an envelope").ok());
+}
+
+// Theorem 3.9 bounds the timestamp samplers' state in words; the bytes
+// the keyed budget charges (RetainedBytes) must stay within a small
+// constant of that. 50 windows (t0 = 1000) of 1024 items each, spread
+// evenly over the window. Ring capacity follows the largest bucket list
+// a sink has held, so the item path, whose lists peak mid-window, is
+// held to its peak words; the batch path rebuilds each list in closed
+// form and is held to its final words.
+TEST(SinkSpecMemoryTest, RetainedBytesTrackPaperWords) {
+  struct Case {
+    const char* name;
+    const char* substrate;
+    uint64_t k;
+    uint64_t r;
+  };
+  const Case cases[] = {{"bop-ts-single", "", 1, 64},
+                        {"bop-ts-swr", "", 16, 64},
+                        {"bop-ts-swor", "", 16, 64},
+                        {"ams-fk", "bop-ts-single", 1, 16}};
+  for (const Case& c : cases) {
+    for (const bool batch : {false, true}) {
+      SinkSpec spec;
+      spec.name = c.name;
+      spec.substrate = c.substrate;
+      spec.window_t = 1000;
+      spec.k = c.k;
+      spec.r = c.r;
+      spec.seed = 11;
+      Sink sink = CreateSink(spec).ValueOrDie();
+      std::vector<Item> run(1024);
+      uint64_t index = 0;
+      uint64_t peak_words = 0;
+      for (uint64_t w = 0; w < 50; ++w) {
+        for (uint64_t j = 0; j < run.size(); ++j, ++index) {
+          run[j] = Item{index % 257, index,
+                        static_cast<Timestamp>(w * 1000 + j * 1000 / 1024)};
+        }
+        if (batch) {
+          sink.sink->ObserveBatch(run);
+        } else {
+          for (const Item& item : run) {
+            sink.sink->Observe(item);
+            peak_words = std::max(peak_words, sink.sink->MemoryWords());
+          }
+        }
+      }
+      const uint64_t words = batch ? sink.sink->MemoryWords() : peak_words;
+      EXPECT_LE(static_cast<double>(sink.sink->RetainedBytes()),
+                2.5 * 8.0 * static_cast<double>(words))
+          << c.name << " batch=" << batch << " words=" << words;
+    }
+  }
 }
 
 TEST(SinkSpecListTest, FormatSinkListMentionsEveryRegisteredName) {

@@ -1,7 +1,8 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 //
 // Unit tests for the util substrate: PRNG, bit helpers, Status/Result,
-// and the allocation-free hot-path containers (Arena, RingDeque, FlatMap).
+// and the hot-path containers that own their buffers (RingDeque,
+// FlatMap): order, capacity, and the exact bytes they report.
 
 #include <bit>
 #include <cmath>
@@ -16,9 +17,9 @@
 #include <gtest/gtest.h>
 
 #include "stats/tests.h"
-#include "util/arena.h"
 #include "util/bits.h"
 #include "util/flat_map.h"
+#include "util/ring_deque.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -243,40 +244,6 @@ TEST(ResultTest, ValueOrDieMoves) {
   EXPECT_EQ(v.size(), 3u);
 }
 
-// --- Arena ---------------------------------------------------------------
-
-TEST(ArenaTest, AllocationsAreAlignedAndDisjoint) {
-  Arena arena(64);
-  std::set<void*> seen;
-  for (int i = 0; i < 100; ++i) {
-    void* p = arena.Allocate(24, 8);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 8, 0u);
-    // Write the whole block: ASan would flag overlap or OOB.
-    std::memset(p, 0xab, 24);
-    EXPECT_TRUE(seen.insert(p).second);
-  }
-}
-
-TEST(ArenaTest, ResetRecyclesChunks) {
-  Arena arena(128);
-  void* first = arena.Allocate(64, 8);
-  arena.Allocate(64, 8);
-  const size_t reserved = arena.ReservedBytes();
-  arena.Reset();
-  // Same first chunk is handed out again; nothing new reserved.
-  EXPECT_EQ(arena.Allocate(64, 8), first);
-  EXPECT_EQ(arena.ReservedBytes(), reserved);
-}
-
-TEST(ArenaTest, OversizedRequestGetsItsOwnChunk) {
-  Arena arena(64);
-  void* big = arena.Allocate(10000, 64);
-  ASSERT_NE(big, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(big) % 64, 0u);
-  std::memset(big, 1, 10000);
-}
-
 // --- RingDeque -----------------------------------------------------------
 
 TEST(RingDequeTest, FuzzMatchesStdDeque) {
@@ -366,6 +333,55 @@ TEST(RingDequeTest, WrapAroundIndexing) {
   }
 }
 
+TEST(RingDequeTest, ReservedBytesIsCapacity) {
+  // One owned buffer: growth frees the outgrown ring, so the reported
+  // bytes never include abandoned storage.
+  RingDeque<uint64_t> ring;
+  EXPECT_EQ(ring.ReservedBytes(), 0u);
+  for (uint64_t i = 0; i < 1000; ++i) {
+    ring.push_back(i);
+    ASSERT_EQ(ring.ReservedBytes(), ring.capacity() * sizeof(uint64_t));
+  }
+  EXPECT_EQ(ring.capacity(), 1024u);
+}
+
+TEST(RingDequeTest, GrowthOfWrappedRingKeepsOrder) {
+  RingDeque<uint64_t> ring;
+  for (uint64_t i = 0; i < 8; ++i) ring.push_back(i);
+  ASSERT_EQ(ring.capacity(), 8u);
+  // Rotate so the full live range wraps the end of the buffer.
+  for (uint64_t i = 8; i < 13; ++i) {
+    ring.pop_front();
+    ring.push_back(i);
+  }
+  ring.push_back(13);  // grows while wrapped
+  ring.push_front(4);
+  EXPECT_EQ(ring.capacity(), 16u);
+  ASSERT_EQ(ring.size(), 10u);
+  for (uint64_t i = 0; i < ring.size(); ++i) EXPECT_EQ(ring[i], 4 + i);
+}
+
+TEST(RingDequeTest, MovedFromRingIsEmptyAndReusable) {
+  RingDeque<uint64_t> ring;
+  for (uint64_t i = 0; i < 20; ++i) ring.push_back(i);
+  RingDeque<uint64_t> moved(std::move(ring));
+  EXPECT_EQ(moved.size(), 20u);
+  EXPECT_EQ(moved[19], 19u);
+  EXPECT_TRUE(ring.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(ring.capacity(), 0u);
+  EXPECT_EQ(ring.ReservedBytes(), 0u);
+  for (uint64_t i = 0; i < 10; ++i) ring.push_front(i);
+  for (uint64_t i = 0; i < 10; ++i) EXPECT_EQ(ring[i], 9 - i);
+  RingDeque<uint64_t> assigned;
+  assigned.push_back(99);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.size(), 20u);
+  EXPECT_EQ(assigned[0], 0u);
+  EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+  moved.push_back(7);
+  EXPECT_EQ(moved.front(), 7u);
+}
+
 // --- FlatMap -------------------------------------------------------------
 
 TEST(FlatMapTest, FuzzMatchesUnorderedMap) {
@@ -429,6 +445,26 @@ TEST(FlatMapTest, ClearKeepsCapacity) {
   EXPECT_EQ(map.Capacity(), cap);
   for (uint64_t i = 0; i < 1000; ++i) map.TryEmplace(i, i);
   EXPECT_EQ(map.Capacity(), cap);  // refill allocates nothing
+}
+
+TEST(FlatMapTest, GrowthReportsOnlyTheLiveTable) {
+  // Growth with live entries frees the outgrown tables: the reported
+  // bytes are the current slots plus occupancy flags, nothing more.
+  FlatMap<uint64_t, uint64_t> map;
+  EXPECT_EQ(map.ReservedBytes(), 0u);
+  for (uint64_t i = 0; i < 5000; ++i) {
+    map.TryEmplace(i, i);
+    ASSERT_EQ(map.ReservedBytes(),
+              map.Capacity() * (2 * sizeof(uint64_t) + 1));
+  }
+  EXPECT_EQ(map.Capacity(), 8192u);
+  for (uint64_t i = 0; i < 5000; ++i) ASSERT_EQ(*map.Find(i), i);
+  FlatMap<uint64_t, uint64_t> moved(std::move(map));
+  EXPECT_EQ(moved.Size(), 5000u);
+  EXPECT_EQ(map.ReservedBytes(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(map.Find(1), nullptr);
+  map.TryEmplace(1, 2);
+  EXPECT_EQ(*map.Find(1), 2u);
 }
 
 TEST(FlatMapTest, BackwardShiftPreservesProbeChains) {
