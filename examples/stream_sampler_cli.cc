@@ -28,12 +28,12 @@
 //                        raw value is the tenant id)
 //   --key-budget=<b>     global memory budget for keyed mode; accepts
 //                        K/M/G suffixes (e.g. 64M). Requires --spill-dir;
-//                        coldest keys spill to disk when the budget binds
+//                        coldest keys spill to disk when the budget binds.
+//                        Batched runs hold it after every per-key
+//                        micro-batch; --batch=0 (single-threaded) holds
+//                        it after every item
 //   --key-ttl=<t>        drop keys idle longer than t timestamp units
 //   --spill-dir=<d>      directory for keyed-mode eviction spill files
-//   --key-strict-budget  enforce the keyed memory budget after every item
-//                        instead of after every per-key micro-batch (the
-//                        batched default); per-item cost
 //   --file=<path>        read events from a file instead of stdin
 //   --workload=<spec>    synthesize the stream instead of reading one: a
 //                        seeded workload generator in the grammar of
@@ -130,7 +130,7 @@ void Usage(const char* argv0) {
                "usage: %s [--sink=<spec> | --algo=<name> | "
                "--estimator=<name> [--substrate=<name>]] "
                "[--keys[=<shift>] [--key-budget=<b> --spill-dir=<d>] "
-               "[--key-ttl=<t>] [--key-strict-budget] "
+               "[--key-ttl=<t>] "
                "[--key-degrade=block|shed] [--key-io-retries=<n>]] "
                "[--failpoints=<site>=<class>[,k=v]...[;...]] "
                "[--file=<path> | --workload=<spec> "
@@ -656,8 +656,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       keyed.idle_ttl = static_cast<Timestamp>(key_ttl);
-    } else if (std::strcmp(arg, "--key-strict-budget") == 0) {
-      keyed.strict_budget = true;
     } else if (std::strncmp(arg, "--key-degrade=", 14) == 0) {
       const char* mode = arg + 14;
       if (std::strcmp(mode, "block") == 0) {

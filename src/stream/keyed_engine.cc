@@ -179,19 +179,16 @@ class KeyedSpillReader {
   std::thread thread_;
 };
 
-/// One live key: its sink, tier, per-key stream cursor and LRU linkage.
+/// One live key: its sink, per-key stream cursor and LRU linkage.
 /// Recycled through the engine's entry pool (the directory FlatMap
 /// stores the pointer, which is trivially copyable as FlatMap values
-/// must be). The per-key SinkSpec is NOT stored: it is a pure function
-/// of (key, tier) under the engine's options (TierSpec), so spilling
-/// derives it on demand instead of keeping two strings per key.
+/// must be). The per-key SinkSpec is NOT stored: it is the engine spec
+/// with the key's seed (KeySeed), so spilling derives it on demand.
 struct KeyedWindowEngine::KeyEntry {
   uint64_t key = 0;
-  uint64_t tier = 0;  ///< 0 = tail (options.spec), 1 = hot (hot_spec)
   Sink sink;
-  /// Next local index for this key's tier instance (sequence re-index).
+  /// Next local index for this key's sink (sequence re-index).
   uint64_t local_index = 0;
-  uint64_t arrivals = 0;  ///< lifetime arrivals (drives promotion)
   Timestamp last_seen = 0;
   uint64_t charge_bytes = 0;
   uint64_t charge_words = 0;
@@ -208,28 +205,12 @@ KeyedWindowEngine::~KeyedWindowEngine() {
 
 Result<std::unique_ptr<KeyedWindowEngine>> KeyedWindowEngine::Create(
     const KeyedEngineOptions& options) {
-  // Bind both tier factories now (Bind probe-constructs) so
-  // misconfiguration surfaces at build time, not on some key's first
-  // arrival mid-stream.
-  auto tail_factory = SinkFactory::Bind(options.spec);
-  if (!tail_factory.ok()) {
-    return Status::InvalidArgument("keyed: tail spec invalid: " +
-                                   tail_factory.status().message());
-  }
-  SinkFactory hot_factory;
-  if (options.promote_after > 0) {
-    auto bound = SinkFactory::Bind(options.hot_spec);
-    if (!bound.ok()) {
-      return Status::InvalidArgument("keyed: hot spec invalid: " +
-                                     bound.status().message());
-    }
-    if (bound.value().kind() != tail_factory.value().kind()) {
-      return Status::InvalidArgument(
-          "keyed: hot and tail specs must be the same kind (both "
-          "samplers or both estimators) so the per-key query surface is "
-          "uniform across tiers");
-    }
-    hot_factory = std::move(bound).ValueOrDie();
+  // Bind the factory now (Bind probe-constructs) so misconfiguration
+  // surfaces at build time, not on some key's first arrival mid-stream.
+  auto factory = SinkFactory::Bind(options.spec);
+  if (!factory.ok()) {
+    return Status::InvalidArgument("keyed: spec invalid: " +
+                                   factory.status().message());
   }
   if (options.memory_budget_bytes > 0 && options.spill_dir.empty()) {
     return Status::InvalidArgument(
@@ -239,9 +220,8 @@ Result<std::unique_ptr<KeyedWindowEngine>> KeyedWindowEngine::Create(
 
   auto engine =
       std::unique_ptr<KeyedWindowEngine>(new KeyedWindowEngine(options));
-  engine->kind_ = tail_factory.value().kind();
-  engine->tail_factory_ = std::move(tail_factory).ValueOrDie();
-  engine->hot_factory_ = std::move(hot_factory);
+  engine->kind_ = factory.value().kind();
+  engine->factory_ = std::move(factory).ValueOrDie();
   if (options.max_keys_hint > 0) {
     engine->directory_.Reserve(options.max_keys_hint);
   }
@@ -288,10 +268,8 @@ std::string KeyedWindowEngine::SpillPath(uint64_t key) const {
   return (fs::path(options_.spill_dir) / SpillFileName(key)).string();
 }
 
-SinkSpec KeyedWindowEngine::TierSpec(uint64_t key, uint64_t tier) const {
-  SinkSpec spec = tier == 0 ? options_.spec : options_.hot_spec;
-  spec.seed = Rng::ForkSeed(Rng::ForkSeed(spec.seed, key), tier);
-  return spec;
+uint64_t KeyedWindowEngine::KeySeed(uint64_t key) const {
+  return Rng::ForkSeed(Rng::ForkSeed(options_.spec.seed, key), 0);
 }
 
 void KeyedWindowEngine::LatchError(const Status& status) {
@@ -302,7 +280,7 @@ void KeyedWindowEngine::SetHealth(KeyedEngineHealth health) {
   if (stats_.health == health) return;
   stats_.health = health;
   if (health == KeyedEngineHealth::kDegraded) {
-    next_reprobe_items_ = stats_.items + options_.reprobe_every_items;
+    next_reprobe_items_ = stats_.items + kReprobeEveryItems;
   }
 }
 
@@ -316,7 +294,7 @@ void KeyedWindowEngine::MaybeReprobe() {
   if (stats_.health != KeyedEngineHealth::kDegraded) return;
   if (options_.spill_dir.empty()) return;
   if (stats_.items < next_reprobe_items_) return;
-  next_reprobe_items_ = stats_.items + options_.reprobe_every_items;
+  next_reprobe_items_ = stats_.items + kReprobeEveryItems;
   // The probe goes through the same failpoint site as real spills, so an
   // injected permanent outage keeps the engine degraded and a transient
   // one heals it; the name never matches the adoption parse.
@@ -384,29 +362,29 @@ void KeyedWindowEngine::ReleaseEntry(KeyEntry* entry) {
   entry_free_.push_back(entry);
 }
 
-KeyedWindowEngine::KeyEntry* KeyedWindowEngine::CreateEntry(
-    uint64_t key, uint64_t tier, uint64_t local_index, uint64_t arrivals,
-    Timestamp last_seen, KeyEntry** slot) {
+KeyedWindowEngine::KeyEntry* KeyedWindowEngine::AbandonSlot(
+    uint64_t key, const Status& error) {
+  directory_.Erase(key);
+  stats_.live_keys = directory_.Size();
+  if (!error.ok()) LatchError(error);
+  return nullptr;
+}
+
+KeyedWindowEngine::KeyEntry* KeyedWindowEngine::CreateEntry(uint64_t key,
+                                                            KeyEntry** slot) {
   ++block_creates_;
-  const uint64_t root = tier == 0 ? options_.spec.seed : options_.hot_spec.seed;
-  auto sink = (tier == 0 ? tail_factory_ : hot_factory_)
-                  .Create(Rng::ForkSeed(Rng::ForkSeed(root, key), tier));
+  auto sink = factory_.Create(KeySeed(key));
   if (!sink.ok()) {
-    // Both tier specs were probe-validated at Create; a failure here is
-    // an engine bug, not user input.
-    LatchError(Status::Internal("keyed: per-key construction failed: " +
-                                sink.status().message()));
-    directory_.Erase(key);
-    stats_.live_keys = directory_.Size();
-    return nullptr;
+    // The spec was probe-validated at Create; a failure here is an
+    // engine bug, not user input.
+    return AbandonSlot(
+        key, Status::Internal("keyed: per-key construction failed: " +
+                              sink.status().message()));
   }
   KeyEntry* entry = AllocEntry();
   entry->key = key;
-  entry->tier = tier;
   entry->sink = std::move(sink).ValueOrDie();
-  entry->local_index = local_index;
-  entry->arrivals = arrivals;
-  entry->last_seen = last_seen;
+  entry->last_seen = now_;
   *slot = entry;
   stats_.live_keys = directory_.Size();
   TouchLru(entry);
@@ -414,37 +392,22 @@ KeyedWindowEngine::KeyEntry* KeyedWindowEngine::CreateEntry(
   return entry;
 }
 
-bool KeyedWindowEngine::PromoteInPlace(KeyEntry* entry) {
-  auto sink = hot_factory_.Create(
-      Rng::ForkSeed(Rng::ForkSeed(options_.hot_spec.seed, entry->key), 1));
-  if (!sink.ok()) {
-    LatchError(Status::Internal("keyed: hot-tier construction failed: " +
-                                sink.status().message()));
-    DropEntry(entry);
-    return false;
-  }
-  // A FRESH hot-tier sink (no history replay — the documented warm-up);
-  // lifetime arrivals and last_seen carry over, the local re-index
-  // restarts with the new tier instance.
-  entry->sink = std::move(sink).ValueOrDie();
-  entry->tier = 1;
-  entry->local_index = 0;
-  ++stats_.promotions;
-  return true;
-}
-
 Result<std::string> KeyedWindowEngine::EncodeSpill(
     const KeyEntry& entry) const {
-  auto envelope =
-      SaveSink(*entry.sink.sink, TierSpec(entry.key, entry.tier));
+  SinkSpec spec = options_.spec;
+  spec.seed = KeySeed(entry.key);
+  auto envelope = SaveSink(*entry.sink.sink, spec);
   if (!envelope.ok()) return envelope.status();
+  // Layout version 1 kept a tier slot and a lifetime-arrivals slot; with
+  // one sink per key they always hold 0 and local_index, and are still
+  // written so existing spill directories stay loadable.
   BinaryWriter w;
   w.PutU64(kSpillMagic);
   w.PutU64(kSpillVersion);
   w.PutU64(entry.key);
-  w.PutU64(entry.tier);
+  w.PutU64(/*tier=*/0);
   w.PutU64(entry.local_index);
-  w.PutU64(entry.arrivals);
+  w.PutU64(/*arrivals=*/entry.local_index);
   w.PutI64(entry.last_seen);
   w.PutString(envelope.value());
   return w.Release();
@@ -550,9 +513,11 @@ Result<KeyedWindowEngine::KeyEntry*> KeyedWindowEngine::RestoreEntry(
   bool decoded =
       r.GetU64(&magic) && magic == kSpillMagic &&  //
       r.GetU64(&version) && version == kSpillVersion &&
-      r.GetU64(&stored_key) && stored_key == key && r.GetU64(&tier) &&
-      r.GetU64(&local_index) && r.GetU64(&arrivals) && r.GetI64(&last_seen) &&
-      r.GetString(&envelope) && r.AtEnd();
+      r.GetU64(&stored_key) && stored_key == key &&  //
+      r.GetU64(&tier) && tier == 0 &&                //
+      r.GetU64(&local_index) &&                      //
+      r.GetU64(&arrivals) && arrivals == local_index &&
+      r.GetI64(&last_seen) && r.GetString(&envelope) && r.AtEnd();
   Result<RestoredSink> restored =
       decoded ? RestoreSink(envelope)
               : Result<RestoredSink>(Status::InvalidArgument(
@@ -573,10 +538,8 @@ Result<KeyedWindowEngine::KeyEntry*> KeyedWindowEngine::RestoreEntry(
   }
   KeyEntry* entry = AllocEntry();
   entry->key = key;
-  entry->tier = tier;
   entry->sink = std::move(restored.value().sink);
   entry->local_index = local_index;
-  entry->arrivals = arrivals;
   entry->last_seen = last_seen;
   *slot = entry;
   stats_.live_keys = directory_.Size();
@@ -593,53 +556,48 @@ Result<KeyedWindowEngine::KeyEntry*> KeyedWindowEngine::RestoreEntry(
   return entry;
 }
 
-KeyedWindowEngine::KeyEntry* KeyedWindowEngine::FindEntry(
-    uint64_t key, bool create_missing) {
-  if (!create_missing) {
-    // Query path: never insert unless a spill file backs the key.
-    if (KeyEntry** slot = directory_.Find(key); slot != nullptr) return *slot;
-    if (!spilled_.Contains(key)) return nullptr;
-    auto probe = directory_.TryEmplace(key, nullptr);
-    auto restored = RestoreEntry(key, probe.first);
-    if (!restored.ok() || restored.value() == nullptr) {
-      // Error, or a restore miss (quarantined/unreachable state): either
-      // way there is nothing to query — the key reads as unknown.
-      directory_.Erase(key);
-      stats_.live_keys = directory_.Size();
-      if (!restored.ok()) LatchError(restored.status());
-      return nullptr;
-    }
-    return restored.value();
-  }
-  // Ingest path: ONE probe routes, creates, or restores.
+KeyedWindowEngine::KeyEntry* KeyedWindowEngine::FindEntry(uint64_t key) {
+  // Query path: never insert unless a spill file backs the key.
+  if (KeyEntry** slot = directory_.Find(key); slot != nullptr) return *slot;
+  if (!spilled_.Contains(key)) return nullptr;
   auto probe = directory_.TryEmplace(key, nullptr);
-  if (!probe.second) return *probe.first;
+  auto restored = RestoreEntry(key, probe.first);
+  if (restored.ok() && restored.value() != nullptr) return restored.value();
+  // Error, or a restore miss (quarantined/unreachable state): either way
+  // there is nothing to query — the key reads as unknown.
+  return AbandonSlot(key, restored.status());
+}
+
+KeyedWindowEngine::KeyEntry* KeyedWindowEngine::ResolveEntry(
+    uint64_t key, Timestamp first_clock) {
+  auto probe = directory_.TryEmplace(key, nullptr);
+  if (!probe.second) {
+    KeyEntry* entry = *probe.first;
+    if (options_.idle_ttl <= 0 ||
+        first_clock - entry->last_seen <= options_.idle_ttl) {
+      return entry;
+    }
+    // Expired before this delivery's first arrival: an item-wise sweep
+    // ran at every prior item with clock <= first_clock, so the largest
+    // gap it could see is exactly first_clock - last_seen.
+    DropEntry(entry);
+    ++stats_.expirations;
+    probe = directory_.TryEmplace(key, nullptr);
+  }
   if (spilled_.Contains(key)) {
     auto restored = RestoreEntry(key, probe.first);
-    if (!restored.ok()) {
-      directory_.Erase(key);
-      stats_.live_keys = directory_.Size();
-      LatchError(restored.status());
-      return nullptr;
-    }
+    if (!restored.ok()) return AbandonSlot(key, restored.status());
     if (restored.value() != nullptr) return restored.value();
-    // Restore miss: the key starts over fresh on the tail tier.
+    // Restore miss: the key starts over on a fresh sink.
   }
-  return CreateEntry(key, /*tier=*/0, /*local_index=*/0, /*arrivals=*/0,
-                     /*last_seen=*/now_, probe.first);
+  return CreateEntry(key, probe.first);
 }
 
 void KeyedWindowEngine::Observe(const Item& item) {
+  const Timestamp before = now_;
   if (item.timestamp > now_) now_ = item.timestamp;
-  const uint64_t key = item.value >> options_.key_shift;
-  KeyEntry* entry = FindEntry(key, /*create_missing=*/true);
+  KeyEntry* entry = ResolveEntry(item.value >> options_.key_shift, before);
   if (entry == nullptr) return;  // I/O failure latched; arrival dropped
-  ++entry->arrivals;
-  // Tier promotion: the triggering arrival lands in the fresh hot sink.
-  if (options_.promote_after > 0 && entry->tier == 0 &&
-      entry->arrivals >= options_.promote_after) {
-    if (!PromoteInPlace(entry)) return;
-  }
   entry->sink.sink->Observe(
       Item{item.value, entry->local_index++, item.timestamp});
   entry->last_seen = now_;
@@ -648,23 +606,10 @@ void KeyedWindowEngine::Observe(const Item& item) {
   RechargeEntry(entry);
   ExpireIdle();
   EnforceBudget(entry);
-  stats_.retained_bytes = RetainedBytes();
-  if (stats_.retained_bytes > stats_.peak_retained_bytes) {
-    stats_.peak_retained_bytes = stats_.retained_bytes;
-  }
-  stats_.charged_bytes = ChargedBytes();
-  if (stats_.charged_bytes > stats_.peak_charged_bytes) {
-    stats_.peak_charged_bytes = stats_.charged_bytes;
-  }
+  RecordBytes();
 }
 
 void KeyedWindowEngine::ObserveBatch(std::span<const Item> items) {
-  if (options_.strict_budget) {
-    // Exact per-item semantics: TTL sweep + budget enforcement after
-    // every arrival, at per-item cost.
-    for (const Item& item : items) Observe(item);
-    return;
-  }
   while (items.size() > kDemuxBlockItems) {
     ObserveBlock(items.first(kDemuxBlockItems));
     items = items.subspan(kDemuxBlockItems);
@@ -774,14 +719,7 @@ void KeyedWindowEngine::ObserveBlock(std::span<const Item> block) {
   }
   // --- Per-block bookkeeping item-wise Observe does per item.
   ExpireIdle();
-  stats_.retained_bytes = RetainedBytes();
-  if (stats_.retained_bytes > stats_.peak_retained_bytes) {
-    stats_.peak_retained_bytes = stats_.retained_bytes;
-  }
-  stats_.charged_bytes = ChargedBytes();
-  if (stats_.charged_bytes > stats_.peak_charged_bytes) {
-    stats_.peak_charged_bytes = stats_.charged_bytes;
-  }
+  RecordBytes();
   // --- Adaptive fallback decision. Mean micro-batch under 2 items means
   // the demux amortized nothing, and a majority of runs constructing a
   // fresh sink means delivery was TTL-churn-bound — worse than that, a
@@ -823,41 +761,9 @@ void KeyedWindowEngine::PrefetchSpilledRuns() {
   }
 }
 
-KeyedWindowEngine::KeyEntry* KeyedWindowEngine::ResolveRunEntry(
-    const KeyRun& run) {
-  auto probe = directory_.TryEmplace(run.key, nullptr);
-  if (!probe.second) {
-    KeyEntry* entry = *probe.first;
-    if (options_.idle_ttl > 0 &&
-        run.first_clock - entry->last_seen > options_.idle_ttl) {
-      // Expired before this run's first arrival: an item-wise sweep ran
-      // at every prior item with clock <= first_clock, so the largest
-      // gap it could see is exactly first_clock - last_seen.
-      DropEntry(entry);
-      ++stats_.expirations;
-      probe = directory_.TryEmplace(run.key, nullptr);
-    } else {
-      return entry;
-    }
-  }
-  if (spilled_.Contains(run.key)) {
-    auto restored = RestoreEntry(run.key, probe.first);
-    if (!restored.ok()) {
-      directory_.Erase(run.key);
-      stats_.live_keys = directory_.Size();
-      LatchError(restored.status());
-      return nullptr;
-    }
-    if (restored.value() != nullptr) return restored.value();
-    // Restore miss: the key starts over fresh on the tail tier.
-  }
-  return CreateEntry(run.key, /*tier=*/0, /*local_index=*/0, /*arrivals=*/0,
-                     /*last_seen=*/now_, probe.first);
-}
-
 void KeyedWindowEngine::ProcessRun(std::span<const Item> block,
                                    const KeyRun& run) {
-  KeyEntry* entry = ResolveRunEntry(run);
+  KeyEntry* entry = ResolveEntry(run.key, run.first_clock);
   if (entry == nullptr) return;  // I/O failure latched; arrivals dropped
   if (options_.memory_budget_bytes > 0) {
     // Conservative pre-delivery headroom: a window sink retains at most
@@ -870,52 +776,31 @@ void KeyedWindowEngine::ProcessRun(std::span<const Item> block,
       EvictUntil(options_.memory_budget_bytes - headroom, entry);
     }
   }
-  uint32_t idx = run.head;
-  uint64_t remaining = run.count;
-  while (remaining > 0) {
-    uint64_t take = remaining;
-    if (options_.promote_after > 0 && entry->tier == 0) {
-      if (entry->arrivals + 1 >= options_.promote_after) {
-        // The next arrival triggers promotion; it lands in the hot sink.
-        if (!PromoteInPlace(entry)) return;
-      } else {
-        // Deliver to the tail tier only up to the promotion point, then
-        // split the micro-batch — exactly where item-wise would switch.
-        take = std::min<uint64_t>(
-            take, options_.promote_after - 1 - entry->arrivals);
-      }
-    }
-    if (take == 1) {
-      // Singleton micro-batch (the Zipf tail): skip the staging gather
-      // and the sink's batch-path setup — Observe is the cheaper call
-      // for one item and the per-item contract is the same.
+  if (run.count == 1) {
+    // Singleton micro-batch (the Zipf tail): skip the staging gather
+    // and the sink's batch-path setup — Observe is the cheaper call
+    // for one item and the per-item contract is the same.
+    const Item& item = block[run.head];
+    entry->sink.sink->Observe(
+        Item{item.value, entry->local_index, item.timestamp});
+  } else {
+    uint32_t idx = run.head;
+    for (uint32_t j = 0; j < run.count; ++j) {
       const Item& item = block[idx];
-      entry->sink.sink->Observe(
-          Item{item.value, entry->local_index, item.timestamp});
+      demux_staging_[j] =
+          Item{item.value, entry->local_index + j, item.timestamp};
       idx = demux_next_[idx];
-    } else {
-      for (uint64_t j = 0; j < take; ++j) {
-        const Item& item = block[idx];
-        demux_staging_[j] =
-            Item{item.value, entry->local_index + j, item.timestamp};
-        idx = demux_next_[idx];
-      }
-      entry->sink.sink->ObserveBatch(
-          std::span<const Item>(demux_staging_.get(), take));
     }
-    entry->local_index += take;
-    entry->arrivals += take;
-    remaining -= take;
+    entry->sink.sink->ObserveBatch(
+        std::span<const Item>(demux_staging_.get(), run.count));
   }
+  entry->local_index += run.count;
   entry->last_seen = run.last_seen;
   stats_.items += run.count;
   TouchLru(entry);
   RechargeEntry(entry);
   EnforceBudget(entry);
-  stats_.charged_bytes = ChargedBytes();
-  if (stats_.charged_bytes > stats_.peak_charged_bytes) {
-    stats_.peak_charged_bytes = stats_.charged_bytes;
-  }
+  RecordBytes();
 }
 
 void KeyedWindowEngine::AdvanceTime(Timestamp now) {
@@ -1018,6 +903,15 @@ void KeyedWindowEngine::EnforceBudget(const KeyEntry* protect) {
   EvictUntil(options_.memory_budget_bytes, protect);
 }
 
+void KeyedWindowEngine::RecordBytes() {
+  stats_.retained_bytes = RetainedBytes();
+  stats_.peak_retained_bytes =
+      std::max(stats_.peak_retained_bytes, stats_.retained_bytes);
+  stats_.charged_bytes = ChargedBytes();
+  stats_.peak_charged_bytes =
+      std::max(stats_.peak_charged_bytes, stats_.charged_bytes);
+}
+
 uint64_t KeyedWindowEngine::ScratchBytes() const {
   // The entry pool's bytes beyond the live entries (free-list entries);
   // live entries are already in ChargedBytes().
@@ -1052,7 +946,7 @@ Result<std::vector<Item>> KeyedWindowEngine::SampleKey(uint64_t key) {
     return Status::FailedPrecondition(
         "keyed: SampleKey on an estimator-kind engine (use EstimateKey)");
   }
-  KeyEntry* entry = FindEntry(key, /*create_missing=*/false);
+  KeyEntry* entry = FindEntry(key);
   if (entry == nullptr) {
     if (!last_error_.ok()) return last_error_;
     return Status::InvalidArgument("keyed: unknown key");
@@ -1067,7 +961,7 @@ Result<EstimateReport> KeyedWindowEngine::EstimateKey(uint64_t key) {
     return Status::FailedPrecondition(
         "keyed: EstimateKey on a sampler-kind engine (use SampleKey)");
   }
-  KeyEntry* entry = FindEntry(key, /*create_missing=*/false);
+  KeyEntry* entry = FindEntry(key);
   if (entry == nullptr) {
     if (!last_error_.ok()) return last_error_;
     return Status::InvalidArgument("keyed: unknown key");
@@ -1078,7 +972,7 @@ Result<EstimateReport> KeyedWindowEngine::EstimateKey(uint64_t key) {
 }
 
 Result<std::string> KeyedWindowEngine::SaveKeyState(uint64_t key) {
-  KeyEntry* entry = FindEntry(key, /*create_missing=*/false);
+  KeyEntry* entry = FindEntry(key);
   if (entry == nullptr) {
     if (!last_error_.ok()) return last_error_;
     return Status::InvalidArgument("keyed: unknown key");
@@ -1122,8 +1016,6 @@ Result<std::vector<std::unique_ptr<KeyedWindowEngine>>> CreateKeyedEngines(
     // A single shard is the unsharded engine: same seeds, same spill dir.
     if (shards > 1) {
       shard_options.spec.seed = Rng::ForkSeed(options.spec.seed, shard);
-      shard_options.hot_spec.seed =
-          Rng::ForkSeed(options.hot_spec.seed, shard);
       if (!options.spill_dir.empty()) {
         char sub[32];
         std::snprintf(sub, sizeof(sub), "shard-%04" PRIu64, shard);

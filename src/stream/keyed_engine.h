@@ -6,22 +6,12 @@
 /// memory budget, with idle-key expiry and cold-key spill-to-disk.
 ///
 /// Shape: a FlatMap directory (key -> entry) of independently configured
-/// per-key sinks built through the unified SinkSpec factory
-/// (apps/sink_spec.h). Each key's sink sees a locally re-indexed stream
-/// (indices consecutive from 0 within that key's tier instance), which is
-/// what the sequence-model samplers' positional expiry requires;
-/// timestamps pass through unchanged, so timestamp-model sinks behave
-/// per-key exactly as they would standalone.
-///
-/// Tiering: every new key starts on the cheap tail tier
-/// (`options.spec`, typically a bop-ts-single-family O(k)-word sink).
-/// When a key's lifetime arrival count reaches `promote_after` it is
-/// promoted to the hot tier (`options.hot_spec`, typically an exact
-/// window) — a FRESH sink with a documented warm-up: promotion does not
-/// replay the key's history, so hot-tier answers are exact only once the
-/// post-promotion arrivals fill the window. Promotion happens before the
-/// triggering arrival is delivered, so that arrival lands in the hot
-/// sink.
+/// per-key sinks, all built from one SinkSpec through one pre-bound
+/// SinkFactory (apps/sink_spec.h). Each key's sink sees a locally
+/// re-indexed stream (indices consecutive from 0 within that key's sink
+/// instance), which is what the sequence-model samplers' positional
+/// expiry requires; timestamps pass through unchanged, so timestamp-model
+/// sinks behave per-key exactly as they would standalone.
 ///
 /// Memory budget: each key is charged its entry footprint plus its
 /// sink's RetainedBytes() (real retained capacity, core/api.h). The
@@ -45,7 +35,7 @@
 /// TTL expiry: keys idle longer than `idle_ttl` (engine clock = max
 /// observed timestamp) are DROPPED, state and all — expiry models
 /// tenant departure, not cold storage. A later arrival for an expired
-/// key starts over on the tail tier. Spilled keys are exempt (they cost
+/// key starts over on a fresh sink. Spilled keys are exempt (they cost
 /// no memory); the engine clock only advances sinks lazily (a key's
 /// sink is advanced by its own arrivals and at query time), so idle
 /// keys cost no per-arrival work.
@@ -54,16 +44,22 @@
 /// 16384-item blocks — ONE scan detects same-key runs and scatter/
 /// gathers the rest into per-key index chains in engine-owned scratch,
 /// then each key's items are delivered as one micro-batch through the
-/// per-key sink's own ObserveBatch (the PR 7 closed-form fast paths).
+/// per-key sink's own ObserveBatch (the samplers' closed-form fast paths).
 /// Charging, LRU touch, TTL sweep and budget enforcement run once per
-/// micro-batch / block instead of once per item; the scan tracks the
-/// clock prefix-max so TTL generation splits, promotion splits and
-/// last_seen land exactly where item-wise delivery would put them.
-/// Evictions triggered within a block are grouped into one spill pass
-/// with a single directory fsync (SpillBatch), and spilled keys touched
-/// by a block are prefetched by a background reader thread that only
-/// reads file bytes — decode and adoption stay on the ingest thread at
-/// the key's delivery point, keeping restores bit-identical to the
+/// micro-batch / block instead of once per item. Item-wise Observe and
+/// the micro-batches resolve their key through the same step, which
+/// expires the key first when it sat idle past the TTL before the
+/// arrival. The scan tracks the clock prefix-max, so a key that expires
+/// mid-block is split into TTL generations and every key's last_seen is
+/// the clock at its last arrival. Micro-batches are delivered in
+/// last-arrival order, so the LRU stays sorted by last_seen and the
+/// block-end TTL sweep drops exactly the keys an item-wise sweep would
+/// have dropped by then. The memory budget holds at micro-batch
+/// boundaries; item-wise Observe holds it after every item. Evictions triggered within a block are grouped into one spill
+/// pass with a single directory fsync (SpillBatch), and spilled keys
+/// touched by a block are prefetched by a background reader thread that
+/// only reads file bytes — decode and adoption stay on the ingest thread
+/// at the key's delivery point, keeping restores bit-identical to the
 /// synchronous path.
 ///
 /// The demux only pays off when micro-batches amortize the per-key
@@ -147,17 +143,12 @@ const char* KeyedHealthName(KeyedEngineHealth health);
 
 /// Construction-time policy for a KeyedWindowEngine.
 struct KeyedEngineOptions {
-  /// Tail-tier spec: every new (or expired-and-returned) key starts on
-  /// this sink. Required. `spec.seed` is the engine seed root; each
-  /// key's sink is seeded Rng::ForkSeed(Rng::ForkSeed(seed, key), tier)
-  /// so per-key streams are independent and reproducible.
+  /// Per-key sink spec: every new (or expired-and-returned) key starts
+  /// on a fresh sink of this spec. Required. `spec.seed` is the engine
+  /// seed root; each key's sink is seeded
+  /// Rng::ForkSeed(Rng::ForkSeed(seed, key), 0) so per-key streams are
+  /// independent and reproducible.
   SinkSpec spec;
-  /// Hot-tier spec for promoted keys (same kind — sampler/estimator —
-  /// as `spec`). Ignored unless `promote_after` > 0.
-  SinkSpec hot_spec;
-  /// Promote a key to `hot_spec` when its lifetime arrivals reach this
-  /// count; 0 disables tiering.
-  uint64_t promote_after = 0;
   /// Key derivation: key = item.value >> key_shift (0 keys on the raw
   /// value). Lets callers fold a value space onto a coarser tenant id.
   uint64_t key_shift = 0;
@@ -177,13 +168,6 @@ struct KeyedEngineOptions {
   bool fsync_spills = true;
   /// Pre-size the key directory for this many live keys (0 = grow).
   uint64_t max_keys_hint = 0;
-  /// Enforce the memory budget after every ITEM of a batch instead of
-  /// after every per-key micro-batch. The batched fast path holds the
-  /// budget at micro-batch boundaries (with a conservative pre-delivery
-  /// headroom check), which is the documented batched invariant; this
-  /// knob recovers the strict item-granular behavior — at per-item cost
-  /// — for tests and callers that assert it mid-batch.
-  bool strict_budget = false;
   /// Restore spilled keys touched by a batch through a background read
   /// thread: the reader fetches file BYTES while the ingest thread
   /// demuxes, and decode + adoption happen on the ingest thread at each
@@ -199,10 +183,6 @@ struct KeyedEngineOptions {
   RetryPolicy io_retry;
   /// Behavior when spill storage stays down after retries.
   KeyedDegradeMode degrade = KeyedDegradeMode::kBlock;
-  /// While degraded, re-probe the spill dir (a small write + unlink
-  /// through the same failpoint site as real spills) every this many
-  /// delivered items; success moves the engine to kRecovering.
-  uint64_t reprobe_every_items = 65536;
 };
 
 /// Counters exposed for benches, budget gates and tests.
@@ -212,7 +192,6 @@ struct KeyedEngineStats {
   uint64_t evictions = 0;       ///< budget-driven spills (+ EvictKey)
   uint64_t restores = 0;        ///< spill files read back
   uint64_t expirations = 0;     ///< TTL drops
-  uint64_t promotions = 0;      ///< tail -> hot tier moves
   uint64_t items = 0;           ///< arrivals delivered
   uint64_t retained_bytes = 0;  ///< current RetainedBytes() total
   uint64_t peak_retained_bytes = 0;  ///< max of the above over the run
@@ -235,8 +214,8 @@ struct KeyedEngineStats {
 /// The multi-tenant engine (see file comment).
 class KeyedWindowEngine final : public StreamSink {
  public:
-  /// Validates the options (both specs must construct, same kind;
-  /// budget requires spill_dir), creates/scans the spill directory.
+  /// Validates the options (the spec must construct; a budget requires
+  /// spill_dir), creates/scans the spill directory.
   static Result<std::unique_ptr<KeyedWindowEngine>> Create(
       const KeyedEngineOptions& options);
 
@@ -321,17 +300,28 @@ class KeyedWindowEngine final : public StreamSink {
   static constexpr uint32_t kDemuxBackoffBlocks = 15;
   static constexpr uint32_t kDemuxBackoffMax = 255;
   static constexpr uint32_t kNoIndex = 0xffffffffu;
+  /// While degraded, the engine re-probes the spill dir (a small write +
+  /// unlink through the same failpoint site as real spills) every this
+  /// many delivered items; success moves it to kRecovering.
+  static constexpr uint64_t kReprobeEveryItems = 65536;
 
   explicit KeyedWindowEngine(const KeyedEngineOptions& options);
 
-  /// Live entry lookup; restores from spill when parked. Creates a
-  /// fresh tail-tier entry when `create_missing`. nullptr when absent
-  /// (or on latched I/O failure). One directory probe on every path.
-  KeyEntry* FindEntry(uint64_t key, bool create_missing);
+  /// Query-path lookup: the live entry, restored from spill when
+  /// parked. nullptr when unknown (or on latched I/O failure); never
+  /// creates a key.
+  KeyEntry* FindEntry(uint64_t key);
+  /// Ingest-path lookup, shared by Observe and the micro-batches: ONE
+  /// directory probe routes, expires, restores or creates. `first_clock`
+  /// is the engine clock before the key's first arrival in this
+  /// delivery; an entry idle past the TTL at that clock is dropped and
+  /// the key restarts fresh. nullptr on latched failure.
+  KeyEntry* ResolveEntry(uint64_t key, Timestamp first_clock);
   /// Constructs a fresh entry into the pre-probed directory slot.
-  KeyEntry* CreateEntry(uint64_t key, uint64_t tier, uint64_t local_index,
-                        uint64_t arrivals, Timestamp last_seen,
-                        KeyEntry** slot);
+  KeyEntry* CreateEntry(uint64_t key, KeyEntry** slot);
+  /// Erases the placeholder directory slot of a key that did not come
+  /// back live, latching `error` unless it is Ok. Returns nullptr.
+  KeyEntry* AbandonSlot(uint64_t key, const Status& error);
   /// Reads + decodes `key`'s spill file into the pre-probed slot
   /// (prefetched bytes when the async reader fetched them already),
   /// retrying transient read faults under the engine retry policy. The
@@ -345,11 +335,8 @@ class KeyedWindowEngine final : public StreamSink {
   /// scans) and forgets the parked key, so one torn file costs one key
   /// instead of the directory.
   void QuarantineSpill(uint64_t key, const std::string& path);
-  /// Replaces the entry's sink with a fresh hot-tier instance in place —
-  /// no directory erase/re-insert, LRU linkage preserved.
-  bool PromoteInPlace(KeyEntry* entry);
-  /// Per-key spec of `tier` with the key-forked seed applied.
-  SinkSpec TierSpec(uint64_t key, uint64_t tier) const;
+  /// Per-key seed: Rng::ForkSeed(Rng::ForkSeed(spec.seed, key), 0).
+  uint64_t KeySeed(uint64_t key) const;
 
   Result<std::string> EncodeSpill(const KeyEntry& entry) const;
   Status SpillEntry(KeyEntry* entry);
@@ -367,7 +354,6 @@ class KeyedWindowEngine final : public StreamSink {
   void EnsureDemuxScratch(size_t need);
   void PrefetchSpilledRuns();
   void ProcessRun(std::span<const Item> block, const KeyRun& run);
-  KeyEntry* ResolveRunEntry(const KeyRun& run);
 
   void TouchLru(KeyEntry* entry);
   void UnlinkLru(KeyEntry* entry);
@@ -381,9 +367,11 @@ class KeyedWindowEngine final : public StreamSink {
   /// limit, accounting every loss.
   void ShedUntil(uint64_t limit, const KeyEntry* protect);
   void EnforceBudget(const KeyEntry* protect);
+  /// Refreshes the current and peak byte stats.
+  void RecordBytes();
   void LatchError(const Status& status);
   void SetHealth(KeyedEngineHealth health);
-  /// While degraded, probes the spill dir every `reprobe_every_items`
+  /// While degraded, probes the spill dir every kReprobeEveryItems
   /// delivered items; a successful probe write moves to kRecovering.
   void MaybeReprobe();
   /// The engine retry policy, collapsed to one attempt while degraded
@@ -400,10 +388,9 @@ class KeyedWindowEngine final : public StreamSink {
 
   KeyedEngineOptions options_;
   SinkKind kind_ = SinkKind::kSampler;
-  /// Pre-resolved per-tier constructors (registry lookup + config
+  /// Pre-resolved per-key constructor (registry lookup + config
   /// projection done once, not per key).
-  SinkFactory tail_factory_;
-  SinkFactory hot_factory_;
+  SinkFactory factory_;
   FlatMap<uint64_t, KeyEntry*> directory_;
   /// Keys parked on disk (value unused; FlatMap as a set).
   FlatMap<uint64_t, uint8_t> spilled_;

@@ -418,10 +418,14 @@ TEST_F(FaultInjectionTest, AdoptionFuzzQuarantinesCorruptSpillsOnly) {
   // the magic of others.
   Rng rng(123);
   std::vector<std::string> corrupted;
+  std::vector<std::string> intact;
   for (const auto& entry : fs::directory_iterator(dir)) {
     const std::string path = entry.path().string();
     const uint64_t roll = rng.NextU64() % 3;
-    if (roll == 0) continue;  // leave intact
+    if (roll == 0) {
+      intact.push_back(path);
+      continue;
+    }
     corrupted.push_back(path);
     std::string bytes = ReadFileBytes("t.none", path).ValueOrDie();
     if (roll == 1) {
@@ -432,6 +436,18 @@ TEST_F(FaultInjectionTest, AdoptionFuzzQuarantinesCorruptSpillsOnly) {
     std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
   }
   ASSERT_FALSE(corrupted.empty());
+  // Two well-formed headers with impossible metadata: layout version 1's
+  // tier slot must be 0 and its arrivals slot must equal the local index
+  // (bytes 24 and 40: after magic, version and key, and after tier and
+  // local index).
+  ASSERT_GE(intact.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    const std::string path = intact[i];
+    std::string bytes = ReadFileBytes("t.none", path).ValueOrDie();
+    bytes[i == 0 ? 24 : 40] ^= 0x01;
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    corrupted.push_back(path);
+  }
 
   KeyedEngineOptions options = ShedOptions(dir);
   auto engine = KeyedWindowEngine::Create(options).ValueOrDie();
@@ -449,7 +465,6 @@ TEST_F(FaultInjectionTest, ShedModeHoldsBudgetThroughAPermanentOutage) {
   const std::string dir = FreshDir("fi_outage");
   ASSERT_TRUE(ArmFailpoints("spill.write=eio;spill.read=eio", 3).ok());
   KeyedEngineOptions options = ShedOptions(dir);
-  options.strict_budget = true;
   auto engine = KeyedWindowEngine::Create(options).ValueOrDie();
   DriveZipf(*engine, 20000, 4000, 11, options.memory_budget_bytes);
   EXPECT_TRUE(engine->status().ok()) << engine->status().ToString();
@@ -486,12 +501,12 @@ TEST_F(FaultInjectionTest, HealthReprobesBackToHealthyAfterTheOutageEnds) {
   const std::string dir = FreshDir("fi_reprobe");
   KeyedEngineOptions options = ShedOptions(dir);
   options.io_retry.max_attempts = 3;
-  options.reprobe_every_items = 256;
   // times=3 exhausts exactly one operation's retry budget, then the
-  // "storage" comes back on its own.
+  // "storage" comes back on its own. A degraded engine re-probes every
+  // 65,536 items, so the stream runs well past one re-probe period.
   ASSERT_TRUE(ArmFailpoints("spill.write=eio,times=3", 3).ok());
   auto engine = KeyedWindowEngine::Create(options).ValueOrDie();
-  DriveZipf(*engine, 30000, 4000, 13, options.memory_budget_bytes);
+  DriveZipf(*engine, 80000, 4000, 13, options.memory_budget_bytes);
   EXPECT_TRUE(engine->status().ok()) << engine->status().ToString();
   EXPECT_EQ(engine->stats().io_giveups, 1u);
   // The outage degraded the engine, the re-probe noticed recovery, and

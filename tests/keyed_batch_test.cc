@@ -2,9 +2,9 @@
 //
 // Batched-vs-item-wise equivalence for the keyed engine's demux fast
 // path (stream/keyed_engine.h ObserveBatch): the key-run scan, per-key
-// micro-batch delivery, TTL generation splits, promotion splits, batched
-// SpillBatch evictions and the async restore lane must all reproduce the
-// per-item Observe() semantics. The strong form checked here is BYTE
+// micro-batch delivery, TTL generation splits and end-of-block expiry,
+// batched SpillBatch evictions and the async restore lane must all
+// reproduce the per-item Observe() semantics. The strong form checked here is BYTE
 // IDENTITY of every key's SaveKeyState blob (envelope + metadata — RNG
 // state, window contents and local index all included). Byte identity
 // between item-wise and batched DELIVERY needs sinks whose own
@@ -175,32 +175,6 @@ TEST(KeyedBatchTest, TtlGenerationSplitsLandExactlyWhereItemWiseDrops) {
   }
 }
 
-TEST(KeyedBatchTest, PromotionSplitsMicroBatchAtTheExactArrival) {
-  // Keys cross promote_after mid-run: the micro-batch must split so the
-  // triggering arrival (and everything after) lands in the fresh hot
-  // sink with a restarted local index — exactly like item-wise.
-  auto generator = WorkloadGenerator::Create(
-                       "constant@zipf,rate=6,domain=64,alpha=1.3", 0x9e1d)
-                       .ValueOrDie();
-  const std::vector<Item> stream = generator->Take(20000);
-
-  KeyedEngineOptions options;
-  options.spec = ParseSinkSpec("exact-seq,n=16,k=2,seed=3").ValueOrDie();
-  options.hot_spec =
-      ParseSinkSpec("gl-bounded-priority,t=64,k=8,seed=4").ValueOrDie();
-  options.promote_after = 37;  // lands mid-run for the hot Zipf keys
-  auto item_engine = MakeEngine(options);
-  DriveItemWise(item_engine.get(), stream);
-  for (size_t batch : {1024u, 0u}) {
-    auto batch_engine = MakeEngine(options);
-    DriveBatched(batch_engine.get(), stream, batch);
-    EXPECT_EQ(batch_engine->stats().promotions,
-              item_engine->stats().promotions);
-    ExpectSameKeyStates(item_engine.get(), batch_engine.get(),
-                        KeysOf(stream));
-  }
-}
-
 TEST(KeyedBatchTest, BudgetedBatchedMatchesUnbudgetedStateExactly) {
   // A binding budget forces mid-batch SpillBatch evictions and async
   // restores; since evict/restore round-trips are bit-exact, every
@@ -271,43 +245,6 @@ TEST(KeyedBatchTest, AsyncRestoreOffIsBitIdenticalToOn) {
   ExpectSameKeyStates(async_engine.get(), sync_engine.get(), KeysOf(stream));
   fs::remove_all(async_dir);
   fs::remove_all(sync_dir);
-}
-
-TEST(KeyedBatchTest, StrictBudgetRecoversExactItemWiseBehavior) {
-  // strict_budget must make ObserveBatch literally the per-item loop:
-  // same states AND same eviction/restore counters (the relaxed batched
-  // path may differ in counters; the strict knob may not).
-  auto generator =
-      WorkloadGenerator::Create(
-          "constant@zipf,rate=4,domain=500,alpha=1.1", 0xfeed)
-          .ValueOrDie();
-  const std::vector<Item> stream = generator->Take(30000);
-
-  KeyedEngineOptions options;
-  options.spec = ParseSinkSpec("bop-seq-single,n=24,seed=9").ValueOrDie();
-  options.memory_budget_bytes = 96 * 1024;
-  options.fsync_spills = false;
-
-  const std::string ref_dir = FreshDir("keyed_batch_strict_ref");
-  const std::string strict_dir = FreshDir("keyed_batch_strict");
-
-  options.spill_dir = ref_dir;
-  auto item_engine = MakeEngine(options);
-  DriveItemWise(item_engine.get(), stream);
-
-  options.strict_budget = true;
-  options.spill_dir = strict_dir;
-  auto strict_engine = MakeEngine(options);
-  DriveBatched(strict_engine.get(), stream, 4096);
-
-  EXPECT_GT(item_engine->stats().evictions, 0u);
-  EXPECT_EQ(strict_engine->stats().evictions,
-            item_engine->stats().evictions);
-  EXPECT_EQ(strict_engine->stats().restores, item_engine->stats().restores);
-  ExpectSameKeyStates(item_engine.get(), strict_engine.get(),
-                      KeysOf(stream));
-  fs::remove_all(ref_dir);
-  fs::remove_all(strict_dir);
 }
 
 TEST(KeyedBatchTest, SampleDistributionsMatchUnderEvictRestoreChurn) {

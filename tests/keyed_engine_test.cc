@@ -6,8 +6,8 @@
 // death -> restore is bit-identical to an uninterrupted run (spill blobs
 // compared byte-for-byte); (3) the retained-bytes budget is never
 // exceeded under Zipfian skew; (4) TTL expiry drops idle keys via
-// AdvanceTime; (5) tier promotion, per-key estimators, option
-// validation, and kKeyHash sharded integration.
+// AdvanceTime and a returning key restarts on a fresh sink; (5) per-key
+// estimators, option validation, and kKeyHash sharded integration.
 
 #include <cstdint>
 #include <filesystem>
@@ -207,30 +207,10 @@ TEST(KeyedEngineTest, TtlExpiryDropsIdleKeysViaAdvanceTime) {
   EXPECT_FALSE(engine->HasKey(4));
   EXPECT_FALSE(engine->SampleKey(4).ok());
 
-  // An expired key's next arrival starts over on the tail tier.
+  // An expired key's next arrival starts over on a fresh sink.
   engine->Observe(Item{4, 11, 71});
   EXPECT_TRUE(engine->HasKey(4));
   EXPECT_EQ(engine->stats().live_keys, 2u);
-}
-
-TEST(KeyedEngineTest, PromotionMovesHotKeysToTheExactTier) {
-  KeyedEngineOptions options;
-  options.spec = ParseSinkSpec("bop-seq-single,n=32,seed=4").ValueOrDie();
-  options.hot_spec = ParseSinkSpec("exact-seq,n=32,k=4,seed=4").ValueOrDie();
-  options.promote_after = 10;
-  auto engine = KeyedWindowEngine::Create(options).ValueOrDie();
-
-  for (uint64_t i = 0; i < 50; ++i) {
-    engine->Observe(Item{0, i, static_cast<Timestamp>(i)});  // hot key
-  }
-  for (uint64_t i = 50; i < 55; ++i) {
-    engine->Observe(Item{1, i, static_cast<Timestamp>(i)});  // cold key
-  }
-  EXPECT_EQ(engine->stats().promotions, 1u);
-  // The promoted key answers with the hot tier's k=4 exact sample...
-  EXPECT_EQ(engine->SampleKey(0).ValueOrDie().size(), 4u);
-  // ...the cold key still answers from the single-sample tail tier.
-  EXPECT_EQ(engine->SampleKey(1).ValueOrDie().size(), 1u);
 }
 
 TEST(KeyedEngineTest, EstimatorKindEnginesEstimatePerKey) {
@@ -259,15 +239,9 @@ TEST(KeyedEngineTest, CreateValidatesOptions) {
   EXPECT_FALSE(KeyedWindowEngine::Create(options).ok());
   options.memory_budget_bytes = 0;
 
-  // Unknown tail spec.
+  // Unknown spec.
   KeyedEngineOptions bad = options;
   bad.spec.name = "no-such-sink";
-  EXPECT_FALSE(KeyedWindowEngine::Create(bad).ok());
-
-  // Hot tier of a different kind than the tail tier.
-  bad = options;
-  bad.hot_spec = ParseSinkSpec("ams-fk,t=100,r=8").ValueOrDie();
-  bad.promote_after = 10;
   EXPECT_FALSE(KeyedWindowEngine::Create(bad).ok());
 
   // Sampler-kind engine rejects the estimator surface.
@@ -344,43 +318,36 @@ TEST(KeyedEngineTest, SpillRestoreStormKeepsPerKeyUniformityUnderZipfBursts) {
   EXPECT_TRUE(IsUniform(counts, /*seed=*/29));
 }
 
-TEST(KeyedEngineTest, TtlExpiryRacesPromotion) {
+TEST(KeyedEngineTest, ExpiredKeyRestartsOnAFreshSink) {
   KeyedEngineOptions options;
   options.spec = ParseSinkSpec("bop-ts-single,t=100,seed=8").ValueOrDie();
-  options.hot_spec = ParseSinkSpec("exact-ts,t=100,k=4,seed=8").ValueOrDie();
-  options.promote_after = 10;
   options.idle_ttl = 50;
   auto engine = KeyedWindowEngine::Create(options).ValueOrDie();
 
-  // Key 1 crosses the promotion threshold (the 10th arrival promotes).
   for (uint64_t i = 0; i < 20; ++i) {
     engine->Observe(Item{1, i, static_cast<Timestamp>(i)});
   }
-  EXPECT_EQ(engine->stats().promotions, 1u);
-  EXPECT_EQ(engine->SampleKey(1).ValueOrDie().size(), 4u);
-
-  // Key 2 sits one arrival below the threshold when the clock jumps.
   for (uint64_t i = 20; i < 29; ++i) {
     engine->Observe(Item{2, i, static_cast<Timestamp>(i)});
   }
-  EXPECT_EQ(engine->stats().promotions, 1u);
 
-  // TTL expiry must evict hot-tier and about-to-promote keys alike.
+  // AdvanceTime alone drops both idle keys.
   engine->AdvanceTime(200);
   EXPECT_FALSE(engine->HasKey(1));
   EXPECT_FALSE(engine->HasKey(2));
   EXPECT_EQ(engine->stats().expirations, 2u);
 
-  // The formerly-promoted key restarts on the tail tier and re-earns
-  // promotion from zero: nine arrivals stay k=1, the tenth re-promotes.
+  // Key 1 returns. Its state must be exactly that of an engine that
+  // never saw its first life: fresh seed, local index restarted at 0.
+  auto fresh = KeyedWindowEngine::Create(options).ValueOrDie();
   for (uint64_t i = 0; i < 9; ++i) {
-    engine->Observe(Item{1, 29 + i, static_cast<Timestamp>(201 + i)});
+    const Item item{1, 29 + i, static_cast<Timestamp>(201 + i)};
+    engine->Observe(item);
+    fresh->Observe(item);
   }
-  EXPECT_EQ(engine->stats().promotions, 1u);
-  EXPECT_EQ(engine->SampleKey(1).ValueOrDie().size(), 1u);
-  engine->Observe(Item{1, 38, 210});
-  EXPECT_EQ(engine->stats().promotions, 2u);
-  EXPECT_EQ(engine->SampleKey(1).ValueOrDie().size(), 4u);
+  EXPECT_EQ(engine->SaveKeyState(1).ValueOrDie(),
+            fresh->SaveKeyState(1).ValueOrDie());
+  EXPECT_LT(engine->SampleKey(1).ValueOrDie()[0].index, 9u);
 }
 
 TEST(KeyedEngineTest, ShardedKeyHashDriveOwnsEachKeyInOneEngine) {
