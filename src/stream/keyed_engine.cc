@@ -688,34 +688,54 @@ void KeyedWindowEngine::ObserveBlock(std::span<const Item> block) {
     prev_run = *probe.first;
   }
   now_ = clock;
+  // --- Put the runs in last-arrival order. Each delivery's TouchLru then
+  // leaves the LRU sorted by last_seen, so the block-end TTL sweep, which
+  // stops at the first unexpired key from the tail, misses no expired
+  // key. A key's TTL generations keep their order: an older one ends
+  // before the next one starts. Tails are distinct block positions and
+  // delivery never follows a tail's chain link, so that link can carry
+  // its run id: one branch-free pass over the links lists the runs by
+  // tail, O(block). The slot past the last run absorbs the stores of
+  // non-tail links after the last tail.
+  const size_t run_count = runs_.size();
+  for (uint32_t r = 0; r < run_count; ++r) {
+    demux_next_[runs_[r].tail] = kRunTail | r;
+  }
+  run_order_.resize(run_count + 1);
+  uint32_t* order = run_order_.data();
+  size_t ordered = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t link = demux_next_[i];
+    order[ordered] = link & ~kRunTail;
+    ordered += (link & kRunTail) != 0;
+  }
   // --- Queue disk reads for spilled keys before any delivery work, so
   // the reader thread overlaps the micro-batch deliveries below.
   PrefetchSpilledRuns();
-  // --- Deliver each key's micro-batch in first-arrival order, with a
-  // staged software prefetch over the run list. Each delivery chases
-  // three dependent cache lines (directory slot -> KeyEntry -> sink), and
-  // at 1e5+ live keys all three miss; the run list knows every upcoming
+  // --- Deliver each key's micro-batch in that order, with a staged
+  // software prefetch over the run list. Each delivery chases three
+  // dependent cache lines (directory slot -> KeyEntry -> sink), and at
+  // 1e5+ live keys all three miss; the run list knows every upcoming
   // key, so the slot is prefetched 8 runs ahead, the entry 4 ahead (the
   // Find re-probe hits the slot line fetched at distance 8), and the
   // sink object 2 ahead. Re-probing instead of caching slot pointers
   // keeps this safe across deliveries that grow the directory.
-  const size_t run_count = runs_.size();
   block_creates_ = 0;
   for (size_t i = 0; i < run_count; ++i) {
 #ifndef SWSAMPLE_NO_STAGED_PREFETCH
-    if (i + 8 < run_count) directory_.Prefetch(runs_[i + 8].key);
+    if (i + 8 < run_count) directory_.Prefetch(runs_[order[i + 8]].key);
     if (i + 4 < run_count) {
-      KeyEntry** slot = directory_.Find(runs_[i + 4].key);
+      KeyEntry** slot = directory_.Find(runs_[order[i + 4]].key);
       if (slot != nullptr) __builtin_prefetch(*slot);
     }
     if (i + 2 < run_count) {
-      KeyEntry** slot = directory_.Find(runs_[i + 2].key);
+      KeyEntry** slot = directory_.Find(runs_[order[i + 2]].key);
       if (slot != nullptr && *slot != nullptr) {
         __builtin_prefetch((*slot)->sink.sink.get());
       }
     }
 #endif
-    ProcessRun(block, runs_[i]);
+    ProcessRun(block, runs_[order[i]]);
   }
   // --- Per-block bookkeeping item-wise Observe does per item.
   ExpireIdle();
@@ -919,7 +939,9 @@ uint64_t KeyedWindowEngine::ScratchBytes() const {
   const uint64_t live = directory_.Size() * sizeof(KeyEntry);
   return demux_capacity_ * (sizeof(uint32_t) + sizeof(Item)) +
          run_index_.ReservedBytes() +
-         runs_.capacity() * sizeof(KeyRun) + (pool > live ? pool - live : 0);
+         runs_.capacity() * sizeof(KeyRun) +
+         run_order_.capacity() * sizeof(uint32_t) +
+         (pool > live ? pool - live : 0);
 }
 
 uint64_t KeyedWindowEngine::MemoryWords() const {

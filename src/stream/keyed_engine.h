@@ -300,6 +300,9 @@ class KeyedWindowEngine final : public StreamSink {
   static constexpr uint32_t kDemuxBackoffBlocks = 15;
   static constexpr uint32_t kDemuxBackoffMax = 255;
   static constexpr uint32_t kNoIndex = 0xffffffffu;
+  /// Flags a run's tail link in `demux_next_`; the low bits hold the run
+  /// id (see ObserveBlock). Block positions never reach this bit.
+  static constexpr uint32_t kRunTail = 0x80000000u;
   /// While degraded, the engine re-probes the spill dir (a small write +
   /// unlink through the same failpoint site as real spills) every this
   /// many delivered items; success moves it to kRecovering.
@@ -412,6 +415,8 @@ class KeyedWindowEngine final : public StreamSink {
   UninitArray<Item> demux_staging_;
   uint32_t demux_capacity_ = 0;
   std::vector<KeyRun> runs_;
+  /// Delivery order: run ids sorted by tail (last arrival).
+  std::vector<uint32_t> run_order_;
   FlatMap<uint64_t, uint32_t> run_index_;
   /// Adaptive fallback: item-wise blocks left before re-probing the
   /// demux, the next window length (doubles on consecutive triggers),

@@ -9,7 +9,10 @@
 #       estimator, sharded chunks, sharded keyhash estimator);
 #   (3) a resume whose shard count, kind or registry name differs from the
 #       checkpoint exits 2, on the single-threaded and the sharded driver;
-#   (4) --threads=0 and malformed <window> <k> positionals exit 2.
+#   (4) --threads=0, unknown flags and malformed <window> <k>
+#       positionals exit 2;
+#   (5) keyed TTL expiry keeps the same keys with per-item (--batch=0)
+#       and batched delivery.
 #
 # usage: cli_test.sh <path to stream_sampler_cli>
 
@@ -134,6 +137,22 @@ for positionals in "1e6 4" "12abc 4" "0 4" "1000 -1"; do
   expect_exit 2 "positionals '$positionals'" --algo=bop-seq-swor \
     --file=seq.txt $positionals
 done
+expect_exit 2 "--key-strict-budget" --algo=bop-ts-single --keys \
+  --file=ts.txt --key-strict-budget 100 1
+
+# (5) When key 1 returns at t=100, key 2 has been idle 97 > 50 units and
+# is dropped, whether items arrive one by one or in a micro-batch that
+# also holds key 2's earlier items. retained= also counts the batch
+# path's demux scratch, so it is cut from the comparison.
+printf '1 1\n2 2\n3 2\n100 1\n120 3\n' > ttl.txt
+for batch in "--batch=0" ""; do
+  # shellcheck disable=SC2086
+  "$CLI" --sink=bop-ts-single,t=1000 --keys --key-ttl=50 $batch \
+    --file=ttl.txt 2> /dev/null | grep '^events=' \
+    | sed 's/ retained=.*//' > "ttl$batch.events" \
+    || fail "keyed TTL $batch: run failed"
+done
+expect_same "keyed TTL: --batch=0 vs batched" ttl--batch=0.events ttl.events
 
 if [ "$failures" -ne 0 ]; then
   echo "cli_test: $failures failure(s)" >&2

@@ -22,6 +22,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -173,6 +174,34 @@ TEST(KeyedBatchTest, TtlGenerationSplitsLandExactlyWhereItemWiseDrops) {
     ExpectSameKeyStates(item_engine.get(), batch_engine.get(),
                         KeysOf(stream));
   }
+}
+
+TEST(KeyedBatchTest, BlockEndSweepDropsKeysBehindAFresherFirstArrival) {
+  // Key 1 arrives first and last in the block, so a micro-batch order by
+  // first arrival would leave it, fresh, at the LRU tail with the expired
+  // key 2 in front of it, and the tail-first sweep would stop at key 1.
+  KeyedEngineOptions options;
+  options.spec = ParseSinkSpec("bop-ts-single,t=1000,seed=5").ValueOrDie();
+  options.idle_ttl = 50;
+  const std::vector<Item> stream = {
+      {1, 0, 1}, {2, 1, 2}, {2, 2, 3}, {1, 3, 100}, {3, 4, 120}};
+  auto item_engine = MakeEngine(options);
+  DriveItemWise(item_engine.get(), stream);
+  auto batch_engine = MakeEngine(options);
+  DriveBatched(batch_engine.get(), stream, 0);
+
+  EXPECT_FALSE(item_engine->HasKey(2));
+  for (uint64_t key : {1, 2, 3}) {
+    EXPECT_EQ(batch_engine->HasKey(key), item_engine->HasKey(key))
+        << "key " << key;
+  }
+  std::vector<uint64_t> item_keys = item_engine->LiveKeys();
+  std::vector<uint64_t> batch_keys = batch_engine->LiveKeys();
+  std::sort(item_keys.begin(), item_keys.end());
+  std::sort(batch_keys.begin(), batch_keys.end());
+  EXPECT_EQ(batch_keys, item_keys);
+  EXPECT_EQ(batch_engine->stats().expirations,
+            item_engine->stats().expirations);
 }
 
 TEST(KeyedBatchTest, BudgetedBatchedMatchesUnbudgetedStateExactly) {
