@@ -140,17 +140,14 @@ void TsSingleSampler::ObserveDelayedBatchWithCoins(std::span<const Item> items,
         continue;
       }
     }
-    // Expiry boundary (or empty structure): advance the clock once for the
-    // whole run of identical clock timestamps, then insert the run.
-    // Mid-run Restructures would be no-ops: after the first insert at this
-    // clock the structure is either empty (pre-expired delayed element,
-    // skipped) or headed by an active element.
-    const Timestamp ts = items[m].timestamp;
-    AdvanceTime(ts);
-    do {
-      InsertWithCoins(items[m - delay], coins);
-      ++m;
-    } while (m < n && items[m].timestamp == ts);
+    // Expiry boundary (or empty structure): advance the clock, insert one
+    // item, and go back to the horizon loop. After that insert the
+    // structure is either empty (pre-expired delayed element, skipped) or
+    // headed by an active element, so the rest of a same-timestamp run
+    // takes the append stretch above instead of one Incr per item.
+    AdvanceTime(items[m].timestamp);
+    InsertWithCoins(items[m - delay], coins);
+    ++m;
   }
 }
 

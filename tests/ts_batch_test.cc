@@ -29,8 +29,6 @@ namespace swsample {
 namespace {
 
 constexpr Timestamp kT0 = 10;
-constexpr uint64_t kActive = 16;       // items with ts > 30 - kT0
-constexpr uint64_t kActiveStart = 48;  // index of the first active item
 
 // 64 items; exactly the last 16 (ts > 20) are active at the final clock
 // value 30. Runs of 20 at ts=0 and ts=7 exceed the batch-append cutover;
@@ -51,16 +49,41 @@ std::vector<Item> MakeTsStream() {
   }
   return items;
 }
+constexpr uint64_t kActiveStart = 48;  // items with ts > 30 - kT0
 
-// Per-active-position sample counts over many trials; batch == 0 means
+// Three windows, each opened after an idle gap longer than kT0 by a
+// same-timestamp run of at least the batch-append cutover (16), then a
+// few spaced items. The first insert of each run hits the expiry
+// boundary; the rest of the run must take the append stretch. At the
+// final clock 68 exactly the last window (ts > 58) is active.
+std::vector<Item> MakeGapStream() {
+  std::vector<Timestamp> ts;
+  ts.insert(ts.end(), 20, 0);
+  ts.insert(ts.end(), {2, 5, 8});
+  ts.insert(ts.end(), 18, 30);
+  ts.insert(ts.end(), {33, 36});
+  ts.insert(ts.end(), 24, 60);
+  ts.insert(ts.end(), {62, 64, 66, 68});
+  std::vector<Item> items;
+  items.reserve(ts.size());
+  for (uint64_t i = 0; i < ts.size(); ++i) {
+    items.push_back(Item{i, i, ts[i]});
+  }
+  return items;
+}
+constexpr uint64_t kGapActiveStart = 43;  // items with ts > 68 - kT0
+
+// Per-active-position sample counts over many trials on `items`, whose
+// active window is every item from `active_start` on; batch == 0 means
 // item-by-item Observe. Counts every returned sample, so it works for
 // k > 1 without-replacement samples too (each position is then included
-// with probability k / kActive, still uniform across positions).
+// with probability k / active, still uniform across positions).
 std::vector<uint64_t> TsPositionCounts(const char* name, uint64_t k,
                                        uint64_t batch, int trials,
-                                       uint64_t seed) {
-  const std::vector<Item> items = MakeTsStream();
-  std::vector<uint64_t> counts(kActive, 0);
+                                       uint64_t seed,
+                                       const std::vector<Item>& items,
+                                       uint64_t active_start) {
+  std::vector<uint64_t> counts(items.size() - active_start, 0);
   for (int t = 0; t < trials; ++t) {
     SamplerConfig config;
     config.window_t = kT0;
@@ -76,12 +99,19 @@ std::vector<uint64_t> TsPositionCounts(const char* name, uint64_t k,
       }
     }
     for (const Item& sample : sampler->Sample()) {
-      EXPECT_GE(sample.index, kActiveStart) << name << " sampled expired item";
-      if (sample.index < kActiveStart) continue;
-      ++counts[sample.index - kActiveStart];
+      EXPECT_GE(sample.index, active_start) << name << " sampled expired item";
+      if (sample.index < active_start) continue;
+      ++counts[sample.index - active_start];
     }
   }
   return counts;
+}
+
+std::vector<uint64_t> TsPositionCounts(const char* name, uint64_t k,
+                                       uint64_t batch, int trials,
+                                       uint64_t seed) {
+  return TsPositionCounts(name, k, batch, trials, seed, MakeTsStream(),
+                          kActiveStart);
 }
 
 void CheckBatchedUniform(const char* name, uint64_t batch) {
@@ -128,6 +158,28 @@ TEST(TsBatchTest, SworMultiSampleBatchMatchesObserve) {
                                     trials, /*seed=*/10000);
   EXPECT_TRUE(SameDistribution(batched, unbatched, /*seed=*/8000));
   EXPECT_TRUE(IsUniform(batched, /*seed=*/8000));
+}
+
+// Every window opens at the expiry boundary with a long same-timestamp
+// run: one item is inserted there and the rest of the run is appended
+// with ExtendRun, which must keep the batched distribution uniform and
+// equal to the item path's.
+TEST(TsBatchTest, RunOpeningEachWindowAfterAnIdleGapMatchesObserve) {
+  const std::vector<Item> items = MakeGapStream();
+  const int trials = 30000;
+  for (const char* name : {"bop-ts-single", "bop-ts-swr", "bop-ts-swor"}) {
+    for (uint64_t batch : {uint64_t{17}, uint64_t{items.size()}}) {
+      auto batched = TsPositionCounts(name, /*k=*/1, batch, trials,
+                                      /*seed=*/12000, items, kGapActiveStart);
+      auto unbatched = TsPositionCounts(name, /*k=*/1, /*batch=*/0, trials,
+                                        /*seed=*/14000, items,
+                                        kGapActiveStart);
+      EXPECT_TRUE(SameDistribution(batched, unbatched, /*seed=*/12000))
+          << name << " batch=" << batch;
+      EXPECT_TRUE(IsUniform(batched, /*seed=*/12000))
+          << name << " batch=" << batch;
+    }
+  }
 }
 
 }  // namespace
