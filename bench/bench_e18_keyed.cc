@@ -20,6 +20,8 @@
 //    covering-churn stress through the keyed demux (runs are long
 //    same-key plateaus, the demux best case; churn value cycling is
 //    its worst case).
+//  * horizon row — few keys, each opening every window with one long
+//    run right after its sink's expiry boundary.
 //  * budget rows ("budget/zipf/1eK") — hard ChargedBytes budget with a
 //    spill directory; evictions and restores are the measured path.
 //    `budget_exceeded` is 0 when ChargedBytes() stayed under the budget
@@ -155,6 +157,20 @@ void PrintRow(const std::string& row, uint64_t keys, uint64_t items,
        U(r.stats.live_keys), U(r.stats.evictions), U(r.stats.restores)});
 }
 
+// Prints and reports an unbudgeted throughput row.
+void ReportThroughputRow(const std::string& row, uint64_t keys,
+                         uint64_t items, bool gated, const RowResult& r) {
+  PrintRow(row, keys, items, r);
+  BenchReporter::Global().Report(
+      "e18", row,
+      {{"gated", gated ? 1.0 : 0.0},
+       {"items_per_sec_item", r.item_per_sec},
+       {"items_per_sec_batch16k", r.batch_per_sec},
+       {"speedup_batch16k", r.speedup},
+       {"bytes_per_key", r.bytes_per_key},
+       {"live_keys", static_cast<double>(r.stats.live_keys)}});
+}
+
 }  // namespace
 
 int main() {
@@ -210,15 +226,7 @@ int main() {
       const std::string row = std::string(dist) + "/" + config.label;
       const RowResult r =
           RunRow(options, workload, config.items, config.gated ? 2 : 1);
-      PrintRow(row, config.keys, config.items, r);
-      BenchReporter::Global().Report(
-          "e18", row,
-          {{"gated", config.gated ? 1.0 : 0.0},
-           {"items_per_sec_item", r.item_per_sec},
-           {"items_per_sec_batch16k", r.batch_per_sec},
-           {"speedup_batch16k", r.speedup},
-           {"bytes_per_key", r.bytes_per_key},
-           {"live_keys", static_cast<double>(r.stats.live_keys)}});
+      ReportThroughputRow(row, config.keys, config.items, config.gated, r);
     }
   }
 
@@ -253,15 +261,24 @@ int main() {
     options.max_keys_hint = std::min<uint64_t>(config.keys, 1 << 17);
     const RowResult r =
         RunRow(options, config.workload, config.items, config.gated ? 2 : 1);
-    PrintRow(config.row, config.keys, config.items, r);
-    BenchReporter::Global().Report(
-        "e18", config.row,
-        {{"gated", config.gated ? 1.0 : 0.0},
-         {"items_per_sec_item", r.item_per_sec},
-         {"items_per_sec_batch16k", r.batch_per_sec},
-         {"speedup_batch16k", r.speedup},
-         {"bytes_per_key", r.bytes_per_key},
-         {"live_keys", static_cast<double>(r.stats.live_keys)}});
+    ReportThroughputRow(config.row, config.keys, config.items, config.gated,
+                        r);
+  }
+
+  // --- Horizon row: values cycle through 0..99999 at 100 items per step
+  // and key = value >> 10, so each of 98 keys gets one 1,024-item run per
+  // 1,000-step window (t=1000, bop-ts-swr k=16). Every run opens at its
+  // sinks' expiry boundary after a window-long idle gap, the case where
+  // the batch path once fell back to one merge per item.
+  {
+    const uint64_t kItems = 1000000;
+    KeyedEngineOptions options;
+    options.spec =
+        ParseSinkSpec("bop-ts-swr,t=1000,k=16,seed=7").ValueOrDie();
+    options.key_shift = 10;
+    const RowResult r =
+        RunRow(options, "constant@seq,rate=100,domain=100000", kItems, 2);
+    ReportThroughputRow("horizon", 98, kItems, /*gated=*/true, r);
   }
 
   // --- Budget rows: a hard ChargedBytes() ceiling with spill/restore

@@ -398,9 +398,9 @@ Result<std::string> KeyedWindowEngine::EncodeSpill(
   spec.seed = KeySeed(entry.key);
   auto envelope = SaveSink(*entry.sink.sink, spec);
   if (!envelope.ok()) return envelope.status();
-  // Layout version 1 kept a tier slot and a lifetime-arrivals slot; with
-  // one sink per key they always hold 0 and local_index, and are still
-  // written so existing spill directories stay loadable.
+  // Layout version 1 has a tier slot and an arrivals slot. With one sink
+  // per key they hold 0 and local_index; writing them keeps the layout,
+  // so existing spill directories still load (RestoreEntry checks both).
   BinaryWriter w;
   w.PutU64(kSpillMagic);
   w.PutU64(kSpillVersion);
