@@ -41,26 +41,25 @@
 /// keys cost no per-arrival work.
 ///
 /// Batched ingestion: ObserveBatch demultiplexes each incoming batch in
-/// 16384-item blocks — ONE scan detects same-key runs and scatter/
-/// gathers the rest into per-key index chains in engine-owned scratch,
-/// then each key's items are delivered as one micro-batch through the
-/// per-key sink's own ObserveBatch (the samplers' closed-form fast paths).
-/// Charging, LRU touch, TTL sweep and budget enforcement run once per
-/// micro-batch / block instead of once per item. Item-wise Observe and
-/// the micro-batches resolve their key through the same step, which
-/// expires the key first when it sat idle past the TTL before the
-/// arrival. The scan tracks the clock prefix-max, so a key that expires
-/// mid-block is split into TTL generations and every key's last_seen is
-/// the clock at its last arrival. Micro-batches are delivered in
-/// last-arrival order, so the LRU stays sorted by last_seen and the
-/// block-end TTL sweep drops exactly the keys an item-wise sweep would
-/// have dropped by then. The memory budget holds at micro-batch
-/// boundaries; item-wise Observe holds it after every item. Evictions triggered within a block are grouped into one spill
-/// pass with a single directory fsync (SpillBatch), and spilled keys
-/// touched by a block are prefetched by a background reader thread that
-/// only reads file bytes — decode and adoption stay on the ingest thread
-/// at the key's delivery point, keeping restores bit-identical to the
-/// synchronous path.
+/// 16384-item blocks — ONE scan detects same-key runs and scatter/gathers
+/// the rest into per-key index chains in engine-owned scratch, then each
+/// key's items are delivered as one micro-batch through the per-key sink's
+/// own ObserveBatch (the samplers' closed-form fast paths). Charging, LRU
+/// touch, TTL sweep and budget enforcement run once per micro-batch / block
+/// instead of once per item. Item-wise Observe and the micro-batches
+/// resolve their key through the same step, which expires the key first
+/// when it sat idle past the TTL before the arrival. The scan tracks the
+/// clock prefix-max, so a key that expires mid-block is split into TTL
+/// generations and every key's last_seen is the clock at its last arrival.
+/// Micro-batches are delivered in last-arrival order, so the LRU stays
+/// sorted by last_seen and the block-end TTL sweep drops exactly the keys
+/// an item-wise sweep would have dropped by then. The memory budget holds
+/// at micro-batch boundaries; item-wise Observe holds it after every item.
+/// Evictions triggered within a block are grouped into one spill pass with
+/// a single directory fsync (SpillBatch), and spilled keys touched by a
+/// block are prefetched by a background reader thread that only reads file
+/// bytes — decode and adoption stay on the ingest thread at the key's
+/// delivery point, keeping restores bit-identical to the synchronous path.
 ///
 /// The demux only pays off when micro-batches amortize the per-key
 /// resolve, so ObserveBatch is adaptive: a block whose scan yields

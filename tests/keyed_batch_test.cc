@@ -4,10 +4,10 @@
 // path (stream/keyed_engine.h ObserveBatch): the key-run scan, per-key
 // micro-batch delivery, TTL generation splits and end-of-block expiry,
 // batched SpillBatch evictions and the async restore lane must all
-// reproduce the per-item Observe() semantics. The strong form checked here is BYTE
-// IDENTITY of every key's SaveKeyState blob (envelope + metadata — RNG
-// state, window contents and local index all included). Byte identity
-// between item-wise and batched DELIVERY needs sinks whose own
+// reproduce the per-item Observe() semantics. The strong form checked
+// here is BYTE IDENTITY of every key's SaveKeyState blob (envelope +
+// metadata — RNG state, window contents and local index all included).
+// Byte identity between item-wise and batched DELIVERY needs sinks whose own
 // ObserveBatch is bit-identical to their Observe loop (exact-seq,
 // bdm-priority, gl-bounded-priority); the bop samplers' batch fast paths
 // are distributionally-but-not-bit identical by design (core/ts_single.h),
