@@ -99,7 +99,6 @@
 // incompatible with checkpointing — the engine's own spill files are its
 // persistence story.
 
-#include <cerrno>
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
@@ -107,6 +106,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -120,6 +120,7 @@
 #include "stream/sharded_driver.h"
 #include "stream/workload.h"
 #include "util/failpoint.h"
+#include "util/spec_text.h"
 
 using namespace swsample;
 
@@ -550,42 +551,18 @@ void PrintFailpointReport() {
   }
 }
 
-// Parses a non-negative integer flag value; false on garbage, sign, or
-// trailing characters.
-bool ParseU64(const char* s, uint64_t* out) {
-  if (s == nullptr || *s == '\0' || *s == '-' || *s == '+') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  *out = static_cast<uint64_t>(v);
-  return true;
-}
-
-bool ParseDouble(const char* s, double* out) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s, &end);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 // Parses a byte count with an optional K/M/G (binary) suffix: "64M".
-bool ParseBytes(const char* s, uint64_t* out) {
-  if (s == nullptr || *s == '\0' || *s == '-' || *s == '+') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s) return false;
+// False on a malformed count or one that overflows 2^64-1 once scaled.
+bool ParseBytes(std::string_view s, uint64_t* out) {
   uint64_t shift = 0;
-  if (*end == 'K' || *end == 'k') shift = 10;
-  else if (*end == 'M' || *end == 'm') shift = 20;
-  else if (*end == 'G' || *end == 'g') shift = 30;
-  if (shift > 0) ++end;
-  if (*end != '\0') return false;
-  *out = static_cast<uint64_t>(v) << shift;
+  const char suffix = s.empty() ? '\0' : s.back();
+  if (suffix == 'K' || suffix == 'k') shift = 10;
+  else if (suffix == 'M' || suffix == 'm') shift = 20;
+  else if (suffix == 'G' || suffix == 'g') shift = 30;
+  if (shift > 0) s.remove_suffix(1);
+  uint64_t v = 0;
+  if (!ParseUnsigned(s, &v) || v > (UINT64_MAX >> shift)) return false;
+  *out = v << shift;
   return true;
 }
 
@@ -648,7 +625,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strncmp(arg, "--key-ttl=", 10) == 0) {
-      if (!ParseU64(arg + 10, &key_ttl)) {
+      if (!ParseUnsigned(arg + 10, &key_ttl)) {
         std::fprintf(stderr,
                      "error: --key-ttl expects a non-negative integer, got "
                      "\"%s\"\n",
@@ -701,7 +678,7 @@ int main(int argc, char** argv) {
       u64_flag = &vertices;
       u64_value = arg + 11;
     } else if (std::strncmp(arg, "--q=", 4) == 0) {
-      if (!ParseDouble(arg + 4, &spec.q)) {
+      if (!ParseFiniteDouble(arg + 4, &spec.q)) {
         std::fprintf(stderr, "error: --q requires a number, got \"%s\"\n",
                      arg + 4);
         return 2;
@@ -740,7 +717,7 @@ int main(int argc, char** argv) {
     } else {
       positional.push_back(arg);
     }
-    if (u64_flag != nullptr && !ParseU64(u64_value, u64_flag)) {
+    if (u64_flag != nullptr && !ParseUnsigned(u64_value, u64_flag)) {
       std::fprintf(stderr,
                    "error: %.*s expects a non-negative integer, got \"%s\"\n",
                    static_cast<int>(u64_value - arg - 1), arg, u64_value);
@@ -788,7 +765,7 @@ int main(int argc, char** argv) {
     const char* const names[] = {"<window>", "<k>"};
     uint64_t* const values[] = {&window, &k};
     for (int i = 0; i < 2; ++i) {
-      if (!ParseU64(positional[i], values[i]) || *values[i] < 1 ||
+      if (!ParseUnsigned(positional[i], values[i]) || *values[i] < 1 ||
           *values[i] > static_cast<uint64_t>(INT64_MAX)) {
         std::fprintf(stderr,
                      "error: %s expects a positive integer, got \"%s\"\n",

@@ -39,6 +39,7 @@ namespace swsample {
 struct BiasLevel {
   uint64_t window;  ///< window length n_j (must be strictly increasing)
   double weight;    ///< probability mass of this level (> 0)
+  friend bool operator==(const BiasLevel&, const BiasLevel&) = default;
 };
 
 /// Step-biased sampler over nested fixed-size windows.

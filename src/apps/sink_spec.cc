@@ -2,89 +2,69 @@
 
 #include "apps/sink_spec.h"
 
-#include <cerrno>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
 
 #include "apps/estimator_checkpoint.h"
 #include "core/checkpoint.h"
 #include "util/rng.h"
 #include "util/serial.h"
+#include "util/spec_text.h"
 
 namespace swsample {
 
-namespace {
-
-/// Parses a full unsigned decimal token; false on garbage or overflow.
-bool ParseU64Token(std::string_view token, uint64_t* out) {
-  if (token.empty()) return false;
-  std::string buf(token);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = static_cast<uint64_t>(v);
-  return true;
-}
-
-/// Parses a full floating-point token; false on garbage.
-bool ParseDoubleToken(std::string_view token, double* out) {
-  if (token.empty()) return false;
-  std::string buf(token);
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
-}
-
-Status BadSpec(std::string_view text, const std::string& why) {
-  return Status::InvalidArgument("sink spec \"" + std::string(text) +
-                                 "\": " + why);
-}
-
-/// Renders a double with enough digits to round-trip, trimming the
-/// trailing zeros "%.17g" would keep for simple values like 0.5.
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  double back = 0.0;
-  if (ParseDoubleToken(buf, &back) && back == v) {
-    // Try shorter renderings first for readable canonical strings.
-    for (int prec = 1; prec <= 16; ++prec) {
-      char shorter[64];
-      std::snprintf(shorter, sizeof shorter, "%.*g", prec, v);
-      if (ParseDoubleToken(shorter, &back) && back == v) {
-        return shorter;
-      }
-    }
-  }
-  return buf;
-}
-
-/// Parses `window:weight[+window:weight]...` into bias levels.
-bool ParseBiasLevels(std::string_view value, std::vector<BiasLevel>* out) {
+/// The `bias=window:weight[+window:weight]...` field. These overloads
+/// sit in namespace swsample so the spec_text field templates find them.
+static bool ParseSpecValue(std::string_view value,
+                           std::vector<BiasLevel>* out) {
   out->clear();
   while (!value.empty()) {
-    const size_t plus = value.find('+');
-    std::string_view level_text =
-        plus == std::string_view::npos ? value : value.substr(0, plus);
-    value = plus == std::string_view::npos ? std::string_view()
-                                           : value.substr(plus + 1);
+    const size_t plus = std::min(value.find('+'), value.size());
+    const std::string_view level_text = value.substr(0, plus);
+    value = value.substr(std::min(plus + 1, value.size()));
     const size_t colon = level_text.find(':');
     if (colon == std::string_view::npos) return false;
     BiasLevel level{};
-    if (!ParseU64Token(level_text.substr(0, colon), &level.window) ||
-        !ParseDoubleToken(level_text.substr(colon + 1), &level.weight)) {
+    if (!ParseUnsigned(level_text.substr(0, colon), &level.window) ||
+        !ParseFiniteDouble(level_text.substr(colon + 1), &level.weight)) {
       return false;
     }
     out->push_back(level);
   }
   return !out->empty();
 }
+
+static std::string FormatSpecValue(const std::vector<BiasLevel>& levels) {
+  std::string out;
+  for (const BiasLevel& level : levels) {
+    if (!out.empty()) out += "+";
+    // '+' separates levels, so a weight's exponent is written "1e03".
+    std::string weight = FormatDouble(level.weight);
+    std::erase(weight, '+');
+    out += std::to_string(level.window) + ":" + weight;
+  }
+  return out;
+}
+
+namespace {
+
+constexpr char kWhat[] = "sink spec";
+
+/// The key=value fields of a SinkSpec in canonical order: ParseSinkSpec
+/// and FormatSinkSpec both walk this table.
+const auto ForEachSinkField = [](auto visit) {
+  visit("n", &SinkSpec::window_n);
+  visit("t", &SinkSpec::window_t);
+  visit("k", &SinkSpec::k);
+  visit("r", &SinkSpec::r);
+  visit("seed", &SinkSpec::seed);
+  visit("moment", &SinkSpec::moment);
+  visit("vertices", &SinkSpec::num_vertices);
+  visit("eps", &SinkSpec::count_eps);
+  visit("q", &SinkSpec::q);
+  visit("oversample", &SinkSpec::oversample_factor);
+  visit("wr", &SinkSpec::with_replacement);
+  visit("bias", &SinkSpec::bias_levels);
+};
 
 }  // namespace
 
@@ -114,131 +94,29 @@ Result<WindowModel> SinkWindowModel(const SinkSpec& spec) {
 }
 
 Result<SinkSpec> ParseSinkSpec(std::string_view text) {
+  auto parts = SplitSpec(kWhat, text);
+  if (!parts.ok()) return parts.status();
   SinkSpec spec;
-  std::string_view rest = text;
-  const size_t comma = rest.find(',');
-  std::string_view head =
-      comma == std::string_view::npos ? rest : rest.substr(0, comma);
-  rest = comma == std::string_view::npos ? std::string_view()
-                                         : rest.substr(comma + 1);
-  const size_t at = head.find('@');
-  if (at == std::string_view::npos) {
-    spec.name = std::string(head);
-  } else {
-    spec.name = std::string(head.substr(0, at));
-    spec.substrate = std::string(head.substr(at + 1));
-    if (spec.substrate.empty()) {
-      return BadSpec(text, "empty substrate after '@'");
-    }
+  spec.name = std::string(parts.value().name);
+  spec.substrate = std::string(parts.value().sub);
+  if (parts.value().has_sub && spec.substrate.empty()) {
+    return BadSpec(kWhat, text, "empty substrate after '@'");
   }
   auto kind = SinkKindOf(spec.name);
   if (!kind.ok()) return kind.status();
   if (kind.value() == SinkKind::kSampler && !spec.substrate.empty()) {
-    return BadSpec(text, "samplers take no '@substrate'");
+    return BadSpec(kWhat, text, "samplers take no '@substrate'");
   }
-
-  while (!rest.empty()) {
-    const size_t next = rest.find(',');
-    std::string_view pair =
-        next == std::string_view::npos ? rest : rest.substr(0, next);
-    rest = next == std::string_view::npos ? std::string_view()
-                                          : rest.substr(next + 1);
-    const size_t eq = pair.find('=');
-    if (eq == std::string_view::npos) {
-      return BadSpec(text, "expected key=value, got \"" + std::string(pair) +
-                               "\"");
-    }
-    const std::string_view key = pair.substr(0, eq);
-    const std::string_view value = pair.substr(eq + 1);
-    uint64_t u64 = 0;
-    double f64 = 0.0;
-    bool ok = true;
-    if (key == "n") {
-      ok = ParseU64Token(value, &spec.window_n);
-    } else if (key == "t") {
-      ok = ParseU64Token(value, &u64);
-      spec.window_t = static_cast<Timestamp>(u64);
-    } else if (key == "k") {
-      ok = ParseU64Token(value, &spec.k);
-    } else if (key == "r") {
-      ok = ParseU64Token(value, &spec.r);
-    } else if (key == "seed") {
-      ok = ParseU64Token(value, &spec.seed);
-    } else if (key == "moment") {
-      ok = ParseU64Token(value, &u64) && u64 <= UINT32_MAX;
-      spec.moment = static_cast<uint32_t>(u64);
-    } else if (key == "vertices") {
-      ok = ParseU64Token(value, &u64) && u64 <= UINT32_MAX;
-      spec.num_vertices = static_cast<uint32_t>(u64);
-    } else if (key == "eps") {
-      ok = ParseDoubleToken(value, &f64);
-      spec.count_eps = f64;
-    } else if (key == "q") {
-      ok = ParseDoubleToken(value, &f64);
-      spec.q = f64;
-    } else if (key == "oversample") {
-      ok = ParseU64Token(value, &spec.oversample_factor);
-    } else if (key == "wr") {
-      ok = ParseU64Token(value, &u64) && u64 <= 1;
-      spec.with_replacement = u64 != 0;
-    } else if (key == "bias") {
-      ok = ParseBiasLevels(value, &spec.bias_levels);
-    } else {
-      return BadSpec(text, "unknown key \"" + std::string(key) +
-                               "\"; recognized: n, t, k, r, seed, moment, "
-                               "vertices, eps, q, oversample, wr, bias");
-    }
-    if (!ok) {
-      return BadSpec(text, "invalid value \"" + std::string(value) +
-                               "\" for key \"" + std::string(key) + "\"");
-    }
-  }
+  Status fields =
+      ParseSpecFields(kWhat, text, parts.value(), ForEachSinkField, &spec);
+  if (!fields.ok()) return fields;
   return spec;
 }
 
 std::string FormatSinkSpec(const SinkSpec& spec) {
-  const SinkSpec defaults;
   std::string out = spec.name;
-  if (!spec.substrate.empty()) {
-    out += "@";
-    out += spec.substrate;
-  }
-  char buf[64];
-  auto put_u64 = [&](const char* key, uint64_t v) {
-    std::snprintf(buf, sizeof buf, ",%s=%" PRIu64, key, v);
-    out += buf;
-  };
-  if (spec.window_n != defaults.window_n) put_u64("n", spec.window_n);
-  if (spec.window_t != defaults.window_t) {
-    put_u64("t", static_cast<uint64_t>(spec.window_t));
-  }
-  if (spec.k != defaults.k) put_u64("k", spec.k);
-  if (spec.r != defaults.r) put_u64("r", spec.r);
-  if (spec.seed != defaults.seed) put_u64("seed", spec.seed);
-  if (spec.moment != defaults.moment) put_u64("moment", spec.moment);
-  if (spec.num_vertices != defaults.num_vertices) {
-    put_u64("vertices", spec.num_vertices);
-  }
-  if (spec.count_eps != defaults.count_eps) {
-    out += ",eps=" + FormatDouble(spec.count_eps);
-  }
-  if (spec.q != defaults.q) out += ",q=" + FormatDouble(spec.q);
-  if (spec.oversample_factor != defaults.oversample_factor) {
-    put_u64("oversample", spec.oversample_factor);
-  }
-  if (spec.with_replacement != defaults.with_replacement) {
-    put_u64("wr", spec.with_replacement ? 1 : 0);
-  }
-  if (!spec.bias_levels.empty()) {
-    out += ",bias=";
-    for (size_t i = 0; i < spec.bias_levels.size(); ++i) {
-      if (i > 0) out += "+";
-      std::snprintf(buf, sizeof buf, "%" PRIu64 ":",
-                    spec.bias_levels[i].window);
-      out += buf;
-      out += FormatDouble(spec.bias_levels[i].weight);
-    }
-  }
+  if (!spec.substrate.empty()) out += "@" + spec.substrate;
+  FormatSpecFields(spec, ForEachSinkField, &out);
   return out;
 }
 

@@ -23,8 +23,10 @@
 /// Recognized keys: n (sequence window), t (timestamp window), k (sampler
 /// sample count), r (estimator unit count), seed, oversample, wr (0/1,
 /// exact-oracle replacement mode), moment, vertices, eps, q, and
-/// bias=window:weight[+window:weight]... . Unknown names and keys are
-/// InvalidArgument with the registered/recognized set in the message.
+/// bias=window:weight[+window:weight]... . Integer values are unsigned
+/// decimal digits and float values finite decimals (util/spec_text.h);
+/// anything else, and unknown names and keys, are InvalidArgument, the
+/// latter with the registered/recognized set in the message.
 /// FormatSinkSpec renders the canonical string (defaults omitted) and
 /// round-trips through ParseSinkSpec.
 ///
@@ -101,6 +103,7 @@ struct SinkSpec {
   uint64_t oversample_factor = 3;
   /// Sampling mode of the exact-window oracles.
   bool with_replacement = true;
+  friend bool operator==(const SinkSpec&, const SinkSpec&) = default;
 };
 
 /// A constructed sink with its typed views: `sink` owns the object;

@@ -162,23 +162,11 @@ CheckpointWriter::CheckpointWriter(CheckpointPolicy policy,
                                    uint64_t start_items)
     : policy_(std::move(policy)),
       serializers_(std::move(serializers)),
-      last_items_(start_items),
-      last_write_time_(std::chrono::steady_clock::now()) {}
+      last_items_(start_items) {}
 
 bool CheckpointWriter::Due(uint64_t items) const {
-  if (!enabled()) return false;
-  if (policy_.every_items > 0 &&
-      items - last_items_ >= policy_.every_items) {
-    return true;
-  }
-  if (policy_.every_seconds > 0.0) {
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      last_write_time_)
-            .count();
-    if (elapsed >= policy_.every_seconds) return true;
-  }
-  return false;
+  return enabled() && policy_.every_items > 0 &&
+         items - last_items_ >= policy_.every_items;
 }
 
 Status CheckpointWriter::Write(const CheckpointManifest& manifest,
@@ -255,7 +243,6 @@ Status CheckpointWriter::Write(const CheckpointManifest& manifest,
     if (!referenced) fs::remove(entry.path(), ec);
   }
   last_items_ = manifest.items;
-  last_write_time_ = std::chrono::steady_clock::now();
   if (after_write_) after_write_(manifest.items);
   return Status::Ok();
 }

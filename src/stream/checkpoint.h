@@ -32,7 +32,6 @@
 #ifndef SWSAMPLE_STREAM_CHECKPOINT_H_
 #define SWSAMPLE_STREAM_CHECKPOINT_H_
 
-#include <chrono>
 #include <functional>
 #include <span>
 #include <string>
@@ -47,14 +46,12 @@
 namespace swsample {
 
 /// When to checkpoint. `dir` empty disables checkpointing entirely;
-/// otherwise a checkpoint is written whenever either threshold (items
-/// since the last write, seconds since the last write) is crossed at the
-/// next consistent point. Both thresholds 0 means "never due" (useful for
-/// a writer that only serves an explicit final Write).
+/// otherwise a checkpoint is written at the next consistent point once
+/// `every_items` items have arrived since the last write. 0 means "never
+/// due" (useful for a writer that only serves an explicit final Write).
 struct CheckpointPolicy {
   std::string dir;
   uint64_t every_items = 0;
-  double every_seconds = 0.0;
   /// Transient I/O faults (ENOSPC, EIO, injected failpoints) on shard
   /// files and the MANIFEST commit are retried under this policy before
   /// the Write reports failure.
@@ -171,7 +168,6 @@ class CheckpointWriter {
   uint64_t io_retries_ = 0;
   uint64_t io_giveups_ = 0;
   uint64_t last_items_ = 0;
-  std::chrono::steady_clock::time_point last_write_time_;
   std::function<void(uint64_t)> after_write_;
 };
 

@@ -48,10 +48,12 @@ inline bool IsSpaceByte(char c) {
 /// Tight decimal parse over raw bytes: optional whitespace, optional
 /// sign, at least one digit; advances `p` past the digits. No locale, no
 /// errno, no copies — this is the per-line hot loop of DriveBuffer.
-/// Matches the strtoull family the stdio path historically used: digit
-/// overflow saturates the magnitude at UINT64_MAX (the sign is reported
-/// separately so callers can reproduce strtoull's modular '-' handling
-/// or strtoll's signed saturation).
+/// Matches the C library's integer conversions the stdio path
+/// historically used: digit overflow saturates the magnitude at
+/// UINT64_MAX (the sign is reported separately so callers can reproduce
+/// the unsigned conversion's modular '-' handling or the signed one's
+/// saturation). Event lines are data, not specs: util/spec_text.h's
+/// strict syntax does not apply to them.
 inline bool ParseDecimal(const char*& p, const char* end, uint64_t* magnitude,
                          bool* negative) {
   while (p != end && IsSpaceByte(*p)) ++p;

@@ -331,6 +331,25 @@ void KeyedWindowEngine::TouchLru(KeyEntry* entry) {
   if (lru_tail_ == nullptr) lru_tail_ = entry;
 }
 
+void KeyedWindowEngine::LinkByLastSeen(KeyEntry* entry) {
+  KeyEntry* newer = lru_tail_;
+  while (newer != nullptr && newer->last_seen < entry->last_seen) {
+    newer = newer->lru_prev;
+  }
+  if (newer == nullptr) {
+    TouchLru(entry);
+    return;
+  }
+  entry->lru_prev = newer;
+  entry->lru_next = newer->lru_next;
+  if (newer->lru_next != nullptr) {
+    newer->lru_next->lru_prev = entry;
+  } else {
+    lru_tail_ = entry;
+  }
+  newer->lru_next = entry;
+}
+
 void KeyedWindowEngine::UnlinkLru(KeyEntry* entry) {
   if (entry->lru_prev != nullptr) entry->lru_prev->lru_next = entry->lru_next;
   if (entry->lru_next != nullptr) entry->lru_next->lru_prev = entry->lru_prev;
@@ -543,7 +562,6 @@ Result<KeyedWindowEngine::KeyEntry*> KeyedWindowEngine::RestoreEntry(
   entry->last_seen = last_seen;
   *slot = entry;
   stats_.live_keys = directory_.Size();
-  TouchLru(entry);
   RechargeEntry(entry);
   std::remove(path.c_str());
   spilled_.Erase(key);
@@ -562,7 +580,10 @@ KeyedWindowEngine::KeyEntry* KeyedWindowEngine::FindEntry(uint64_t key) {
   if (!spilled_.Contains(key)) return nullptr;
   auto probe = directory_.TryEmplace(key, nullptr);
   auto restored = RestoreEntry(key, probe.first);
-  if (restored.ok() && restored.value() != nullptr) return restored.value();
+  if (restored.ok() && restored.value() != nullptr) {
+    LinkByLastSeen(restored.value());
+    return restored.value();
+  }
   // Error, or a restore miss (quarantined/unreachable state): either way
   // there is nothing to query — the key reads as unknown.
   return AbandonSlot(key, restored.status());
@@ -722,7 +743,6 @@ void KeyedWindowEngine::ObserveBlock(std::span<const Item> block) {
   // keeps this safe across deliveries that grow the directory.
   block_creates_ = 0;
   for (size_t i = 0; i < run_count; ++i) {
-#ifndef SWSAMPLE_NO_STAGED_PREFETCH
     if (i + 8 < run_count) directory_.Prefetch(runs_[order[i + 8]].key);
     if (i + 4 < run_count) {
       KeyEntry** slot = directory_.Find(runs_[order[i + 4]].key);
@@ -734,7 +754,6 @@ void KeyedWindowEngine::ObserveBlock(std::span<const Item> block) {
         __builtin_prefetch((*slot)->sink.sink.get());
       }
     }
-#endif
     ProcessRun(block, runs_[order[i]]);
   }
   // --- Per-block bookkeeping item-wise Observe does per item.

@@ -51,9 +51,10 @@
 /// when it sat idle past the TTL before the arrival. The scan tracks the
 /// clock prefix-max, so a key that expires mid-block is split into TTL
 /// generations and every key's last_seen is the clock at its last arrival.
-/// Micro-batches are delivered in last-arrival order, so the LRU stays
-/// sorted by last_seen and the block-end TTL sweep drops exactly the keys
-/// an item-wise sweep would have dropped by then. The memory budget holds
+/// Micro-batches are delivered in last-arrival order, and a key a query
+/// restores from spill is linked at its stored last_seen, so the LRU
+/// stays sorted by last_seen and the block-end TTL sweep drops exactly
+/// the keys an item-wise sweep would have dropped by then. The memory budget holds
 /// at micro-batch boundaries; item-wise Observe holds it after every item.
 /// Evictions triggered within a block are grouped into one spill pass with
 /// a single directory fsync (SpillBatch), and spilled keys touched by a
@@ -327,7 +328,9 @@ class KeyedWindowEngine final : public StreamSink {
   /// Reads + decodes `key`'s spill file into the pre-probed slot
   /// (prefetched bytes when the async reader fetched them already),
   /// retrying transient read faults under the engine retry policy. The
-  /// caller erases the placeholder slot unless a live entry comes back.
+  /// caller erases the placeholder slot unless a live entry comes back,
+  /// and links a live one into the LRU: ingest delivery at the head, a
+  /// query by its stored last_seen (LinkByLastSeen).
   /// Three outcomes: a live entry; a nullptr VALUE — the parked state is
   /// unusable (quarantined corruption, or unreachable storage in kShed)
   /// and the key restarts fresh (`restore_misses`); or an error Status
@@ -358,6 +361,10 @@ class KeyedWindowEngine final : public StreamSink {
   void ProcessRun(std::span<const Item> block, const KeyRun& run);
 
   void TouchLru(KeyEntry* entry);
+  /// Links an unlinked entry where its last_seen belongs, keeping the
+  /// LRU sorted by last_seen (newest at the head) for the tail-first TTL
+  /// sweep. Walks from the tail past every older entry.
+  void LinkByLastSeen(KeyEntry* entry);
   void UnlinkLru(KeyEntry* entry);
   void ExpireIdle();
   /// Spills LRU victims (never `protect`) as ONE batched pass until

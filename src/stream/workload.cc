@@ -3,61 +3,42 @@
 #include "stream/workload.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 #include "util/bits.h"
 #include "util/file_ops.h"
+#include "util/spec_text.h"
 
 namespace swsample {
 
 namespace {
 
-bool ParseU64Token(std::string_view token, uint64_t* out) {
-  if (token.empty()) return false;
-  std::string buf(token);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = static_cast<uint64_t>(v);
-  return true;
-}
+constexpr char kWhat[] = "workload spec";
 
-bool ParseDoubleToken(std::string_view token, double* out) {
-  if (token.empty()) return false;
-  std::string buf(token);
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
-}
+// Family names, indexed by the WorkloadArrivals / WorkloadValues enums.
+constexpr std::string_view kArrivalNames[] = {"constant", "poisson", "bmodel",
+                                              "churn", "doubling"};
+constexpr std::string_view kValueNames[] = {"uniform", "zipf", "seq"};
 
-Status BadSpec(std::string_view text, const std::string& why) {
-  return Status::InvalidArgument("workload spec \"" + std::string(text) +
-                                 "\": " + why);
-}
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  double back = 0.0;
-  if (ParseDoubleToken(buf, &back) && back == v) {
-    for (int prec = 1; prec <= 16; ++prec) {
-      char shorter[64];
-      std::snprintf(shorter, sizeof shorter, "%.*g", prec, v);
-      if (ParseDoubleToken(shorter, &back) && back == v) {
-        return shorter;
-      }
-    }
-  }
-  return buf;
-}
+/// The key=value fields of a WorkloadSpec in canonical order:
+/// ParseWorkloadSpec and FormatWorkloadSpec both walk this table.
+const auto ForEachWorkloadField = [](auto visit) {
+  visit("rate", &WorkloadSpec::rate);
+  visit("lambda", &WorkloadSpec::lambda);
+  visit("bias", &WorkloadSpec::bias);
+  visit("levels", &WorkloadSpec::levels);
+  visit("volume", &WorkloadSpec::volume);
+  visit("t", &WorkloadSpec::t);
+  visit("cap", &WorkloadSpec::cap);
+  visit("domain", &WorkloadSpec::domain);
+  visit("alpha", &WorkloadSpec::alpha);
+  visit("skew", &WorkloadSpec::skew);
+  visit("skewp", &WorkloadSpec::skew_p);
+  visit("dup", &WorkloadSpec::dup);
+  visit("duplag", &WorkloadSpec::dup_lag);
+};
 
 // Churn phase tables (see header): plateau lengths straddle the batched
 // ExtendRun cutover (16) and include a power of two for deep Definition-3.1
@@ -70,152 +51,43 @@ constexpr size_t kChurnGapCount = 4;  // {1, t-1, t, t+1}
 }  // namespace
 
 Result<WorkloadSpec> ParseWorkloadSpec(std::string_view text) {
+  auto split = SplitSpec(kWhat, text);
+  if (!split.ok()) return split.status();
+  const SpecParts& parts = split.value();
   WorkloadSpec spec;
-  std::string_view rest = text;
-  const size_t comma = rest.find(',');
-  std::string_view head =
-      comma == std::string_view::npos ? rest : rest.substr(0, comma);
-  rest = comma == std::string_view::npos ? std::string_view()
-                                         : rest.substr(comma + 1);
-
-  const size_t at = head.find('@');
-  std::string_view arrivals_name =
-      at == std::string_view::npos ? head : head.substr(0, at);
-  std::string_view values_name =
-      at == std::string_view::npos ? std::string_view() : head.substr(at + 1);
-
-  if (arrivals_name == "constant") {
-    spec.arrivals = WorkloadArrivals::kConstant;
-  } else if (arrivals_name == "poisson") {
-    spec.arrivals = WorkloadArrivals::kPoisson;
-  } else if (arrivals_name == "bmodel") {
-    spec.arrivals = WorkloadArrivals::kBModel;
-  } else if (arrivals_name == "churn") {
-    spec.arrivals = WorkloadArrivals::kChurn;
-  } else if (arrivals_name == "doubling") {
-    spec.arrivals = WorkloadArrivals::kDoubling;
-  } else {
-    return BadSpec(text,
-                   "unknown arrival family \"" + std::string(arrivals_name) +
+  const auto arrivals = std::find(std::begin(kArrivalNames),
+                                  std::end(kArrivalNames), parts.name);
+  if (arrivals == std::end(kArrivalNames)) {
+    return BadSpec(kWhat, text,
+                   "unknown arrival family \"" + std::string(parts.name) +
                        "\"; known: constant poisson bmodel churn doubling");
   }
-
-  if (values_name.empty() || values_name == "uniform") {
-    spec.values = WorkloadValues::kUniform;
-  } else if (values_name == "zipf") {
-    spec.values = WorkloadValues::kZipf;
-  } else if (values_name == "seq") {
-    spec.values = WorkloadValues::kSequential;
-  } else {
-    return BadSpec(text, "unknown value family \"" + std::string(values_name) +
-                             "\"; known: uniform zipf seq");
+  spec.arrivals =
+      static_cast<WorkloadArrivals>(arrivals - std::begin(kArrivalNames));
+  // An empty family after '@' is the default, uniform.
+  const auto values =
+      parts.sub.empty() ? std::begin(kValueNames)
+                        : std::find(std::begin(kValueNames),
+                                    std::end(kValueNames), parts.sub);
+  if (values == std::end(kValueNames)) {
+    return BadSpec(kWhat, text,
+                   "unknown value family \"" + std::string(parts.sub) +
+                       "\"; known: uniform zipf seq");
   }
-
-  while (!rest.empty()) {
-    const size_t next = rest.find(',');
-    std::string_view kv =
-        next == std::string_view::npos ? rest : rest.substr(0, next);
-    rest = next == std::string_view::npos ? std::string_view()
-                                          : rest.substr(next + 1);
-    const size_t eq = kv.find('=');
-    if (eq == std::string_view::npos) {
-      return BadSpec(text, "expected key=value, got \"" + std::string(kv) +
-                               "\"");
-    }
-    const std::string_view key = kv.substr(0, eq);
-    const std::string_view value = kv.substr(eq + 1);
-    uint64_t u = 0;
-    double d = 0.0;
-    if (key == "rate" && ParseU64Token(value, &u)) {
-      spec.rate = u;
-    } else if (key == "lambda" && ParseDoubleToken(value, &d)) {
-      spec.lambda = d;
-    } else if (key == "bias" && ParseDoubleToken(value, &d)) {
-      spec.bias = d;
-    } else if (key == "levels" && ParseU64Token(value, &u)) {
-      spec.levels = u;
-    } else if (key == "volume" && ParseU64Token(value, &u)) {
-      spec.volume = u;
-    } else if (key == "t" && ParseU64Token(value, &u)) {
-      spec.t = static_cast<Timestamp>(u);
-    } else if (key == "cap" && ParseU64Token(value, &u)) {
-      spec.cap = u;
-    } else if (key == "domain" && ParseU64Token(value, &u)) {
-      spec.domain = u;
-    } else if (key == "alpha" && ParseDoubleToken(value, &d)) {
-      spec.alpha = d;
-    } else if (key == "skew" && ParseU64Token(value, &u)) {
-      spec.skew = static_cast<Timestamp>(u);
-    } else if (key == "skewp" && ParseDoubleToken(value, &d)) {
-      spec.skew_p = d;
-    } else if (key == "dup" && ParseDoubleToken(value, &d)) {
-      spec.dup = d;
-    } else if (key == "duplag" && ParseU64Token(value, &u)) {
-      spec.dup_lag = u;
-    } else {
-      return BadSpec(text, "bad key or value in \"" + std::string(kv) + "\"");
-    }
-  }
+  spec.values = static_cast<WorkloadValues>(values - std::begin(kValueNames));
+  Status fields =
+      ParseSpecFields(kWhat, text, parts, ForEachWorkloadField, &spec);
+  if (!fields.ok()) return fields;
   return spec;
 }
 
 std::string FormatWorkloadSpec(const WorkloadSpec& spec) {
-  const WorkloadSpec defaults;
-  std::string out;
-  switch (spec.arrivals) {
-    case WorkloadArrivals::kConstant:
-      out = "constant";
-      break;
-    case WorkloadArrivals::kPoisson:
-      out = "poisson";
-      break;
-    case WorkloadArrivals::kBModel:
-      out = "bmodel";
-      break;
-    case WorkloadArrivals::kChurn:
-      out = "churn";
-      break;
-    case WorkloadArrivals::kDoubling:
-      out = "doubling";
-      break;
+  std::string out(kArrivalNames[static_cast<size_t>(spec.arrivals)]);
+  if (spec.values != WorkloadValues::kUniform) {  // the default is implicit
+    out += "@";
+    out += kValueNames[static_cast<size_t>(spec.values)];
   }
-  switch (spec.values) {
-    case WorkloadValues::kUniform:
-      break;  // the default family is implicit
-    case WorkloadValues::kZipf:
-      out += "@zipf";
-      break;
-    case WorkloadValues::kSequential:
-      out += "@seq";
-      break;
-  }
-  auto put_u64 = [&out](const char* key, uint64_t v) {
-    out += ",";
-    out += key;
-    out += "=";
-    out += std::to_string(v);
-  };
-  auto put_double = [&out](const char* key, double v) {
-    out += ",";
-    out += key;
-    out += "=";
-    out += FormatDouble(v);
-  };
-  if (spec.rate != defaults.rate) put_u64("rate", spec.rate);
-  if (spec.lambda != defaults.lambda) put_double("lambda", spec.lambda);
-  if (spec.bias != defaults.bias) put_double("bias", spec.bias);
-  if (spec.levels != defaults.levels) put_u64("levels", spec.levels);
-  if (spec.volume != defaults.volume) put_u64("volume", spec.volume);
-  if (spec.t != defaults.t) put_u64("t", static_cast<uint64_t>(spec.t));
-  if (spec.cap != defaults.cap) put_u64("cap", spec.cap);
-  if (spec.domain != defaults.domain) put_u64("domain", spec.domain);
-  if (spec.alpha != defaults.alpha) put_double("alpha", spec.alpha);
-  if (spec.skew != defaults.skew) {
-    put_u64("skew", static_cast<uint64_t>(spec.skew));
-  }
-  if (spec.skew_p != defaults.skew_p) put_double("skewp", spec.skew_p);
-  if (spec.dup != defaults.dup) put_double("dup", spec.dup);
-  if (spec.dup_lag != defaults.dup_lag) put_u64("duplag", spec.dup_lag);
+  FormatSpecFields(spec, ForEachWorkloadField, &out);
   return out;
 }
 

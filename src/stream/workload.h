@@ -30,7 +30,9 @@
 // (partial expiry, exact-boundary expiry, full expiry). It maximizes bucket
 // churn per item and is the stress stream for the PR-7 fast paths.
 //
-// Spec grammar (mirrors SinkSpec): `<arrivals>[@<values>][,key=value]...`
+// Spec grammar (mirrors SinkSpec): `<arrivals>[@<values>][,key=value]...`,
+// split and numbers parsed by util/spec_text.h: integers are unsigned
+// decimal digits, floats finite decimals.
 //
 //   constant            rate=R (items per step, default 4)
 //   poisson             lambda=L (default 4)
@@ -110,6 +112,7 @@ struct WorkloadSpec {
   double skew_p = 0.25;     ///< probability an item is jittered
   double dup = 0.0;         ///< replay probability (0 = off)
   uint64_t dup_lag = 64;    ///< replay reach (items)
+  friend bool operator==(const WorkloadSpec&, const WorkloadSpec&) = default;
 };
 
 /// Parses the grammar above; rejects unknown families/keys and

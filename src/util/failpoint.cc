@@ -2,11 +2,12 @@
 
 #include "util/failpoint.h"
 
+#include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 #include "util/rng.h"
+#include "util/spec_text.h"
 
 namespace swsample {
 namespace {
@@ -49,17 +50,6 @@ bool ParseClass(std::string_view token, FaultClass* out) {
   else if (token == "fsync") *out = FaultClass::kFsync;
   else if (token == "rename") *out = FaultClass::kRename;
   else return false;
-  return true;
-}
-
-bool ParseU64Token(std::string_view s, uint64_t* out) {
-  if (s.empty()) return false;
-  uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = v;
   return true;
 }
 
@@ -125,58 +115,37 @@ FaultClass Failpoint::Hit() {
 }
 
 Status ArmFailpoints(std::string_view specs, uint64_t seed) {
-  size_t pos = 0;
   uint64_t site_index = 0;
-  while (pos <= specs.size()) {
-    const size_t end = std::min(specs.find(';', pos), specs.size());
-    std::string_view spec = specs.substr(pos, end - pos);
-    pos = end + 1;
-    if (spec.empty()) {
-      if (pos > specs.size()) break;
-      continue;
-    }
+  while (!specs.empty()) {
+    const size_t end = std::min(specs.find(';'), specs.size());
+    const std::string_view spec = specs.substr(0, end);
+    specs = specs.substr(std::min(end + 1, specs.size()));
+    if (spec.empty()) continue;
     const size_t eq = spec.find('=');
     if (eq == std::string_view::npos || eq == 0) {
       return Status::InvalidArgument("failpoint spec needs <site>=<class>: " +
                                      std::string(spec));
     }
     const std::string_view site = spec.substr(0, eq);
-    std::string_view rest = spec.substr(eq + 1);
+    auto parts = SplitSpec("failpoint spec", spec.substr(eq + 1));
+    if (!parts.ok()) return parts.status();
 
     FaultClass klass = FaultClass::kNone;
     Failpoint::Trigger trigger = Failpoint::Trigger::kAlways;
     uint64_t arg = 1;
     double prob = 0.0;
     uint64_t times = 0;
-
-    size_t tpos = 0;
-    bool first = true;
-    while (tpos <= rest.size()) {
-      const size_t tend = std::min(rest.find(',', tpos), rest.size());
-      std::string_view token = rest.substr(tpos, tend - tpos);
-      tpos = tend + 1;
-      if (token.empty() && tpos > rest.size()) break;
-      if (first) {
-        first = false;
-        if (!ParseClass(token, &klass)) {
-          return Status::InvalidArgument(
-              "failpoint class must be enospc|eio|torn|fsync|rename, got: " +
-              std::string(token));
-        }
-        continue;
-      }
-      const size_t keq = token.find('=');
-      if (keq == std::string_view::npos) {
-        return Status::InvalidArgument("failpoint arg needs k=v: " +
-                                       std::string(token));
-      }
-      const std::string_view key = token.substr(0, keq);
-      const std::string_view val = token.substr(keq + 1);
+    if (parts.value().has_sub || !ParseClass(parts.value().name, &klass)) {
+      return Status::InvalidArgument(
+          "failpoint class must be enospc|eio|torn|fsync|rename, got: " +
+          std::string(spec.substr(eq + 1)));
+    }
+    for (const auto& [key, val] : parts.value().pairs) {
+      const std::string token = std::string(key) + "=" + std::string(val);
       if (key == "nth" || key == "every" || key == "times") {
         uint64_t v = 0;
-        if (!ParseU64Token(val, &v) || (key != "times" && v == 0)) {
-          return Status::InvalidArgument("bad failpoint arg: " +
-                                         std::string(token));
+        if (!ParseUnsigned(val, &v) || (key != "times" && v == 0)) {
+          return Status::InvalidArgument("bad failpoint arg: " + token);
         }
         if (key == "times") {
           times = v;
@@ -186,26 +155,24 @@ Status ArmFailpoints(std::string_view specs, uint64_t seed) {
           arg = v;
         }
       } else if (key == "prob") {
-        char* endp = nullptr;
-        const std::string vs(val);
-        prob = std::strtod(vs.c_str(), &endp);
-        if (endp == vs.c_str() || *endp != '\0' || prob < 0.0 || prob > 1.0) {
+        if (!ParseFiniteDouble(val, &prob) || prob < 0.0 || prob > 1.0) {
           return Status::InvalidArgument("failpoint prob must be in [0,1]: " +
-                                         std::string(token));
+                                         token);
         }
         trigger = Failpoint::Trigger::kProb;
       } else {
-        return Status::InvalidArgument("unknown failpoint arg: " +
-                                       std::string(token));
+        return Status::InvalidArgument("unknown failpoint arg: " + token);
       }
     }
-    if (klass == FaultClass::kNone) {
-      return Status::InvalidArgument("failpoint spec missing class: " +
-                                     std::string(spec));
-    }
 
-    Failpoint& fp = Failpoint::At(site);
     Registry& r = GlobalRegistry();
+    if (FindSite(site) == nullptr &&
+        r.count.load(std::memory_order_acquire) == kMaxFailpoints) {
+      return Status::InvalidArgument("failpoint registry full (" +
+                                     std::to_string(kMaxFailpoints) +
+                                     " sites): " + std::string(site));
+    }
+    Failpoint& fp = Failpoint::At(site);
     std::lock_guard<std::mutex> lock(r.mu);
     fp.armed_.store(false, std::memory_order_release);
     fp.klass_ = klass;
@@ -218,7 +185,6 @@ Status ArmFailpoints(std::string_view specs, uint64_t seed) {
     fp.fires_.store(0, std::memory_order_relaxed);
     fp.armed_.store(true, std::memory_order_release);
     ++site_index;
-    if (pos > specs.size()) break;
   }
   return Status::Ok();
 }

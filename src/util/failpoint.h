@@ -108,8 +108,10 @@ class Failpoint {
 
 /// Parses and arms a spec list (grammar above). Sites named in the spec
 /// are created if they do not exist yet, so arming may precede the first
-/// I/O through a site. Sites not named are left untouched. `seed` forks
-/// the per-site decision streams for `prob=` triggers.
+/// I/O through a site; a new site past the registry's 64 slots is
+/// InvalidArgument. Sites not named are left untouched. `seed` forks the
+/// per-site decision streams for `prob=` triggers. Numbers follow
+/// util/spec_text.h: unsigned decimal digits, finite decimal `prob`.
 Status ArmFailpoints(std::string_view specs, uint64_t seed);
 
 /// Arms from `SWSAMPLE_FAILPOINTS` if set; Ok (and a no-op) when unset.

@@ -9,8 +9,9 @@
 #       estimator, sharded chunks, sharded keyhash estimator);
 #   (3) a resume whose shard count, kind or registry name differs from the
 #       checkpoint exits 2, on the single-threaded and the sharded driver;
-#   (4) --threads=0, unknown flags and malformed <window> <k>
-#       positionals exit 2;
+#   (4) --threads=0, unknown flags, malformed <window> <k> positionals
+#       and malformed numbers in --sink, --key-budget and --failpoints
+#       exit 2;
 #   (5) keyed TTL expiry keeps the same keys with per-item (--batch=0)
 #       and batched delivery.
 #
@@ -139,6 +140,13 @@ for positionals in "1e6 4" "12abc 4" "0 4" "1000 -1"; do
 done
 expect_exit 2 "--key-strict-budget" --algo=bop-ts-single --keys \
   --file=ts.txt --key-strict-budget 100 1
+# Spec and flag numbers are unsigned decimal digits that fit in 64 bits:
+# a sign or an overflow is an error, never a wrapped value.
+expect_exit 2 "--sink n=-3" --sink=bop-seq-swor,n=-3,k=2 --file=seq.txt
+expect_exit 2 "--key-budget overflow" --algo=bop-ts-single --keys \
+  --file=ts.txt --key-budget=17179869184G 100 1
+expect_exit 2 "--failpoints nth overflow" --algo=bop-seq-swor \
+  --file=seq.txt --failpoints=x=eio,nth=18446744073709551617 1000 8
 
 # (5) When key 1 returns at t=100, key 2 has been idle 97 > 50 units and
 # is dropped, whether items arrive one by one or in a micro-batch that

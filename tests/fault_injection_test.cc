@@ -74,6 +74,7 @@ TEST_F(FaultInjectionTest, SpecGrammarRejectsMalformedSpecs) {
   EXPECT_FALSE(ArmFailpoints("a.site=badclass", 1).ok());
   EXPECT_FALSE(ArmFailpoints("a.site=eio,nth=0", 1).ok());
   EXPECT_FALSE(ArmFailpoints("a.site=eio,nth=x", 1).ok());
+  EXPECT_FALSE(ArmFailpoints("a.site=eio,nth=18446744073709551617", 1).ok());
   EXPECT_FALSE(ArmFailpoints("a.site=eio,prob=1.5", 1).ok());
   EXPECT_FALSE(ArmFailpoints("a.site=eio,bogus=1", 1).ok());
   EXPECT_FALSE(ArmFailpoints("a.site=", 1).ok());

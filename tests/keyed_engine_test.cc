@@ -213,6 +213,26 @@ TEST(KeyedEngineTest, TtlExpiryDropsIdleKeysViaAdvanceTime) {
   EXPECT_EQ(engine->stats().live_keys, 2u);
 }
 
+TEST(KeyedEngineTest, QueryRestoredKeyKeepsItsTtlDeadline) {
+  KeyedEngineOptions options;
+  options.spec = ParseSinkSpec("bop-ts-single,t=100,seed=4").ValueOrDie();
+  options.idle_ttl = 10;
+  options.spill_dir = FreshDir("keyed_query_restore_ttl");
+  auto engine = KeyedWindowEngine::Create(options).ValueOrDie();
+
+  const uint64_t a = 1, b = 2;
+  engine->Observe(Item{a, 0, 0});
+  ASSERT_TRUE(engine->EvictKey(a).ok());
+  engine->Observe(Item{b, 1, 5});
+  // The query restores A, last seen at 0, behind the fresher B.
+  ASSERT_TRUE(engine->SampleKey(a).ok());
+  // At 14, A has idled 14 > 10 and B 9 <= 10: the tail-first sweep must
+  // reach A even though B was touched after A's last arrival.
+  engine->AdvanceTime(14);
+  EXPECT_EQ(engine->LiveKeys(), std::vector<uint64_t>{b});
+  EXPECT_EQ(engine->stats().expirations, 1u);
+}
+
 TEST(KeyedEngineTest, EstimatorKindEnginesEstimatePerKey) {
   KeyedEngineOptions options;
   options.spec =

@@ -1,8 +1,8 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 //
-// Unit tests for the reservoir substrate: Algorithm R (single and k-item),
-// Algorithm L, and the payload reservoir -- including the distributional
-// properties the paper's constructions rely on.
+// Unit tests for the reservoir substrate: Algorithm R (single and k-item)
+// and Algorithm L -- including the distributional properties the paper's
+// constructions rely on.
 
 #include <algorithm>
 #include <cstdint>
@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "reservoir/algorithm_l.h"
-#include "reservoir/payload_reservoir.h"
 #include "reservoir/reservoir.h"
 #include "stats/tests.h"
 #include "util/rng.h"
@@ -206,44 +205,6 @@ TEST(SkipReservoirTest, DistinctSlots) {
   std::set<uint64_t> idx;
   for (const Item& item : r.items()) idx.insert(item.index);
   EXPECT_EQ(idx.size(), 5u);
-}
-
-TEST(PayloadReservoirTest, CountsForwardOccurrences) {
-  // Payload counts occurrences of the sampled value at/after the sampled
-  // position: feed a known pattern and verify against a direct count.
-  auto on_sampled = [](const Item&) { return uint64_t{1}; };
-  uint64_t sampled_value = 0;
-  auto on_arrival = [&](uint64_t& count, const Item& item) {
-    if (item.value == sampled_value) ++count;
-  };
-  // The lambda needs the sampled value; emulate with a wrapper run.
-  Rng rng(15);
-  for (int trial = 0; trial < 200; ++trial) {
-    PayloadReservoir<uint64_t, decltype(on_sampled), decltype(on_arrival)> r(
-        on_sampled, on_arrival);
-    std::vector<uint64_t> values = {1, 2, 1, 3, 1, 2, 2, 1, 3, 1};
-    std::vector<Item> items;
-    for (uint64_t i = 0; i < values.size(); ++i) {
-      items.push_back(Item{values[i], i, static_cast<Timestamp>(i)});
-    }
-    uint64_t sampled_at = 0;
-    // Replay manually so the on_arrival closure knows the sampled value.
-    for (const Item& item : items) {
-      uint64_t before = r.count();
-      r.Observe(item, rng);
-      (void)before;
-      if (r.has_sample() && r.item().index == item.index) {
-        sampled_value = item.value;
-        sampled_at = item.index;
-      }
-    }
-    ASSERT_TRUE(r.has_sample());
-    uint64_t expected = 0;
-    for (uint64_t i = sampled_at; i < values.size(); ++i) {
-      expected += (values[i] == values[sampled_at]);
-    }
-    EXPECT_EQ(r.payload(), expected);
-  }
 }
 
 }  // namespace

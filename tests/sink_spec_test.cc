@@ -73,6 +73,9 @@ TEST(SinkSpecParseTest, FormatRoundTripsThroughParse) {
       "biased-mean,t=4096,bias=1024:0.25+4096:0.75",
       "exact-seq,n=32,k=4,wr=0",
       "dkw-quantile,t=500,r=128,q=0.95",
+      // Weights whose shortest form has an exponent: '+' also separates
+      // bias levels, so the exponent must not carry one.
+      "biased-mean,n=4096,bias=1024:1000+4096:10",
   };
   for (const char* input : inputs) {
     auto spec = ParseSinkSpec(input).ValueOrDie();
@@ -96,6 +99,12 @@ TEST(SinkSpecParseTest, RejectsBadInput) {
   // Unknown key, malformed number, malformed bias level.
   EXPECT_FALSE(ParseSinkSpec("bop-seq-swor,n=16,banana=1").ok());
   EXPECT_FALSE(ParseSinkSpec("bop-seq-swor,n=16x").ok());
+  // Numbers are unsigned decimal digits: no sign, no whitespace, no
+  // wrap past 2^64-1.
+  EXPECT_FALSE(ParseSinkSpec("bop-seq-swor,n=-3,k=2").ok());
+  EXPECT_FALSE(ParseSinkSpec("bop-seq-swor,n=3,k=+2").ok());
+  EXPECT_FALSE(ParseSinkSpec("bop-seq-swor,n= 3,k=2").ok());
+  EXPECT_FALSE(ParseSinkSpec("bop-seq-swor,n=18446744073709551616").ok());
   EXPECT_FALSE(ParseSinkSpec("biased-mean,t=64,bias=64").ok());
   EXPECT_FALSE(ParseSinkSpec("").ok());
 }

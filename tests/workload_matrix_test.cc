@@ -162,6 +162,8 @@ TEST(WorkloadSpecTest, RejectsBadSpecs) {
   EXPECT_FALSE(ParseWorkloadSpec("constant@gauss").ok());
   EXPECT_FALSE(ParseWorkloadSpec("constant,rate").ok());
   EXPECT_FALSE(ParseWorkloadSpec("constant,bogus=1").ok());
+  EXPECT_FALSE(ParseWorkloadSpec("constant,rate=-1").ok());
+  EXPECT_FALSE(ParseWorkloadSpec("churn,t=-5").ok());
   EXPECT_FALSE(WorkloadGenerator::Create("constant,rate=0", 1).ok());
   EXPECT_FALSE(WorkloadGenerator::Create("churn,t=1", 1).ok());
   EXPECT_FALSE(WorkloadGenerator::Create("bmodel,bias=0.4", 1).ok());
