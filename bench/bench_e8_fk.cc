@@ -10,6 +10,7 @@
 // and the timestamp substrates paying the extra (1 +/- eps) DGIM factor.
 
 #include <cmath>
+#include <cstdio>
 #include <deque>
 #include <utility>
 #include <vector>
@@ -55,6 +56,8 @@ void RunCase(uint32_t moment, double alpha, uint64_t domain) {
   ExactHistogramInto(window, &hist);
   const double exact = ExactFrequencyMoment(hist, moment);
 
+  char label[16];
+  std::snprintf(label, sizeof(label), "F%u", moment);
   StreamDriver driver;
   for (const char* substrate : {"bop-seq-single", "exact-seq"}) {
     for (uint64_t r : UnitCounts()) {
@@ -67,8 +70,7 @@ void RunCase(uint32_t moment, double alpha, uint64_t domain) {
       auto est = CreateEstimator("ams-fk", config).ValueOrDie();
       DriveReport drive = driver.Drive(std::span<const Item>(items), *est);
       const double estimate = est->Estimate().value;
-      Row({"F" + std::to_string(moment), F(alpha, 1), substrate, U(r),
-           Sci(exact), Sci(estimate),
+      Row({label, F(alpha, 1), substrate, U(r), Sci(exact), Sci(estimate),
            F(std::fabs(estimate - exact) / exact, 3),
            F(drive.items_per_sec / 1e6, 2), U(drive.memory_words)});
     }

@@ -32,7 +32,7 @@ std::string ShardFileName(uint64_t shard, uint64_t items) {
 /// Manifest wire format: envelope header (kManifest) + position fields +
 /// shard file names + pending buffers.
 std::string EncodeManifest(const CheckpointManifest& manifest,
-                           const std::vector<std::string>& shard_files) {
+                           std::span<const SpillFile> shard_files) {
   BinaryWriter w;
   WriteCheckpointHeader(CheckpointKind::kManifest, &w);
   w.PutU64(manifest.items);
@@ -44,7 +44,7 @@ std::string EncodeManifest(const CheckpointManifest& manifest,
   w.PutU64(manifest.shard_items.size());
   for (size_t s = 0; s < manifest.shard_items.size(); ++s) {
     w.PutU64(manifest.shard_items[s]);
-    w.PutString(shard_files[s]);
+    w.PutString(shard_files[s].name);
   }
   w.PutU64(manifest.pending.size());
   for (const std::vector<Item>& buffer : manifest.pending) {
@@ -162,15 +162,19 @@ CheckpointWriter::CheckpointWriter(CheckpointPolicy policy,
                                    uint64_t start_items)
     : policy_(std::move(policy)),
       serializers_(std::move(serializers)),
+      captured_items_(start_items),
       last_items_(start_items) {}
+
+CheckpointWriter::~CheckpointWriter() { Wait(); }
 
 bool CheckpointWriter::Due(uint64_t items) const {
   return enabled() && policy_.every_items > 0 &&
-         items - last_items_ >= policy_.every_items;
+         items - captured_items_ >= policy_.every_items;
 }
 
-Status CheckpointWriter::Write(const CheckpointManifest& manifest,
+Status CheckpointWriter::Begin(const CheckpointManifest& manifest,
                                std::span<StreamSink* const> sinks) {
+  if (Status status = Wait(); !status.ok()) return status;
   if (!enabled()) {
     return Status::FailedPrecondition("checkpoint: writer is disabled");
   }
@@ -179,6 +183,41 @@ Status CheckpointWriter::Write(const CheckpointManifest& manifest,
     return Status::InvalidArgument(
         "checkpoint: sink/serializer/manifest shard counts disagree");
   }
+  // Capture: everything the commit needs, taken while the sinks are
+  // still at the consistent point.
+  std::vector<SpillFile> shard_files;
+  shard_files.reserve(sinks.size());
+  for (size_t s = 0; s < sinks.size(); ++s) {
+    auto blob = serializers_[s](*sinks[s]);
+    if (!blob.ok()) return blob.status();
+    shard_files.push_back(SpillFile{ShardFileName(s, manifest.items),
+                                    std::move(blob).ValueOrDie()});
+  }
+  std::string manifest_data = EncodeManifest(manifest, shard_files);
+  captured_items_ = manifest.items;
+  commit_ = std::thread([this, files = std::move(shard_files),
+                         data = std::move(manifest_data),
+                         items = manifest.items] {
+    commit_status_ = Commit(files, data, items);
+  });
+  return Status::Ok();
+}
+
+Status CheckpointWriter::Wait() {
+  if (!commit_.joinable()) return Status::Ok();
+  commit_.join();
+  return std::exchange(commit_status_, Status::Ok());
+}
+
+Status CheckpointWriter::Write(const CheckpointManifest& manifest,
+                               std::span<StreamSink* const> sinks) {
+  if (Status status = Begin(manifest, sinks); !status.ok()) return status;
+  return Wait();
+}
+
+Status CheckpointWriter::Commit(const std::vector<SpillFile>& files,
+                                const std::string& manifest_data,
+                                uint64_t items) {
   std::error_code ec;
   fs::create_directories(policy_.dir, ec);
   if (ec) {
@@ -188,28 +227,16 @@ Status CheckpointWriter::Write(const CheckpointManifest& manifest,
   // Shard files first; the MANIFEST rename below is the commit point.
   // SpillBatch pins their directory entries with one fsync before the
   // manifest references them.
-  std::vector<SpillFile> shard_spills;
-  std::vector<std::string> shard_files;
-  shard_spills.reserve(sinks.size());
-  shard_files.reserve(sinks.size());
-  for (size_t s = 0; s < sinks.size(); ++s) {
-    auto blob = serializers_[s](*sinks[s]);
-    if (!blob.ok()) return blob.status();
-    shard_files.push_back(ShardFileName(s, manifest.items));
-    shard_spills.push_back(
-        SpillFile{shard_files.back(), std::move(blob).ValueOrDie()});
-  }
-  if (Status status = SpillBatch(policy_.dir, shard_spills,
-                                 /*fsync_files=*/true, nullptr, policy_.retry,
-                                 &io_retries_, "ckpt.write");
+  if (Status status = SpillBatch(policy_.dir, files, /*fsync_files=*/true,
+                                 nullptr, policy_.retry, &io_retries_,
+                                 "ckpt.write");
       !status.ok()) {
     ++io_giveups_;
     return status;
   }
   const std::string manifest_path =
       (fs::path(policy_.dir) / kManifestName).string();
-  const std::string manifest_data = EncodeManifest(manifest, shard_files);
-  if (Status status = RetryIo(policy_.retry, /*op_id=*/sinks.size(),
+  if (Status status = RetryIo(policy_.retry, /*op_id=*/files.size(),
                               &io_retries_,
                               [&] {
                                 return AtomicWriteFile("ckpt.manifest",
@@ -234,16 +261,16 @@ Status CheckpointWriter::Write(const CheckpointManifest& manifest,
     if (name == kManifestName) continue;
     if (name.rfind("shard-", 0) != 0) continue;
     bool referenced = false;
-    for (const std::string& file : shard_files) {
-      if (name == file) {
+    for (const SpillFile& file : files) {
+      if (name == file.name) {
         referenced = true;
         break;
       }
     }
     if (!referenced) fs::remove(entry.path(), ec);
   }
-  last_items_ = manifest.items;
-  if (after_write_) after_write_(manifest.items);
+  last_items_ = items;
+  if (after_write_) after_write_(items);
   return Status::Ok();
 }
 

@@ -23,11 +23,24 @@
 /// what makes a resumed run's delivery segmentation — and therefore its
 /// RNG consumption — identical to an uninterrupted run's.
 ///
-/// Ownership: CheckpointWriter borrows sinks per Write call;
-/// LoadCheckpoint returns caller-owned restored Sinks.
+/// A checkpoint is taken in two steps. *Capture* runs on the caller's
+/// thread at the consistent point: it serializes every sink and encodes
+/// the MANIFEST, after which the caller may go on mutating the sinks.
+/// *Commit* runs on the writer's one commit thread: shard files, fsyncs,
+/// the MANIFEST rename and the stale-file sweep, off the ingestion
+/// critical path (the asynchronous-snapshot scheme of Carbone et al.,
+/// "Lightweight Asynchronous Snapshots for Distributed Dataflows", 2015).
+/// At most one commit is in flight, and each capture first joins the
+/// previous commit, so MANIFESTs still commit in order.
 ///
-/// Thread-safety: a CheckpointWriter is driven from one producer thread;
-/// the sharded driver quiesces its workers before serializing shards.
+/// Ownership: CheckpointWriter borrows sinks only for the duration of a
+/// Begin/Write call; LoadCheckpoint returns caller-owned restored Sinks.
+///
+/// Thread-safety: a CheckpointWriter is driven from one producer thread
+/// and owns one internal commit thread, which touches no sink. The
+/// sharded driver quiesces its workers before capturing shards. Write()
+/// is synchronous (Begin then Wait); the drivers use Begin and join the
+/// commit with Wait before they return, on every exit path.
 
 #ifndef SWSAMPLE_STREAM_CHECKPOINT_H_
 #define SWSAMPLE_STREAM_CHECKPOINT_H_
@@ -35,6 +48,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/sink_spec.h"
@@ -123,7 +137,8 @@ Status SpillBatch(const std::string& dir, std::span<const SpillFile> files,
                   const char* site = "spill.write");
 
 /// Writes atomic checkpoints for one ingestion run. Drivers call Due() at
-/// consistent points and Write() when it fires.
+/// consistent points, Begin() when it fires, and Wait() before they
+/// return.
 class CheckpointWriter {
  public:
   /// `serializers[s]` must serialize the sink passed as shard `s`.
@@ -133,42 +148,74 @@ class CheckpointWriter {
   CheckpointWriter(CheckpointPolicy policy,
                    std::vector<SinkSerializer> serializers,
                    uint64_t start_items = 0);
+  /// Joins an in-flight commit; its status is lost (call Wait() first to
+  /// learn it).
+  ~CheckpointWriter();
+  CheckpointWriter(const CheckpointWriter&) = delete;
+  CheckpointWriter& operator=(const CheckpointWriter&) = delete;
 
   /// False when the policy has no directory (checkpointing disabled).
   bool enabled() const { return !policy_.dir.empty(); }
 
-  /// True when a checkpoint should be taken at `items` delivered.
+  /// True when a checkpoint should be taken at `items` delivered:
+  /// `every_items` after the last *captured* checkpoint.
   bool Due(uint64_t items) const;
 
-  /// Serializes every sink and atomically replaces the checkpoint set
-  /// (shard files first, MANIFEST rename as the commit point, stale files
-  /// removed after). `sinks.size()` must match the serializer count.
+  /// Joins the previous commit and returns its error, if it failed (then
+  /// nothing is captured). Otherwise serializes every sink and encodes
+  /// the manifest on this thread, and starts committing them on the
+  /// commit thread: shard files first, MANIFEST rename as the commit
+  /// point, stale files removed after. The sinks are free again once
+  /// Begin returns. `sinks.size()` must match the serializer count.
+  Status Begin(const CheckpointManifest& manifest,
+               std::span<StreamSink* const> sinks);
+
+  /// Joins the in-flight commit, if any, and returns its status (Ok when
+  /// none was in flight).
+  Status Wait();
+
+  /// Begin, then Wait: a synchronous checkpoint.
   Status Write(const CheckpointManifest& manifest,
                std::span<StreamSink* const> sinks);
 
-  /// Items recorded by the last successful Write (0 before the first).
+  /// The accessors below report *committed* writes. The commit thread
+  /// updates them, so read them only after Wait() (or Write()) returns,
+  /// as the drivers do before they return.
+  ///
+  /// Items recorded by the last committed checkpoint (0 before the
+  /// first).
   uint64_t last_written_items() const { return last_items_; }
 
-  /// Transient-fault retries spent across every Write so far, and the
+  /// Transient-fault retries spent across every commit so far, and the
   /// number of operations that exhausted their retry budget (each give-up
-  /// also failed that Write).
+  /// also failed that commit).
   uint64_t io_retries() const { return io_retries_; }
   uint64_t io_giveups() const { return io_giveups_; }
 
-  /// Test hook: invoked after each successful Write with the manifest's
-  /// item count (the CLI's --kill-after uses this to SIGKILL itself at a
-  /// deterministic point).
+  /// Test hook: invoked on the commit thread after each successful commit
+  /// with the manifest's item count (the CLI's --kill-after uses this to
+  /// SIGKILL itself at a deterministic point). Set it before the first
+  /// Begin.
   void set_after_write(std::function<void(uint64_t)> fn) {
     after_write_ = std::move(fn);
   }
 
  private:
+  /// The commit step, run on `commit_`: writes the captured `files` and
+  /// the encoded manifest, then sweeps files the manifest does not name.
+  Status Commit(const std::vector<SpillFile>& files,
+                const std::string& manifest_data, uint64_t items);
+
   CheckpointPolicy policy_;
   std::vector<SinkSerializer> serializers_;
+  uint64_t captured_items_ = 0;  // caller's thread only
+  // Written by the commit thread; read after joining it.
   uint64_t io_retries_ = 0;
   uint64_t io_giveups_ = 0;
   uint64_t last_items_ = 0;
+  Status commit_status_;
   std::function<void(uint64_t)> after_write_;
+  std::thread commit_;  // last: joined before the members it uses die
 };
 
 /// A checkpoint read back from disk: the ingestion position plus the

@@ -147,6 +147,14 @@ Status LineParseError(LineParse failure, const std::string& source_name,
   }
 }
 
+Status LineTooLongError(const std::string& source_name, uint64_t line_no,
+                        size_t line_cap) {
+  return Status::InvalidArgument(
+      source_name + ":" + std::to_string(line_no) +
+      ": event line too long (limit " + std::to_string(line_cap - 2) +
+      " characters)");
+}
+
 Status ParseEventLine(const char* line, size_t line_cap, bool timestamped,
                       const std::string& source_name, uint64_t line_no,
                       Timestamp last_ts, uint64_t* value, Timestamp* ts,
@@ -154,10 +162,7 @@ Status ParseEventLine(const char* line, size_t line_cap, bool timestamped,
   *skip = false;
   const size_t len = std::strlen(line);
   if (len + 1 == line_cap && line[len - 1] != '\n') {
-    return Status::InvalidArgument(
-        source_name + ":" + std::to_string(line_no) +
-        ": event line too long (limit " + std::to_string(line_cap - 2) +
-        " characters)");
+    return LineTooLongError(source_name, line_no, line_cap);
   }
   const LineParse parsed =
       ParseEventSpan(line, line + len, timestamped, last_ts, value, ts);
@@ -330,7 +335,7 @@ Result<DriveReport> StreamDriver::DriveEvents(
           manifest.items = delivered;
           manifest.last_ts = timestamped ? item.timestamp : 0;
           manifest.shard_items = {delivered};
-          if (Status s = writer->Write(manifest, sinks); !s.ok()) return s;
+          if (Status s = writer->Begin(manifest, sinks); !s.ok()) return s;
         }
         if (progress && progress_every && delivered % progress_every == 0) {
           pump.Flush();
@@ -338,7 +343,10 @@ Result<DriveReport> StreamDriver::DriveEvents(
         }
         return Status::Ok();
       });
+  // Join the last commit on every exit path; a scan error outranks it.
+  const Status committed = writer != nullptr ? writer->Wait() : Status::Ok();
   if (!status.ok()) return status;
+  if (!committed.ok()) return committed;
   pump.Flush();
   pump.FinishLatencies();
   Finalize(begin, sink, &report);

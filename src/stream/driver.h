@@ -102,7 +102,10 @@ class StreamDriver {
   /// Crash recovery: `writer` (nullable = off) takes periodic checkpoints,
   /// only at batch boundaries, so a resumed run's batch segmentation — and
   /// therefore its RNG draws — is identical to an uninterrupted run's and
-  /// the final state is bit-identical. `resume` (nullable) is the position
+  /// the final state is bit-identical. Each checkpoint is captured at the
+  /// boundary and committed on the writer's commit thread while ingestion
+  /// goes on; the call joins the last commit before it returns, and a
+  /// failed commit fails the drive. `resume` (nullable) is the position
   /// of a checkpoint read back with LoadCheckpoint (stream/checkpoint.h),
   /// and `sink` the sink restored from it: the input must replay the
   /// stream from the beginning, its first `resume->items` events are
@@ -175,6 +178,11 @@ LineParse ParseEventSpan(const char* begin, const char* end, bool timestamped,
 Status LineParseError(LineParse failure, const std::string& source_name,
                       uint64_t line_no, bool timestamped);
 
+/// Builds the InvalidArgument status for a line that does not fit a
+/// `line_cap`-byte line buffer (cold path).
+Status LineTooLongError(const std::string& source_name, uint64_t line_no,
+                        size_t line_cap);
+
 /// Line buffer size of the event-line grammar: a line of more than
 /// kEventLineCap - 2 characters (terminator excluded) is rejected.
 inline constexpr size_t kEventLineCap = 256;
@@ -237,10 +245,7 @@ class EventLineScanner {
             static_cast<size_t>(nl - p) + 1 >= kEventLineCap;
         if (nl == end && !at_eof && !too_long) break;  // carry the tail
         if (too_long) {
-          status = Status::InvalidArgument(
-              source_name_ + ":" + std::to_string(++line_no) +
-              ": event line too long (limit " +
-              std::to_string(kEventLineCap - 2) + " characters)");
+          status = LineTooLongError(source_name_, ++line_no, kEventLineCap);
           break;
         }
         parsed =

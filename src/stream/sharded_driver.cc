@@ -491,8 +491,9 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveLinesCheckpointed(
   auto deliver = [&](const Item& item) -> Status {
     router.Add(item);
     if (writer != nullptr && writer->Due(item.index + 1)) {
-      // Drain the workers so shard sinks are stable, then persist the
-      // sinks plus the router's un-flushed buffers.
+      // Drain the workers so shard sinks are stable, then capture the
+      // sinks plus the router's un-flushed buffers. The workers resume
+      // once Begin returns, while the commit thread writes the files.
       engine.Quiesce();
       CheckpointManifest manifest;
       manifest.items = item.index + 1;
@@ -500,14 +501,18 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveLinesCheckpointed(
       manifest.partition = static_cast<uint64_t>(options_.partition);
       manifest.shard_items = engine.LocalIndices();
       router.ExportTo(&manifest);
-      if (Status s = writer->Write(manifest, shards); !s.ok()) return s;
+      if (Status s = writer->Begin(manifest, shards); !s.ok()) return s;
     }
     return Status::Ok();
   };
-  // Parse errors and failed checkpoint writes return through here;
-  // ~Engine stops and joins the workers on every exit path.
+  // Parse errors and failed checkpoints return through here; ~Engine
+  // stops and joins the workers on every exit path.
   EventLineScanner scanner(source_name, timestamped);
-  if (Status s = scanner.ScanFrom(f, resume, deliver); !s.ok()) return s;
+  const Status status = scanner.ScanFrom(f, resume, deliver);
+  // Join the last commit on every exit path; a scan error outranks it.
+  const Status committed = writer != nullptr ? writer->Wait() : Status::Ok();
+  if (!status.ok()) return status;
+  if (!committed.ok()) return committed;
   router.FinishStream();
   auto report = AssembleReport(begin, engine.Finish());
   if (writer != nullptr) {

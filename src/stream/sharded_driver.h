@@ -150,13 +150,14 @@ class ShardedStreamDriver {
   /// with LoadCheckpoint (stream/checkpoint.h), whose restored sinks are
   /// passed as `shards`; the first `resume->items` events of the replayed
   /// input are skipped. A checkpoint quiesces the workers (barrier through
-  /// every queue), serializes the shard sinks, and persists the router's
-  /// un-flushed buffers in the manifest — so the resumed run's chunk
-  /// segmentation, per-shard delivery order and RNG draws are identical
-  /// to an uninterrupted run's. Requires the same shard count,
-  /// chunk_items, and partition mode as the run that wrote the checkpoint
-  /// (validated against the manifest). The report counts only items
-  /// delivered by THIS call.
+  /// every queue), serializes the shard sinks, and captures the router's
+  /// un-flushed buffers in the manifest; the workers resume while the
+  /// writer's commit thread persists them, and the call joins that commit
+  /// before it returns. The resumed run's chunk segmentation, per-shard
+  /// delivery order and RNG draws are identical to an uninterrupted
+  /// run's. Requires the same shard count, chunk_items, and partition
+  /// mode as the run that wrote the checkpoint (validated against the
+  /// manifest). The report counts only items delivered by THIS call.
   Result<ShardedDriveReport> DriveLinesCheckpointed(
       std::FILE* f, const std::string& source_name, bool timestamped,
       std::span<StreamSink* const> shards, CheckpointWriter* writer = nullptr,

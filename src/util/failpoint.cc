@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <mutex>
+#include <vector>
 
 #include "util/rng.h"
 #include "util/spec_text.h"
@@ -115,7 +116,16 @@ FaultClass Failpoint::Hit() {
 }
 
 Status ArmFailpoints(std::string_view specs, uint64_t seed) {
-  uint64_t site_index = 0;
+  // One parsed spec; nothing is armed until the whole list parses.
+  struct Parsed {
+    std::string_view site;
+    FaultClass klass = FaultClass::kNone;
+    Failpoint::Trigger trigger = Failpoint::Trigger::kAlways;
+    uint64_t arg = 1;
+    double prob = 0.0;
+    uint64_t times = 0;
+  };
+  std::vector<Parsed> parsed;
   while (!specs.empty()) {
     const size_t end = std::min(specs.find(';'), specs.size());
     const std::string_view spec = specs.substr(0, end);
@@ -126,16 +136,12 @@ Status ArmFailpoints(std::string_view specs, uint64_t seed) {
       return Status::InvalidArgument("failpoint spec needs <site>=<class>: " +
                                      std::string(spec));
     }
-    const std::string_view site = spec.substr(0, eq);
     auto parts = SplitSpec("failpoint spec", spec.substr(eq + 1));
     if (!parts.ok()) return parts.status();
 
-    FaultClass klass = FaultClass::kNone;
-    Failpoint::Trigger trigger = Failpoint::Trigger::kAlways;
-    uint64_t arg = 1;
-    double prob = 0.0;
-    uint64_t times = 0;
-    if (parts.value().has_sub || !ParseClass(parts.value().name, &klass)) {
+    Parsed p;
+    p.site = spec.substr(0, eq);
+    if (parts.value().has_sub || !ParseClass(parts.value().name, &p.klass)) {
       return Status::InvalidArgument(
           "failpoint class must be enospc|eio|torn|fsync|rename, got: " +
           std::string(spec.substr(eq + 1)));
@@ -148,43 +154,57 @@ Status ArmFailpoints(std::string_view specs, uint64_t seed) {
           return Status::InvalidArgument("bad failpoint arg: " + token);
         }
         if (key == "times") {
-          times = v;
+          p.times = v;
         } else {
-          trigger = (key == "nth") ? Failpoint::Trigger::kNth
-                                     : Failpoint::Trigger::kEvery;
-          arg = v;
+          p.trigger = (key == "nth") ? Failpoint::Trigger::kNth
+                                       : Failpoint::Trigger::kEvery;
+          p.arg = v;
         }
       } else if (key == "prob") {
-        if (!ParseFiniteDouble(val, &prob) || prob < 0.0 || prob > 1.0) {
+        if (!ParseFiniteDouble(val, &p.prob) || p.prob < 0.0 ||
+            p.prob > 1.0) {
           return Status::InvalidArgument("failpoint prob must be in [0,1]: " +
                                          token);
         }
-        trigger = Failpoint::Trigger::kProb;
+        p.trigger = Failpoint::Trigger::kProb;
       } else {
         return Status::InvalidArgument("unknown failpoint arg: " + token);
       }
     }
+    parsed.push_back(p);
+  }
 
-    Registry& r = GlobalRegistry();
-    if (FindSite(site) == nullptr &&
-        r.count.load(std::memory_order_acquire) == kMaxFailpoints) {
+  // Every site the list names must fit in the registry before any arms.
+  Registry& r = GlobalRegistry();
+  std::vector<std::string_view> fresh;
+  for (const Parsed& p : parsed) {
+    if (FindSite(p.site) != nullptr ||
+        std::find(fresh.begin(), fresh.end(), p.site) != fresh.end()) {
+      continue;
+    }
+    if (r.count.load(std::memory_order_acquire) + fresh.size() ==
+        kMaxFailpoints) {
       return Status::InvalidArgument("failpoint registry full (" +
                                      std::to_string(kMaxFailpoints) +
-                                     " sites): " + std::string(site));
+                                     " sites): " + std::string(p.site));
     }
-    Failpoint& fp = Failpoint::At(site);
+    fresh.push_back(p.site);
+  }
+
+  for (size_t i = 0; i < parsed.size(); ++i) {
+    const Parsed& p = parsed[i];
+    Failpoint& fp = Failpoint::At(p.site);
     std::lock_guard<std::mutex> lock(r.mu);
     fp.armed_.store(false, std::memory_order_release);
-    fp.klass_ = klass;
-    fp.trigger_ = trigger;
-    fp.arg_ = arg;
-    fp.prob_ = prob;
-    fp.times_ = times;
-    fp.seed_ = Rng::ForkSeed(seed, site_index);
+    fp.klass_ = p.klass;
+    fp.trigger_ = p.trigger;
+    fp.arg_ = p.arg;
+    fp.prob_ = p.prob;
+    fp.times_ = p.times;
+    fp.seed_ = Rng::ForkSeed(seed, i);
     fp.hits_.store(0, std::memory_order_relaxed);
     fp.fires_.store(0, std::memory_order_relaxed);
     fp.armed_.store(true, std::memory_order_release);
-    ++site_index;
   }
   return Status::Ok();
 }

@@ -109,7 +109,9 @@ class Failpoint {
 /// Parses and arms a spec list (grammar above). Sites named in the spec
 /// are created if they do not exist yet, so arming may precede the first
 /// I/O through a site; a new site past the registry's 64 slots is
-/// InvalidArgument. Sites not named are left untouched. `seed` forks the
+/// InvalidArgument. The whole list is validated before any site is armed
+/// or created, so an error arms nothing. Sites not named are left
+/// untouched. `seed` forks the
 /// per-site decision streams for `prob=` triggers. Numbers follow
 /// util/spec_text.h: unsigned decimal digits, finite decimal `prob`.
 Status ArmFailpoints(std::string_view specs, uint64_t seed);

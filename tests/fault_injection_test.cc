@@ -19,14 +19,19 @@
 //       cleanly — quarantine-then-resume equivalence;
 //   (7) the degraded -> recovering -> healthy re-probe state machine;
 //   (8) crash-orphaned *.tmp files are swept at engine creation and by
-//       the checkpoint GC.
+//       the checkpoint GC;
+//   (9) a checkpoint commit that fails on the commit thread fails both
+//       drivers' drives, keeps the last committed checkpoint, and resumes
+//       bit-identically; a retried one leaves the drive clean.
 
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,6 +41,7 @@
 #include "stream/checkpoint.h"
 #include "stream/driver.h"
 #include "stream/keyed_engine.h"
+#include "stream/sharded_driver.h"
 #include "stream/workload.h"
 #include "util/failpoint.h"
 #include "util/file_ops.h"
@@ -128,6 +134,12 @@ TEST_F(FaultInjectionTest, ProbTriggerIsDeterministicInTheSeed) {
   for (bool f : a) fires += f ? 1 : 0;
   EXPECT_GT(fires, 200 * 0.3 / 2);
   EXPECT_LT(fires, 200 * 0.3 * 2);
+}
+
+TEST_F(FaultInjectionTest, RejectedSpecListArmsNothing) {
+  EXPECT_FALSE(ArmFailpoints("spill.write=eio;spill.read=bogus", 1).ok());
+  EXPECT_FALSE(AnyFailpointArmed());
+  EXPECT_EQ(Failpoint::At("spill.write").Hit(), FaultClass::kNone);
 }
 
 TEST_F(FaultInjectionTest, UnarmedSitesReportNoneAndReportListsArmed) {
@@ -630,6 +642,171 @@ TEST_F(FaultInjectionTest, CheckpointLoadFaultsSurfaceAsStatusNotCrash) {
   }
   DisarmFailpoints();
   EXPECT_TRUE(LoadCheckpoint(dir).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Pipelined checkpoint commits through both drivers
+
+/// One driver under test: drives `path` into `shards` with an optional
+/// writer and resume position.
+struct CommitDrill {
+  const char* name;
+  uint64_t shards;
+  std::function<Status(const std::string&, std::span<StreamSink* const>,
+                       CheckpointWriter*, const CheckpointManifest*)>
+      drive;
+};
+
+std::vector<CommitDrill> CommitDrills() {
+  StreamDriver::Options single;
+  single.batch_size = 128;
+  ShardedStreamDriver::Options sharded;
+  sharded.threads = 2;
+  sharded.chunk_items = 128;
+  sharded.partition = ShardPartition::kKeyHash;
+  return {
+      {"single DriveFile", 1,
+       [single](const std::string& path, std::span<StreamSink* const> sinks,
+                CheckpointWriter* writer, const CheckpointManifest* resume) {
+         return StreamDriver(single)
+             .DriveFile(path, true, *sinks[0], writer, resume)
+             .status();
+       }},
+      {"2-thread keyhash DriveFileCheckpointed", 2,
+       [sharded](const std::string& path, std::span<StreamSink* const> sinks,
+                 CheckpointWriter* writer, const CheckpointManifest* resume) {
+         return ShardedStreamDriver(sharded)
+             .DriveFileCheckpointed(path, true, sinks, writer, resume)
+             .status();
+       }},
+  };
+}
+
+/// "<ts> <value>" lines: Zipf values, four arrivals per tick.
+std::string WriteEventFile(const std::string& dir, uint64_t lines) {
+  const std::string path = dir + "/events.txt";
+  std::ofstream out(path);
+  for (const Item& item : ZipfItems(lines, 500, 12)) {
+    out << item.index / 4 << ' ' << item.value << '\n';
+  }
+  return path;
+}
+
+/// Every shard's checkpoint envelope: equal blobs mean equal state.
+std::vector<std::string> ShardBlobs(const SinkSpec& spec,
+                                    const std::vector<Sink>& sinks) {
+  std::vector<std::string> blobs;
+  for (size_t s = 0; s < sinks.size(); ++s) {
+    blobs.push_back(
+        SaveSink(*sinks[s].sink, ShardSinkSpec(spec, s, sinks.size())
+                                     .ValueOrDie())
+            .ValueOrDie());
+  }
+  return blobs;
+}
+
+void ExpectNoTempFiles(const std::string& dir) {
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_TRUE(name.size() < 4 ||
+                name.compare(name.size() - 4, 4, ".tmp") != 0)
+        << "leaked temp " << name;
+  }
+}
+
+TEST_F(FaultInjectionTest, FailedCommitFailsTheDriveAndResumeIsBitIdentical) {
+  const SinkSpec spec =
+      ParseSinkSpec("ams-fk@bop-ts-single,t=50,r=8,seed=9").ValueOrDie();
+  for (const CommitDrill& drill : CommitDrills()) {
+    SCOPED_TRACE(drill.name);
+    DisarmFailpoints();
+    const std::string dir = FreshDir("fi_commit_outage");
+    const std::string ckpt = dir + "/ckpt";
+    const std::string path = WriteEventFile(dir, 5000);
+    auto reference = CreateShardedSinks(spec, drill.shards).ValueOrDie();
+    ASSERT_TRUE(
+        drill.drive(path, SinkPointers(reference), nullptr, nullptr).ok());
+
+    // The storage fails for good once the first checkpoint has committed,
+    // so the second checkpoint's commit gives up on the commit thread.
+    uint64_t committed = 0;
+    {
+      auto sinks = CreateShardedSinks(spec, drill.shards).ValueOrDie();
+      CheckpointPolicy policy;
+      policy.dir = ckpt;
+      policy.every_items = 1000;
+      policy.retry.backoff_ms = 0.0;
+      CheckpointWriter writer(
+          policy, MakeSinkSerializers(spec, drill.shards).ValueOrDie());
+      writer.set_after_write([&committed](uint64_t items) {
+        if (committed == 0) {
+          EXPECT_TRUE(
+              ArmFailpoints("ckpt.write=eio;ckpt.manifest=eio", 1).ok());
+        }
+        committed = items;
+      });
+      const Status status =
+          drill.drive(path, SinkPointers(sinks), &writer, nullptr);
+      ASSERT_FALSE(status.ok());
+      EXPECT_TRUE(status.retryable()) << status.ToString();
+      EXPECT_EQ(writer.io_giveups(), 1u);
+      EXPECT_EQ(writer.last_written_items(), committed);
+    }
+    DisarmFailpoints();
+    ASSERT_GT(committed, 0u);
+    ExpectNoTempFiles(ckpt);
+
+    // The MANIFEST still names the checkpoint that committed; resuming
+    // from it reproduces the uninterrupted run bit for bit.
+    auto resumed = LoadCheckpoint(ckpt);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ(resumed.value().position.items, committed);
+    ASSERT_TRUE(drill
+                    .drive(path, SinkPointers(resumed.value().sinks), nullptr,
+                           &resumed.value().position)
+                    .ok());
+    EXPECT_EQ(ShardBlobs(spec, resumed.value().sinks),
+              ShardBlobs(spec, reference));
+  }
+}
+
+TEST_F(FaultInjectionTest, RetriedCommitLeavesTheDriveClean) {
+  const SinkSpec spec =
+      ParseSinkSpec("ams-fk@bop-ts-single,t=50,r=8,seed=9").ValueOrDie();
+  for (const CommitDrill& drill : CommitDrills()) {
+    SCOPED_TRACE(drill.name);
+    DisarmFailpoints();
+    const std::string dir = FreshDir("fi_commit_retry");
+    const std::string path = WriteEventFile(dir, 5000);
+    auto reference = CreateShardedSinks(spec, drill.shards).ValueOrDie();
+    ASSERT_TRUE(
+        drill.drive(path, SinkPointers(reference), nullptr, nullptr).ok());
+
+    auto sinks = CreateShardedSinks(spec, drill.shards).ValueOrDie();
+    CheckpointPolicy policy;
+    policy.dir = dir + "/ckpt";
+    policy.every_items = 1000;
+    policy.retry.backoff_ms = 0.0;
+    CheckpointWriter writer(
+        policy, MakeSinkSerializers(spec, drill.shards).ValueOrDie());
+    bool armed = false;
+    writer.set_after_write([&armed](uint64_t) {
+      if (!armed) {
+        EXPECT_TRUE(ArmFailpoints("ckpt.write=eio,nth=1", 1).ok());
+      }
+      armed = true;
+    });
+    const Status status =
+        drill.drive(path, SinkPointers(sinks), &writer, nullptr);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(writer.io_retries(), 1u);
+    EXPECT_EQ(writer.io_giveups(), 0u);
+    ExpectNoTempFiles(policy.dir);
+    auto loaded = LoadCheckpoint(policy.dir);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded.value().position.items, writer.last_written_items());
+    EXPECT_EQ(ShardBlobs(spec, sinks), ShardBlobs(spec, reference));
+  }
 }
 
 // ---------------------------------------------------------------------------

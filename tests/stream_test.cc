@@ -865,6 +865,68 @@ TEST_F(EventGrammarFuzzTest, FastShapeLinesAcrossReadBlockBoundary) {
   }
 }
 
+// Checkpoint cadence follows the captured position, not the committed
+// one: with commits still in flight on the writer's commit thread, a
+// drive of M items checkpoints exactly every N items, ⌊M/N⌋ times.
+TEST(CheckpointCadenceTest, AfterWriteFiresOncePerIntervalInBothDrivers) {
+  constexpr uint64_t kItems = 10500;
+  constexpr uint64_t kEvery = 1000;
+  const std::string path = ::testing::TempDir() + "/cadence_stream.txt";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    for (uint64_t i = 0; i < kItems; ++i) {
+      std::fprintf(f, "%llu\n", static_cast<unsigned long long>(i % 977));
+    }
+    std::fclose(f);
+  }
+  SamplerConfig config;
+  config.window_n = 256;
+  config.k = 4;
+  config.seed = 11;
+  const SinkSpec spec = SamplerSinkSpec("bop-seq-swr", config);
+  std::vector<uint64_t> expected;
+  for (uint64_t items = kEvery; items <= kItems; items += kEvery) {
+    expected.push_back(items);
+  }
+
+  for (const uint64_t shards : {1, 2}) {
+    SCOPED_TRACE(shards == 1 ? "StreamDriver" : "ShardedStreamDriver");
+    const std::string dir = path + ".ckpt" + std::to_string(shards);
+    std::filesystem::remove_all(dir);
+    auto sinks = CreateShardedSinks(spec, shards).ValueOrDie();
+    CheckpointPolicy policy;
+    policy.dir = dir;
+    policy.every_items = kEvery;
+    CheckpointWriter writer(policy,
+                            MakeSinkSerializers(spec, shards).ValueOrDie());
+    std::vector<uint64_t> fired;
+    writer.set_after_write(
+        [&fired](uint64_t items) { fired.push_back(items); });
+    Status status;
+    if (shards == 1) {
+      StreamDriver::Options options;
+      options.batch_size = 100;  // divides kEvery: boundaries land on N
+      status = StreamDriver(options)
+                   .DriveFile(path, false, *sinks[0].sink, &writer)
+                   .status();
+    } else {
+      ShardedStreamDriver::Options options;
+      options.threads = 2;
+      options.partition = ShardPartition::kKeyHash;
+      status = ShardedStreamDriver(options)
+                   .DriveFileCheckpointed(path, false, SinkPointers(sinks),
+                                          &writer)
+                   .status();
+    }
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(fired, expected);
+    EXPECT_EQ(writer.last_written_items(), expected.back());
+    std::filesystem::remove_all(dir);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(DriveBufferTest, ParsesDirectlyFromMemory) {
   SamplerConfig config;
   config.window_n = 4;
