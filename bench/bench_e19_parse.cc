@@ -6,8 +6,10 @@
 // (ParseEventSpan with its eight-digit gulp), the EventLineScanner every
 // text driver runs (its fast shape plus that general path), and the full
 // DriveBuffer pipeline into a null sink -- and reports MB/s per stage. The
-// stage numbers bound how fast any end-to-end ingestion can go; the
-// drive-buffer row shows how close the assembled pipeline gets.
+// stage numbers bound how fast one thread's ingestion can go; the
+// drive-buffer row runs the assembled pipeline, which parses ranges of
+// the corpus on up to three helper threads, so on a multi-core host it
+// can beat the single-threaded scan row.
 //
 // All rows are absolute-throughput micro-measurements, so they are
 // recorded with "gated": 0 -- informational in BENCH.json, never scored

@@ -3,6 +3,7 @@
 #include "apps/freq_moments.h"
 
 #include <cmath>
+#include <string>
 #include <utility>
 
 namespace swsample {
@@ -19,9 +20,14 @@ Result<std::unique_ptr<FkEstimator>> FkEstimator::Create(
       new FkEstimator(std::move(substrate).ValueOrDie(), moment));
 }
 
+FkEstimator::FkEstimator(Substrate substrate, uint32_t moment)
+    : substrate_(std::move(substrate)), moment_(moment), metric_("F") {
+  metric_ += std::to_string(moment);
+}
+
 EstimateReport FkEstimator::Estimate() {
   EstimateReport report;
-  report.metric = "F" + std::to_string(moment_);
+  report.metric = metric_;
   const double n = substrate_.WindowSizeEstimate();
   report.window_size = n;
   if (n <= 0.0) return report;

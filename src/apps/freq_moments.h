@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "apps/estimator.h"
 #include "apps/payload_substrate.h"
@@ -60,11 +61,11 @@ class FkEstimator final : public WindowEstimator {
   }
 
  private:
-  FkEstimator(Substrate substrate, uint32_t moment)
-      : substrate_(std::move(substrate)), moment_(moment) {}
+  FkEstimator(Substrate substrate, uint32_t moment);
 
   Substrate substrate_;
   uint32_t moment_;
+  std::string metric_;  ///< "F<moment>", the reports' metric label
 };
 
 }  // namespace swsample

@@ -6,8 +6,16 @@
 #include <cctype>
 #include <chrono>
 #include <cinttypes>
+#include <condition_variable>
 #include <cstring>
+#include <limits>
+#include <mutex>
+#include <thread>
+#include <type_traits>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
 #if defined(__unix__) || defined(__APPLE__)
 #define SWSAMPLE_HAVE_MMAP 1
 #include <fcntl.h>
@@ -103,7 +111,224 @@ inline Timestamp SaturateTimestamp(uint64_t magnitude, bool negative) {
              ? INT64_MAX
              : static_cast<Timestamp>(magnitude);
 }
+
+/// Most parse helpers one range drive starts. The sink on the calling
+/// thread bounds the drive well before more helpers would pay off.
+constexpr size_t kMaxParseHelpers = 3;
+
+/// Parse helpers for a range drive: one per CPU in this process's
+/// affinity mask, less the calling thread's, at most kMaxParseHelpers.
+size_t ParseHelperCount() {
+  size_t cpus = std::thread::hardware_concurrency();
+#if defined(__linux__)
+  cpu_set_t set;
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    cpus = static_cast<size_t>(CPU_COUNT(&set));
+  }
+#endif
+  return std::min(std::max<size_t>(cpus, 1) - 1, kMaxParseHelpers);
+}
+
+/// One range's scan, numbered from the range's start: item indices (and
+/// sequence-mode timestamps) and the line count are range-local. The
+/// first and last event timestamps are those of items.front() and
+/// items.back().
+struct RangeScan {
+  std::vector<Item> items;  ///< the events before the failing line, if any
+  uint64_t lines = 0;       ///< lines scanned, the failing one included
+  bool failed = false;      ///< a line of the range is not a valid event
+};
+
+void ScanRange(std::string_view range, bool timestamped, RangeScan* scan) {
+  scan->items.clear();
+  // Any first timestamp passes here; the join checks it against the
+  // previous range's last. The source name goes unused: the join scans a
+  // failing range again from the stream's position to name its error.
+  EventLineScanner scanner(std::string(), timestamped, 0,
+                           std::numeric_limits<Timestamp>::min(), 0);
+  scan->failed = !scanner
+                      .ScanAll(range,
+                               [scan](const Item& item) {
+                                 scan->items.push_back(item);
+                                 return Status::Ok();
+                               })
+                      .ok();
+  scan->lines = scanner.lines();
+}
+
+/// The helpers' side of a range drive. Helpers claim ranges in order and
+/// scan range r into slot r % slots of a ring of reused slots; a helper
+/// claims range r only once the caller has released range r - slots, so
+/// at most `slots` ranges are parsed ahead of the caller. A range no
+/// helper has claimed by the time the caller needs it (every range, with
+/// no helpers) the caller claims and scans itself. The destructor stops
+/// and joins the helpers, so every exit path of a drive joins them.
+class RangeRing {
+ public:
+  RangeRing(std::span<const std::string_view> ranges, bool timestamped,
+            size_t helpers)
+      : ranges_(ranges),
+        timestamped_(timestamped),
+        slots_(helpers == 0 ? 1 : 2 * helpers),
+        ready_(slots_.size(), false) {
+    // Room for the longest range of the shortest events ("1\n"), so a
+    // scan never reallocates; only the pages it writes become resident.
+    size_t longest = 0;
+    for (std::string_view range : ranges) {
+      longest = std::max(longest, range.size());
+    }
+    for (RangeScan& slot : slots_) slot.items.reserve(longest / 2 + 1);
+    helpers_.reserve(helpers);
+    for (size_t h = 0; h < helpers; ++h) {
+      helpers_.emplace_back([this] { Help(); });
+    }
+  }
+
+  ~RangeRing() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    freed_.notify_all();
+    for (std::thread& helper : helpers_) helper.join();
+  }
+
+  RangeRing(const RangeRing&) = delete;
+  RangeRing& operator=(const RangeRing&) = delete;
+
+  /// Range r's scan; the caller acquires ranges in order and owns the
+  /// slot until Release(r).
+  RangeScan& Acquire(size_t r) {
+    const size_t slot = r % slots_.size();
+    std::unique_lock<std::mutex> lock(mu_);
+    if (claimed_ == r) {
+      ++claimed_;
+      lock.unlock();
+      ScanRange(ranges_[r], timestamped_, &slots_[slot]);
+    } else {
+      filled_.wait(lock, [&] { return ready_[slot]; });
+    }
+    return slots_[slot];
+  }
+
+  /// Hands range r's slot on to range r + slots.
+  void Release(size_t r) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ready_[r % slots_.size()] = false;
+      ++released_;
+    }
+    freed_.notify_all();
+  }
+
+ private:
+  void Help() {
+    for (;;) {
+      size_t r = 0;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        freed_.wait(lock, [&] {
+          return stop_ || claimed_ == ranges_.size() ||
+                 claimed_ < released_ + slots_.size();
+        });
+        if (stop_ || claimed_ == ranges_.size()) return;
+        r = claimed_++;
+      }
+      ScanRange(ranges_[r], timestamped_, &slots_[r % slots_.size()]);
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        ready_[r % slots_.size()] = true;
+      }
+      filled_.notify_one();
+    }
+  }
+
+  const std::span<const std::string_view> ranges_;
+  const bool timestamped_;
+  std::vector<RangeScan> slots_;
+  std::mutex mu_;
+  std::condition_variable filled_;  // a slot became ready (the caller)
+  std::condition_variable freed_;   // a slot was released (the helpers)
+  std::vector<bool> ready_;         // per slot, guarded by mu_
+  size_t claimed_ = 0;              // ranges claimed, in order
+  size_t released_ = 0;             // ranges released by the caller
+  bool stop_ = false;
+  std::vector<std::thread> helpers_;  // last: started once all is set
+};
+
+/// The caller's side of a range drive over `data`: joins the ranges'
+/// scans in stream order, checks each range's first timestamp against the
+/// previous range's last, rebases indices onto the stream, applies the
+/// `resume` skip and its clock check, and hands the events on in spans
+/// through `deliver_span`. A range that does not join cleanly ends the
+/// drive: it is scanned again from the stream's position with
+/// `deliver_item`, the serial per-item path, so its error has the serial
+/// message and line number and the events before it are delivered alike.
+template <typename DeliverItem, typename DeliverSpan>
+Status JoinRanges(std::string_view data, const std::string& source_name,
+                  bool timestamped, const CheckpointManifest* resume,
+                  DeliverItem&& deliver_item, DeliverSpan&& deliver_span) {
+  const std::vector<std::string_view> ranges = SplitEventRanges(data);
+  RangeRing ring(ranges, timestamped,
+                 ranges.size() > 1 ? ParseHelperCount() : 0);
+  const uint64_t skip = resume != nullptr ? resume->items : 0;
+  StreamIndex base = 0;  // stream index of the range's first event
+  Timestamp last_ts = 0;
+  uint64_t lines = 0;  // lines before the range
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    RangeScan& scan = ring.Acquire(r);
+    std::vector<Item>& items = scan.items;
+    const uint64_t count = items.size();
+    const bool out_of_order =
+        timestamped && count > 0 && items.front().timestamp < last_ts;
+    const bool diverges = resume != nullptr && timestamped && base < skip &&
+                          skip <= base + count &&
+                          items[skip - 1 - base].timestamp != resume->last_ts;
+    if (scan.failed || out_of_order || diverges) {
+      EventLineScanner rescan(source_name, timestamped, base, last_ts, lines);
+      const Status status = rescan.ScanFrom(ranges[r], resume, deliver_item);
+      SWS_DCHECK(!status.ok());
+      return status;
+    }
+    for (Item& item : items) {
+      item.index += base;
+      if (!timestamped) item.timestamp = static_cast<Timestamp>(item.index);
+    }
+    if (timestamped && count > 0) last_ts = items.back().timestamp;
+    const uint64_t first = skip > base ? std::min(skip - base, count) : 0;
+    base += count;
+    lines += scan.lines;
+    if (first < count) {
+      if (Status s = deliver_span(std::span<const Item>(items).subspan(
+              static_cast<size_t>(first)));
+          !s.ok()) {
+        return s;
+      }
+    }
+    ring.Release(r);
+  }
+  if (base >= skip) return Status::Ok();
+  // The input ended before the checkpoint's position: ScanFrom over the
+  // empty rest of the input reports that as the serial scan does.
+  EventLineScanner rest(source_name, timestamped, base, last_ts, lines);
+  return rest.ScanFrom(std::string_view(), resume, deliver_item);
+}
 }  // namespace
+
+std::vector<std::string_view> SplitEventRanges(std::string_view data) {
+  std::vector<std::string_view> ranges;
+  size_t begin = 0;
+  while (begin < data.size()) {
+    size_t end = data.size();
+    if (end - begin > kEventRangeBytes) {
+      const size_t nl = data.find('\n', begin + kEventRangeBytes - 1);
+      if (nl != std::string_view::npos) end = nl + 1;
+    }
+    ranges.push_back(data.substr(begin, end - begin));
+    begin = end;
+  }
+  return ranges;
+}
 
 LineParse ParseEventSpan(const char* begin, const char* end, bool timestamped,
                          Timestamp last_ts, uint64_t* value, Timestamp* ts) {
@@ -249,6 +474,12 @@ class StreamDriver::Pump {
         latencies_[(latencies_.size() - 1) * 99 / 100];
   }
 
+  /// Items the next batch still takes: Push or PushSpan that many and
+  /// the pump is at a batch boundary.
+  size_t room() const {
+    return options_.batch_size == 0 ? 1 : options_.batch_size - buffer_.size();
+  }
+
   /// Items accumulated but not yet delivered. Zero exactly at batch
   /// boundaries — the only points where a checkpoint may be taken
   /// without disturbing the batch segmentation an uninterrupted run
@@ -322,27 +553,54 @@ Result<DriveReport> StreamDriver::DriveEvents(
   StreamSink* const sinks[] = {&sink};
   // One predictable branch per event when neither hook is set.
   const bool hooked = writer != nullptr || (progress && progress_every != 0);
-  EventLineScanner scanner(source_name, timestamped);
-  const Status status =
-      scanner.ScanFrom(input, resume, [&](const Item& item) -> Status {
-        pump.Push(item);
-        if (!hooked) return Status::Ok();
-        const uint64_t delivered = item.index + 1;
-        // Checkpoints only at batch boundaries — see Pump::buffered().
-        if (writer != nullptr && pump.buffered() == 0 &&
-            writer->Due(delivered)) {
-          CheckpointManifest manifest;
-          manifest.items = delivered;
-          manifest.last_ts = timestamped ? item.timestamp : 0;
-          manifest.shard_items = {delivered};
-          if (Status s = writer->Begin(manifest, sinks); !s.ok()) return s;
-        }
-        if (progress && progress_every && delivered % progress_every == 0) {
-          pump.Flush();
-          progress(delivered);
-        }
+  // Takes a checkpoint if one is due after `last`, the last item pushed.
+  // Checkpoints only at batch boundaries — see Pump::buffered().
+  const auto checkpoint_after = [&](const Item& last) -> Status {
+    const uint64_t delivered = last.index + 1;
+    if (pump.buffered() != 0 || !writer->Due(delivered)) return Status::Ok();
+    CheckpointManifest manifest;
+    manifest.items = delivered;
+    manifest.last_ts = timestamped ? last.timestamp : 0;
+    manifest.shard_items = {delivered};
+    return writer->Begin(manifest, sinks);
+  };
+  const auto deliver = [&](const Item& item) -> Status {
+    pump.Push(item);
+    if (!hooked) return Status::Ok();
+    if (writer != nullptr) {
+      if (Status s = checkpoint_after(item); !s.ok()) return s;
+    }
+    const uint64_t delivered = item.index + 1;
+    if (progress && progress_every && delivered % progress_every == 0) {
+      pump.Flush();
+      progress(delivered);
+    }
+    return Status::Ok();
+  };
+  Status status;
+  if constexpr (std::is_same_v<Input, std::string_view>) {
+    // Spans go in the batches Push would form, split at each batch
+    // boundary for the checkpoint test when checkpointing. No buffer
+    // drive takes a progress hook.
+    const auto deliver_span = [&](std::span<const Item> items) -> Status {
+      if (writer == nullptr) {
+        pump.PushSpan(items);
         return Status::Ok();
-      });
+      }
+      while (!items.empty()) {
+        const size_t take = std::min(items.size(), pump.room());
+        pump.PushSpan(items.first(take));
+        if (Status s = checkpoint_after(items[take - 1]); !s.ok()) return s;
+        items = items.subspan(take);
+      }
+      return Status::Ok();
+    };
+    status = JoinRanges(input, source_name, timestamped, resume, deliver,
+                        deliver_span);
+  } else {
+    EventLineScanner scanner(source_name, timestamped);
+    status = scanner.ScanFrom(input, resume, deliver);
+  }
   // Join the last commit on every exit path; a scan error outranks it.
   const Status committed = writer != nullptr ? writer->Wait() : Status::Ok();
   if (!status.ok()) return status;

@@ -15,6 +15,10 @@
 /// Thread-safety: a StreamDriver is immutable after construction and may
 /// be shared across threads, but each Drive* call pumps one sink from the
 /// calling thread — drive a given sink from one thread at a time.
+/// DriveBuffer and DriveFile's mmap path may start up to three parse
+/// helper threads for the call's duration; they only parse ranges of the
+/// buffer, never touch the sink or the checkpoint writer, and are joined
+/// before the call returns.
 ///
 /// Status conventions: unreadable files and malformed input return
 /// InvalidArgument through Result<DriveReport> with "source:line"-prefixed
@@ -123,15 +127,21 @@ class StreamDriver {
   /// Zero-copy ingestion over an in-memory text buffer with the DriveLines
   /// grammar: events are parsed straight out of `data` (no per-line
   /// std::string, no stdio), errors carry the same "source:line" messages.
+  /// A buffer of more than one SplitEventRanges range is parsed range by
+  /// range on helper threads; the calling thread joins the ranges in
+  /// stream order and alone drives the sink, so items, batches, errors
+  /// and the final sink state are those of a serial scan.
   Result<DriveReport> DriveBuffer(std::string_view data,
                                   const std::string& source_name,
                                   bool timestamped, StreamSink& sink) const;
 
   /// DriveLines over a file path, checkpointing and resuming alike.
-  /// Regular files are mmap'ed and parsed in place (zero-copy); pipes,
-  /// devices and platforms without mmap are read through stdio. Both run
-  /// EventLineScanner, so items, errors, line numbers and checkpoints are
-  /// identical on every input.
+  /// Regular files are mmap'ed and parsed in place (zero-copy) as
+  /// DriveBuffer parses: helper threads parse ranges, and the calling
+  /// thread delivers them in order, takes the checkpoints and alone drives
+  /// the sink. Pipes, devices and platforms without mmap are read serially
+  /// through stdio. Both run EventLineScanner, so items, batches, errors,
+  /// line numbers and checkpoints are identical on every input.
   Result<DriveReport> DriveFile(const std::string& path, bool timestamped,
                                 StreamSink& sink,
                                 CheckpointWriter* writer = nullptr,
@@ -145,7 +155,8 @@ class StreamDriver {
   class Pump;
 
   /// The one event loop behind DriveLines, DriveBuffer and DriveFile;
-  /// `input` is a std::FILE* or a std::string_view.
+  /// `input` is a std::FILE* (scanned serially) or a std::string_view
+  /// (scanned range by range, see SplitEventRanges).
   template <typename Input>
   Result<DriveReport> DriveEvents(Input input, const std::string& source_name,
                                   bool timestamped, StreamSink& sink,
@@ -199,8 +210,16 @@ Status ParseEventLine(const char* line, size_t line_cap, bool timestamped,
                       Timestamp last_ts, uint64_t* value, Timestamp* ts,
                       bool* skip);
 
-/// The event-line scanner every text ingestion path runs: over a whole
-/// buffer (mmap'ed files, DriveBuffer) or over blocks of a FILE*. It
+/// Bytes per range of a range-parallel drive (DriveBuffer, DriveFile).
+inline constexpr size_t kEventRangeBytes = size_t{64} << 10;
+
+/// Splits `data` into the newline-aligned ranges a range-parallel drive
+/// parses, in order: each range but the last ends with the first '\n' at
+/// or after its kEventRangeBytes-th byte, so every line lies in one range.
+std::vector<std::string_view> SplitEventRanges(std::string_view data);
+
+/// The event-line scanner every text ingestion path runs: over ranges of
+/// a buffer (mmap'ed files, DriveBuffer) or over blocks of a FILE*. It
 /// numbers lines, assigns arrival indices from 0 (also the
 /// timestamps of sequence-mode events), checks timestamp order, and hands
 /// each event to `on_event(const Item&)`; a non-OK Status from it stops
@@ -211,6 +230,20 @@ class EventLineScanner {
  public:
   EventLineScanner(std::string source_name, bool timestamped)
       : source_name_(std::move(source_name)), timestamped_(timestamped) {}
+
+  /// A scanner that continues a stream after `index` events and `line_no`
+  /// lines, the last event stamped `last_ts`: indices and line numbers go
+  /// on from there, and the next timestamp must not fall below `last_ts`.
+  EventLineScanner(std::string source_name, bool timestamped,
+                   StreamIndex index, Timestamp last_ts, uint64_t line_no)
+      : source_name_(std::move(source_name)),
+        timestamped_(timestamped),
+        index_(index),
+        last_ts_(last_ts),
+        line_no_(line_no) {}
+
+  /// Lines scanned so far, the line a failed scan stopped on included.
+  uint64_t lines() const { return line_no_; }
 
   /// Scans the lines of [*pos, end). Unless `at_eof`, the bytes after the
   /// last newline are an incomplete line: it is left unparsed, with *pos

@@ -3,10 +3,12 @@
 # CLI mode:
 #   (1) stdin and --file print the same stdout, and so do a --workload run
 #       that records a trace and the --replay-trace run of that trace —
-#       for single, sharded and keyed runs;
+#       for single, sharded and keyed runs, and for single runs over a
+#       file of many parse ranges (--file parses those on helper threads);
 #   (2) SIGKILL after a checkpoint, then --resume, prints stdout
 #       byte-identical to an uninterrupted run (single sampler, single
-#       estimator, sharded chunks, sharded keyhash estimator);
+#       estimator, sharded chunks, sharded keyhash estimator, and a single
+#       sampler over the many-range file);
 #   (3) a resume whose shard count, kind or registry name differs from the
 #       checkpoint exits 2, on the single-threaded and the sharded driver;
 #   (4) --threads=0, unknown flags, malformed <window> <k> positionals
@@ -50,6 +52,8 @@ expect_same() {
 
 seq 1 20000 > seq.txt
 seq 1 20000 | awk '{print int($1 / 8), $1 % 500}' > ts.txt
+# About 2.4 MB: some 37 ranges of 64 KiB.
+seq 1 240000 | awk '{print int($1 / 8), ($1 * 7919) % 1000}' > ts-multi.txt
 WORKLOAD="poisson@zipf,lambda=4,alpha=1.2,domain=500"
 
 # (1) Every input path prints the same stdout.
@@ -83,23 +87,43 @@ for mode in "${modes[@]}"; do
     "$name.replay"
 done
 
+# (1) over the many-range file: the single driver's --file run parses it
+# on helper threads and must still print the stdin run's stdout.
+multi_modes=(
+  "multi-range|--algo=bop-ts-swr --seed=7|1000 8"
+  "multi-range-estimator|--estimator=ams-fk --substrate=bop-ts-single --seed=7|100 16"
+)
+for mode in "${multi_modes[@]}"; do
+  IFS='|' read -r name flags positionals <<< "$mode"
+  # shellcheck disable=SC2086
+  "$CLI" $flags --report=0 $positionals < ts-multi.txt > "$name.stdin" \
+    2> /dev/null || fail "$name: stdin run failed"
+  # shellcheck disable=SC2086
+  "$CLI" $flags --file=ts-multi.txt $positionals > "$name.file" \
+    2> /dev/null || fail "$name: --file run failed"
+  expect_same "$name: stdin vs --file" "$name.stdin" "$name.file"
+done
+
 # (2) SIGKILL right after a checkpoint, then --resume: byte-identical.
 drills=(
   "single|--algo=bop-seq-swor --seed=7 --file=seq.txt|1000 8"
   "single-estimator|--estimator=ams-fk --substrate=bop-ts-single --seed=7 --file=ts.txt|100 16"
   "sharded-chunks|--algo=bop-seq-swor --seed=7 --file=seq.txt --threads=2 --shards=2 --partition=chunks|1000 8"
   "sharded-keyhash|--estimator=ams-fk --substrate=bop-ts-single --seed=7 --file=ts.txt --threads=2 --shards=2 --partition=keyhash|100 16"
+  "multi-range|--algo=bop-ts-swr --seed=7 --file=ts-multi.txt|1000 8|30000|90000"
 )
 for drill in "${drills[@]}"; do
-  IFS='|' read -r name flags positionals <<< "$drill"
+  IFS='|' read -r name flags positionals every kill <<< "$drill"
+  every=${every:-3000}
+  kill=${kill:-9000}
   # shellcheck disable=SC2086
   "$CLI" $flags $positionals > "$name.full" 2> /dev/null \
     || fail "$name: uninterrupted run failed"
   # The subshell outlives the kill (it runs `exit` after the CLI), so its
   # "Killed" job notice goes to /dev/null with the rest of its stderr.
   # shellcheck disable=SC2086
-  ("$CLI" $flags --checkpoint-dir="$name.ckpt" --checkpoint-every=3000 \
-    --kill-after=9000 $positionals; exit $?) > /dev/null 2>&1
+  ("$CLI" $flags --checkpoint-dir="$name.ckpt" --checkpoint-every="$every" \
+    --kill-after="$kill" $positionals; exit $?) > /dev/null 2>&1
   status=$?
   [ "$status" -eq 137 ] || fail "$name: exit $status, expected SIGKILL (137)"
   # shellcheck disable=SC2086

@@ -22,8 +22,10 @@
 //       the checkpoint GC;
 //   (9) a checkpoint commit that fails on the commit thread fails both
 //       drivers' drives, keeps the last committed checkpoint, and resumes
-//       bit-identically; a retried one leaves the drive clean.
+//       bit-identically; a retried one leaves the drive clean — also on
+//       a file of many ranges, with parse helpers running at the failure.
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -33,6 +35,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -648,10 +651,13 @@ TEST_F(FaultInjectionTest, CheckpointLoadFaultsSurfaceAsStatusNotCrash) {
 // Pipelined checkpoint commits through both drivers
 
 /// One driver under test: drives `path` into `shards` with an optional
-/// writer and resume position.
+/// writer and resume position, over an event file of `lines` lines
+/// checkpointed every `every_items` items.
 struct CommitDrill {
   const char* name;
   uint64_t shards;
+  uint64_t lines;
+  uint64_t every_items;
   std::function<Status(const std::string&, std::span<StreamSink* const>,
                        CheckpointWriter*, const CheckpointManifest*)>
       drive;
@@ -664,15 +670,20 @@ std::vector<CommitDrill> CommitDrills() {
   sharded.threads = 2;
   sharded.chunk_items = 128;
   sharded.partition = ShardPartition::kKeyHash;
+  const auto drive_single = [single](const std::string& path,
+                                    std::span<StreamSink* const> sinks,
+                                    CheckpointWriter* writer,
+                                    const CheckpointManifest* resume) {
+    return StreamDriver(single)
+        .DriveFile(path, true, *sinks[0], writer, resume)
+        .status();
+  };
   return {
-      {"single DriveFile", 1,
-       [single](const std::string& path, std::span<StreamSink* const> sinks,
-                CheckpointWriter* writer, const CheckpointManifest* resume) {
-         return StreamDriver(single)
-             .DriveFile(path, true, *sinks[0], writer, resume)
-             .status();
-       }},
-      {"2-thread keyhash DriveFileCheckpointed", 2,
+      {"single DriveFile", 1, 5000, 1000, drive_single},
+      // ~1.2 MB, many ranges: the parse helpers are still running when a
+      // commit fails, and the error path joins them.
+      {"single DriveFile over many ranges", 1, 120000, 10000, drive_single},
+      {"2-thread keyhash DriveFileCheckpointed", 2, 5000, 1000,
        [sharded](const std::string& path, std::span<StreamSink* const> sinks,
                  CheckpointWriter* writer, const CheckpointManifest* resume) {
          return ShardedStreamDriver(sharded)
@@ -705,6 +716,25 @@ std::vector<std::string> ShardBlobs(const SinkSpec& spec,
   return blobs;
 }
 
+/// Threads of this process once it is down to `want` of them, or after
+/// a second: a joined thread can linger in /proc for a moment. 0 where
+/// the count cannot be read (not Linux).
+size_t ThreadsSettledTo(size_t want) {
+  size_t threads = 0;
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    std::error_code ec;
+    threads = 0;
+    for (fs::directory_iterator it("/proc/self/task", ec), end;
+         !ec && it != end; it.increment(ec)) {
+      ++threads;
+    }
+    if (ec) return 0;
+    if (threads <= want) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return threads;
+}
+
 void ExpectNoTempFiles(const std::string& dir) {
   for (const auto& entry : fs::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
@@ -722,7 +752,7 @@ TEST_F(FaultInjectionTest, FailedCommitFailsTheDriveAndResumeIsBitIdentical) {
     DisarmFailpoints();
     const std::string dir = FreshDir("fi_commit_outage");
     const std::string ckpt = dir + "/ckpt";
-    const std::string path = WriteEventFile(dir, 5000);
+    const std::string path = WriteEventFile(dir, drill.lines);
     auto reference = CreateShardedSinks(spec, drill.shards).ValueOrDie();
     ASSERT_TRUE(
         drill.drive(path, SinkPointers(reference), nullptr, nullptr).ok());
@@ -734,7 +764,7 @@ TEST_F(FaultInjectionTest, FailedCommitFailsTheDriveAndResumeIsBitIdentical) {
       auto sinks = CreateShardedSinks(spec, drill.shards).ValueOrDie();
       CheckpointPolicy policy;
       policy.dir = ckpt;
-      policy.every_items = 1000;
+      policy.every_items = drill.every_items;
       policy.retry.backoff_ms = 0.0;
       CheckpointWriter writer(
           policy, MakeSinkSerializers(spec, drill.shards).ValueOrDie());
@@ -745,8 +775,11 @@ TEST_F(FaultInjectionTest, FailedCommitFailsTheDriveAndResumeIsBitIdentical) {
         }
         committed = items;
       });
+      const size_t threads = ThreadsSettledTo(1);
       const Status status =
           drill.drive(path, SinkPointers(sinks), &writer, nullptr);
+      // Every thread the drive started has been joined.
+      EXPECT_EQ(ThreadsSettledTo(threads), threads);
       ASSERT_FALSE(status.ok());
       EXPECT_TRUE(status.retryable()) << status.ToString();
       EXPECT_EQ(writer.io_giveups(), 1u);
@@ -777,7 +810,7 @@ TEST_F(FaultInjectionTest, RetriedCommitLeavesTheDriveClean) {
     SCOPED_TRACE(drill.name);
     DisarmFailpoints();
     const std::string dir = FreshDir("fi_commit_retry");
-    const std::string path = WriteEventFile(dir, 5000);
+    const std::string path = WriteEventFile(dir, drill.lines);
     auto reference = CreateShardedSinks(spec, drill.shards).ValueOrDie();
     ASSERT_TRUE(
         drill.drive(path, SinkPointers(reference), nullptr, nullptr).ok());
@@ -785,7 +818,7 @@ TEST_F(FaultInjectionTest, RetriedCommitLeavesTheDriveClean) {
     auto sinks = CreateShardedSinks(spec, drill.shards).ValueOrDie();
     CheckpointPolicy policy;
     policy.dir = dir + "/ckpt";
-    policy.every_items = 1000;
+    policy.every_items = drill.every_items;
     policy.retry.backoff_ms = 0.0;
     CheckpointWriter writer(
         policy, MakeSinkSerializers(spec, drill.shards).ValueOrDie());

@@ -95,8 +95,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3, 8, 16, 64, 257),
                        ::testing::Values(1, 2, 7, 16)),
     [](const auto& param_info) {
-      return "n" + std::to_string(std::get<0>(param_info.param)) + "_k" +
-             std::to_string(std::get<1>(param_info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += "_k";
+      name += std::to_string(std::get<1>(param_info.param));
+      return name;
     });
 
 // --------------------------------------------------------------- timestamp

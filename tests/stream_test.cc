@@ -3,6 +3,7 @@
 // Unit tests for the stream substrate: the workload generator's value and
 // arrival families, and the text ingestion paths of both drivers.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -279,11 +280,12 @@ class DriverEquivalenceTest : public ::testing::Test {
 
   /// Runs the same file through every text ingestion path on same-seeded
   /// samplers. DriveFile (mmap) is the reference. DriveLines over stdio
-  /// and over a pipe, and a checkpointing DriveFile, must match it in
-  /// items, batches, errors and final sampler state; the one-shard sharded
-  /// driver over stdio and over a path, which batches by chunk, in item
-  /// count and errors.
-  void ExpectEquivalent(const std::string& text, bool timestamped) {
+  /// and over a pipe, and a DriveFile checkpointing every
+  /// `checkpoint_every` items, must match it in items, batches, errors and
+  /// final sampler state; the one-shard sharded driver over stdio and over
+  /// a path, which batches by chunk, in item count and errors.
+  void ExpectEquivalent(const std::string& text, bool timestamped,
+                        uint64_t checkpoint_every = 1000) {
     WriteFile(text);
     SamplerConfig config;
     config.window_n = 8;
@@ -337,7 +339,7 @@ class DriverEquivalenceTest : public ::testing::Test {
       auto sampler = make_sampler();
       CheckpointPolicy policy;
       policy.dir = path_ + ".ckpt";
-      policy.every_items = 1000;
+      policy.every_items = checkpoint_every;
       CheckpointWriter writer(
           policy,
           MakeSinkSerializers(SamplerSinkSpec("bop-seq-swr", config), 1)
@@ -865,39 +867,294 @@ TEST_F(EventGrammarFuzzTest, FastShapeLinesAcrossReadBlockBoundary) {
   }
 }
 
+// --- Multi-range buffers -----------------------------------------------------
+//
+// DriveBuffer and DriveFile's mmap path parse ranges of the buffer on
+// helper threads and join them in stream order. These inputs span many
+// ranges (>= 1 MiB) and put the lines that stop or perturb a scan right
+// at range boundaries, where the join has to take over: every path must
+// still match the serial reference and each other.
+
+/// Event text whose SplitEventRanges boundaries fall where a test puts
+/// them. Filler lines "<ts> <value>" (each also a valid sequence-mode
+/// event) have non-decreasing timestamps from 1.
+class RangeText {
+ public:
+  /// Appends filler lines so that `last` (whole lines, newlines included)
+  /// ends exactly at the next multiple of kEventRangeBytes, then `last`
+  /// itself, so whatever is appended next opens a range. That multiple is
+  /// a range boundary while every earlier one is; Take() checks it.
+  RangeText& EndRangeWith(const std::string& last) {
+    const size_t need = text_.size() + last.size() + 64;
+    const size_t boundary =
+        (need + kEventRangeBytes - 1) / kEventRangeBytes * kEventRangeBytes;
+    while (boundary - last.size() - text_.size() > 64) text_ += Filler();
+    const std::string line = Filler();
+    const size_t pad = boundary - last.size() - text_.size() - line.size();
+    text_ += std::string(pad, ' ') + line + last;
+    boundaries_.push_back(text_.size());
+    return *this;
+  }
+
+  /// Appends `lines` verbatim.
+  RangeText& Add(const std::string& lines) {
+    text_ += lines;
+    return *this;
+  }
+
+  /// Appends filler lines up to at least `bytes` in all.
+  RangeText& FillTo(size_t bytes) {
+    while (text_.size() < bytes) text_ += Filler();
+    return *this;
+  }
+
+  /// The next filler line's timestamp; lines a test adds between fillers
+  /// stay in order at or above it, and SkipTo moves the filler past them.
+  Timestamp ts() const { return ts_; }
+  RangeText& SkipTo(Timestamp ts) {
+    ts_ = ts;
+    return *this;
+  }
+
+  /// The text; fails the test unless every boundary EndRangeWith placed
+  /// is a range boundary of SplitEventRanges.
+  std::string Take() const {
+    std::vector<size_t> ends;
+    size_t end = 0;
+    for (std::string_view range : SplitEventRanges(text_)) {
+      end += range.size();
+      ends.push_back(end);
+    }
+    for (size_t boundary : boundaries_) {
+      EXPECT_NE(std::find(ends.begin(), ends.end(), boundary), ends.end())
+          << "no range boundary at byte " << boundary;
+    }
+    return text_;
+  }
+
+ private:
+  std::string Filler() {
+    const std::string line =
+        std::to_string(ts_) + " " + std::to_string(ts_ * 7919 % 1000) + "\n";
+    ++lines_;
+    if (lines_ % 3 == 0) ++ts_;
+    return line;
+  }
+
+  std::string text_;
+  std::vector<size_t> boundaries_;
+  Timestamp ts_ = 1;
+  uint64_t lines_ = 0;
+};
+
+constexpr size_t kMultiRangeBytes = size_t{1} << 20;
+
+class MultiRangeTest : public EventGrammarFuzzTest {
+ protected:
+  /// Every path against the reference scanner and against each other.
+  void ExpectAllPathsAgree(const std::string& text, bool timestamped) {
+    ASSERT_GE(text.size(), kMultiRangeBytes);
+    ASSERT_GT(SplitEventRanges(text).size(), 8u);
+    ExpectMatchesReference(text, timestamped);
+    // Checkpoints fsync: a dozen or so per file keeps the test quick.
+    ExpectEquivalent(text, timestamped, /*checkpoint_every=*/8000);
+  }
+};
+
+TEST_F(MultiRangeTest, StopLinesAsTheLastOrFirstLineOfARange) {
+  const std::string nul_line = std::string("7\0 junk\n", 8);
+  const std::string stops[] = {"nope\n", std::string(300, '7') + "\n",
+                               nul_line, "\n", "  \t \n"};
+  for (const std::string& stop : stops) {
+    for (const bool first : {false, true}) {
+      for (const bool timestamped : {true, false}) {
+        SCOPED_TRACE(testing::PrintToString(stop) +
+                     (first ? " first" : " last") + " in its range, " +
+                     (timestamped ? "timestamped" : "sequence"));
+        RangeText text;
+        // Eight ranges in, so helpers are still parsing ranges ahead.
+        for (int r = 0; r < 8; ++r) text.EndRangeWith("");
+        if (first) {
+          text.EndRangeWith("").Add(stop);
+        } else {
+          text.EndRangeWith(stop);
+        }
+        ExpectAllPathsAgree(text.FillTo(kMultiRangeBytes).Take(),
+                            timestamped);
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST_F(MultiRangeTest, TimestampDecreasesAcrossARangeBoundary) {
+  RangeText text;
+  for (int r = 0; r < 5; ++r) text.EndRangeWith("");
+  // Above every filler timestamp EndRangeWith writes before it.
+  const Timestamp ts = text.ts() + static_cast<Timestamp>(kEventRangeBytes);
+  text.EndRangeWith(std::to_string(ts) + " 1\n")
+      .Add(std::to_string(ts - 1) + " 2\n")
+      .SkipTo(ts);
+  ExpectAllPathsAgree(text.FillTo(kMultiRangeBytes).Take(),
+                      /*timestamped=*/true);
+}
+
+TEST_F(MultiRangeTest, NegativeFirstTimestamps) {
+  // The file's first event: an error, as in the serial scan.
+  ExpectAllPathsAgree(
+      RangeText().Add("-5 7\n").FillTo(kMultiRangeBytes).Take(),
+      /*timestamped=*/true);
+  // A later range's first event, directly and behind blank lines.
+  for (const std::string& lead : {std::string(), std::string("\n \n")}) {
+    RangeText text;
+    for (int r = 0; r < 6; ++r) text.EndRangeWith("");
+    text.Add(lead + "-5 7\n");
+    ExpectAllPathsAgree(text.FillTo(kMultiRangeBytes).Take(),
+                        /*timestamped=*/true);
+  }
+  // In sequence mode "-5" is a value like any other.
+  RangeText text;
+  for (int r = 0; r < 6; ++r) text.EndRangeWith("");
+  text.Add("-5 7\n");
+  ExpectAllPathsAgree(text.FillTo(kMultiRangeBytes).Take(),
+                      /*timestamped=*/false);
+}
+
+TEST_F(MultiRangeTest, NoTrailingNewline) {
+  for (const bool timestamped : {true, false}) {
+    RangeText text;
+    text.FillTo(kMultiRangeBytes);
+    ExpectAllPathsAgree(text.Add(std::to_string(text.ts()) + " 42").Take(),
+                        timestamped);
+  }
+}
+
+TEST_F(MultiRangeTest, SeededMixedLinesMatchReference) {
+  for (const bool timestamped : {true, false}) {
+    for (uint64_t seed = 101; seed <= 104; ++seed) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (timestamped ? " timestamped" : " sequence"));
+      const std::string text = FuzzEventText(seed, timestamped, 60000);
+      ASSERT_GE(text.size(), kMultiRangeBytes);
+      ExpectMatchesReference(text, timestamped);
+      if (HasFailure()) return;
+    }
+  }
+}
+
+// A resumed drive skips the checkpoint's events mid-range: DriveFile and
+// DriveLines over a pipe must deliver the same rest, and reject a replay
+// that diverges at the resume point or ends before it with the same
+// error.
+TEST_F(MultiRangeTest, ResumeSkipEndingMidRange) {
+  // 16-byte lines: 4096 to a range, so a checkpoint every 10000 events
+  // lands inside a range.
+  constexpr int kLines = 66000;
+  auto line = [](int i, int ts) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%07d %07d\n", ts, i * 7919 % 100000);
+    return std::string(buf);
+  };
+  std::string text;
+  for (int i = 0; i < kLines; ++i) text += line(i, i / 3);
+  ASSERT_GE(text.size(), kMultiRangeBytes);
+  WriteFile(text);
+
+  SamplerConfig config;
+  config.window_t = 500;
+  config.k = 4;
+  config.seed = 5;
+  const SinkSpec spec = SamplerSinkSpec("bop-ts-swr", config);
+  StreamDriver::Options options;
+  options.batch_size = 100;
+  const StreamDriver driver(options);
+  auto reference = CreateSampler("bop-ts-swr", config).ValueOrDie();
+  ASSERT_TRUE(driver.DriveFile(path_, true, *reference).ok());
+  {
+    auto sampler = CreateSampler("bop-ts-swr", config).ValueOrDie();
+    CheckpointPolicy policy;
+    policy.dir = path_ + ".ckpt";
+    policy.every_items = 10000;
+    CheckpointWriter writer(policy,
+                            MakeSinkSerializers(spec, 1).ValueOrDie());
+    ASSERT_TRUE(driver.DriveFile(path_, true, *sampler, &writer).ok());
+    ASSERT_EQ(writer.last_written_items(), 60000u);
+  }
+  auto resume = [&](const std::string& input, bool pipe) {
+    auto resumed = LoadCheckpoint(path_ + ".ckpt").ValueOrDie();
+    WriteFile(input);
+    StreamSink& sink = *resumed.sinks[0].sink;
+    const Result<DriveReport> result = [&]() -> Result<DriveReport> {
+      if (!pipe) {
+        return driver.DriveFile(path_, true, sink, nullptr,
+                                &resumed.position);
+      }
+      std::FILE* f = popen(("cat '" + path_ + "'").c_str(), "r");
+      EXPECT_NE(f, nullptr);
+      auto piped = driver.DriveLines(f, path_, true, sink, nullptr, 0,
+                                     nullptr, &resumed.position);
+      pclose(f);
+      return piped;
+    }();
+    return std::make_pair(
+        result.ok() ? std::string() : result.status().message(),
+        SamplerStateBytes(*resumed.sinks[0].sampler));
+  };
+  const auto from_file = resume(text, false);
+  EXPECT_EQ(from_file.first, "");
+  EXPECT_EQ(from_file.second, SamplerStateBytes(*reference));
+  EXPECT_EQ(resume(text, true), from_file);
+
+  // Event 59999 (the checkpoint's last) moved one tick later.
+  std::string diverged = text;
+  diverged.replace(59999 * 16, 16, line(59999, 59999 / 3 + 1));
+  const auto diverged_file = resume(diverged, false);
+  EXPECT_NE(diverged_file.first.find(path_ + ":60000: replayed input does "
+                                             "not match the checkpoint"),
+            std::string::npos)
+      << diverged_file.first;
+  EXPECT_EQ(resume(diverged, true).first, diverged_file.first);
+
+  const std::string short_text = text.substr(0, 50000 * 16);
+  const auto short_file = resume(short_text, false);
+  EXPECT_NE(short_file.first.find("ends before the checkpoint's 60000"),
+            std::string::npos)
+      << short_file.first;
+  EXPECT_EQ(resume(short_text, true).first, short_file.first);
+}
+
 // Checkpoint cadence follows the captured position, not the committed
 // one: with commits still in flight on the writer's commit thread, a
-// drive of M items checkpoints exactly every N items, ⌊M/N⌋ times.
+// drive of M items checkpoints exactly every N items, ⌊M/N⌋ times. On a
+// file of many ranges the single driver takes them at the same batch
+// boundaries while it joins the ranges its helpers parse.
 TEST(CheckpointCadenceTest, AfterWriteFiresOncePerIntervalInBothDrivers) {
-  constexpr uint64_t kItems = 10500;
-  constexpr uint64_t kEvery = 1000;
-  const std::string path = ::testing::TempDir() + "/cadence_stream.txt";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    for (uint64_t i = 0; i < kItems; ++i) {
-      std::fprintf(f, "%llu\n", static_cast<unsigned long long>(i % 977));
-    }
-    std::fclose(f);
-  }
   SamplerConfig config;
   config.window_n = 256;
   config.k = 4;
   config.seed = 11;
   const SinkSpec spec = SamplerSinkSpec("bop-seq-swr", config);
-  std::vector<uint64_t> expected;
-  for (uint64_t items = kEvery; items <= kItems; items += kEvery) {
-    expected.push_back(items);
-  }
-
-  for (const uint64_t shards : {1, 2}) {
-    SCOPED_TRACE(shards == 1 ? "StreamDriver" : "ShardedStreamDriver");
+  const std::string path = ::testing::TempDir() + "/cadence_stream.txt";
+  // Values are right-aligned to `width` characters (0: not padded).
+  auto expect_cadence = [&](uint64_t items, uint64_t every, uint64_t shards,
+                            int width) {
+    {
+      std::FILE* f = std::fopen(path.c_str(), "w");
+      ASSERT_NE(f, nullptr);
+      for (uint64_t i = 0; i < items; ++i) {
+        std::fprintf(f, "%*llu\n", width,
+                     static_cast<unsigned long long>(i % 977));
+      }
+      std::fclose(f);
+    }
+    std::vector<uint64_t> expected;
+    for (uint64_t n = every; n <= items; n += every) expected.push_back(n);
     const std::string dir = path + ".ckpt" + std::to_string(shards);
     std::filesystem::remove_all(dir);
     auto sinks = CreateShardedSinks(spec, shards).ValueOrDie();
     CheckpointPolicy policy;
     policy.dir = dir;
-    policy.every_items = kEvery;
+    policy.every_items = every;
     CheckpointWriter writer(policy,
                             MakeSinkSerializers(spec, shards).ValueOrDie());
     std::vector<uint64_t> fired;
@@ -906,7 +1163,7 @@ TEST(CheckpointCadenceTest, AfterWriteFiresOncePerIntervalInBothDrivers) {
     Status status;
     if (shards == 1) {
       StreamDriver::Options options;
-      options.batch_size = 100;  // divides kEvery: boundaries land on N
+      options.batch_size = 100;  // divides N: boundaries land on N
       status = StreamDriver(options)
                    .DriveFile(path, false, *sinks[0].sink, &writer)
                    .status();
@@ -923,6 +1180,15 @@ TEST(CheckpointCadenceTest, AfterWriteFiresOncePerIntervalInBothDrivers) {
     EXPECT_EQ(fired, expected);
     EXPECT_EQ(writer.last_written_items(), expected.back());
     std::filesystem::remove_all(dir);
+  };
+  for (const uint64_t shards : {1, 2}) {
+    SCOPED_TRACE(shards == 1 ? "StreamDriver" : "ShardedStreamDriver");
+    expect_cadence(10500, 1000, shards, 0);
+  }
+  {
+    SCOPED_TRACE("StreamDriver over many ranges");
+    expect_cadence(52500, 5000, 1, 23);  // 24-byte lines
+    EXPECT_GT(std::filesystem::file_size(path), 16 * kEventRangeBytes);
   }
   std::remove(path.c_str());
 }

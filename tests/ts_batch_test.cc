@@ -35,13 +35,13 @@ constexpr Timestamp kT0 = 10;
 // the run of 5 at ts=21 stays below it; the 7->12->18 jumps are the
 // bursty gaps that cross the expiry horizon.
 std::vector<Item> MakeTsStream() {
-  std::vector<Timestamp> ts;
-  ts.insert(ts.end(), 20, 0);
-  ts.insert(ts.end(), {2, 2, 4, 4, 6});
+  std::vector<Timestamp> ts(20, 0);
+  for (Timestamp t : {2, 2, 4, 4, 6}) ts.push_back(t);
   ts.insert(ts.end(), 20, 7);
-  ts.insert(ts.end(), {12, 18, 20});
-  ts.insert(ts.end(),
-            {21, 21, 21, 21, 21, 22, 25, 25, 25, 27, 28, 28, 29, 30, 30, 30});
+  for (Timestamp t : {12, 18, 20, 21, 21, 21, 21, 21, 22, 25, 25, 25, 27, 28,
+                      28, 29, 30, 30, 30}) {
+    ts.push_back(t);
+  }
   std::vector<Item> items;
   items.reserve(ts.size());
   for (uint64_t i = 0; i < ts.size(); ++i) {

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <memory>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -226,10 +227,14 @@ TEST(StatusTest, AllCodesRender) {
 }
 
 TEST(ResultTest, HoldsValue) {
-  Result<int> r(42);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), 42);
-  EXPECT_TRUE(r.status().ok());
+  // On the heap: with a stack Result, GCC 12 loses track of the variant's
+  // alternative across status()'s static-init guard and warns that the
+  // destructor reads a Status that was never constructed (a false
+  // -Wmaybe-uninitialized).
+  const auto r = std::make_unique<Result<int>>(42);
+  ASSERT_TRUE(r->ok());
+  EXPECT_EQ(r->value(), 42);
+  EXPECT_TRUE(r->status().ok());
 }
 
 TEST(ResultTest, HoldsError) {
@@ -409,7 +414,9 @@ TEST(FlatMapTest, FuzzMatchesUnorderedMap) {
         const uint64_t* found = map.Find(key);
         auto it = ref.find(key);
         ASSERT_EQ(found != nullptr, it != ref.end());
-        if (found != nullptr) ASSERT_EQ(*found, it->second);
+        if (found != nullptr) {
+          ASSERT_EQ(*found, it->second);
+        }
         break;
       }
     }
