@@ -96,9 +96,11 @@ class TsPayloadUnit {
   }
 
   /// Heap bytes retained beyond the object footprint: the embedded
-  /// sampler's rings plus the payload map's table.
+  /// sampler's rings plus both payload tables (the ping-pong twin keeps
+  /// its table across syncs).
   uint64_t RetainedBytes() const {
-    return sampler_.zeta().RetainedBytes() + payloads_.ReservedBytes();
+    return sampler_.zeta().RetainedBytes() + payloads_.ReservedBytes() +
+           scratch_.ReservedBytes();
   }
 
   /// Checkpointing: the embedded Section 3 sampler plus the candidate

@@ -2,7 +2,9 @@
 
 #include "stream/exp_histogram.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "util/bits.h"
 #include "util/macros.h"
@@ -16,50 +18,30 @@ Result<ExpHistogram> ExpHistogram::Create(Timestamp t0, double eps) {
   if (!(eps > 0.0 && eps <= 1.0)) {
     return Status::InvalidArgument("ExpHistogram: eps must be in (0, 1]");
   }
-  const uint64_t k = static_cast<uint64_t>(std::ceil(1.0 / eps));
-  return ExpHistogram(t0, k / 2 + 2);
+  // k is capped at 2^32 so the cast is defined and offsets fit 32 bits.
+  const double k = std::min(std::ceil(1.0 / eps), 0x1p32);
+  return ExpHistogram(t0, static_cast<uint64_t>(k) / 2 + 2);
 }
 
-void ExpHistogram::EvictExpired() {
-  // A bucket is dropped once even its NEWEST element expired; the oldest
-  // surviving bucket may straddle the window boundary, which is where the
-  // eps error comes from. The sweep reads only the dense timestamp ring.
-  while (!newest_.empty() && now_ - newest_.front() >= t0_) {
-    const uint64_t c = count_.front();
-    total_ -= c;
-    --class_count_[FloorLog2(c)];
-    newest_.pop_front();
-    count_.pop_front();
-  }
-}
-
-void ExpHistogram::MergeCascade() {
-  // DGIM merge rule via the class counters: a freshly appended size-1
-  // bucket can only overflow class 0, and a merge moves one bucket from
-  // class c to class c+1, so overflows cascade upward. The two oldest
-  // buckets of class c sit at ring indices above(c) and above(c) + 1 with
-  // above(c) = sum of the counts of all larger classes; the doubled bucket
-  // stays in place, which is exactly the end of class c+1's block.
-  for (uint32_t c = 0; c < 63 && class_count_[c] > max_per_size_; ++c) {
-    uint64_t above = 0;
-    for (uint32_t d = c + 1; d < 64; ++d) above += class_count_[d];
-    const uint64_t i = above;
-    SWS_DCHECK(count_[i] == uint64_t{1} << c);
-    SWS_DCHECK(count_[i + 1] == uint64_t{1} << c);
-    count_[i] *= 2;
-    newest_[i] = newest_[i + 1];
-    // Close the gap at i + 1 by shifting the (small) suffix of newer
-    // buckets down: at most max_per_size_ per class below the cascade
-    // point, O(1) amortized over adds.
-    for (uint64_t j = i + 1; j + 1 < newest_.size(); ++j) {
-      newest_[j] = newest_[j + 1];
-      count_[j] = count_[j + 1];
+void ExpHistogram::Grow(uint32_t c) {
+  // Rows are added as classes are reached and the stride doubles up to
+  // max_per_size_ + 1, so a tiny eps reserves little for a small state.
+  const uint64_t stride =
+      size_[c] < stride_
+          ? stride_
+          : std::min(std::max<uint64_t>(2 * stride_, 8), max_per_size_ + 1);
+  SWS_DCHECK(size_[c] < stride);
+  const uint32_t rows = std::max(rows_, c + 1);
+  UninitArray<Timestamp> fresh = AllocateUninit<Timestamp>(rows * stride);
+  for (uint32_t d = 0; d < rows_; ++d) {
+    for (uint32_t i = 0; i < size_[d]; ++i) {
+      fresh[d * stride + i] = slots_[Slot(d, i)];
     }
-    newest_.pop_back();
-    count_.pop_back();
-    class_count_[c] -= 2;
-    ++class_count_[c + 1];
+    head_[d] = 0;
   }
+  slots_ = std::move(fresh);
+  rows_ = rows;
+  stride_ = stride;
 }
 
 void ExpHistogram::Add(Timestamp ts) {
@@ -67,25 +49,42 @@ void ExpHistogram::Add(Timestamp ts) {
   // arriving at the current clock so bucket timestamps stay non-decreasing.
   if (ts < now_) ts = now_;
   AdvanceTime(ts);
-  newest_.push_back(ts);
-  count_.push_back(1);
-  ++class_count_[0];
+  Push(0, ts);
   ++total_;
-  MergeCascade();
+  // DGIM merge rule: overflows cascade upward from class 0. The two oldest
+  // buckets of class c become the newest of class c+1, which keeps the
+  // newer one's timestamp.
+  for (uint32_t c = 0; c < 63 && size_[c] > max_per_size_; ++c) {
+    PopFront(c);
+    const Timestamp newest = slots_[Slot(c, 0)];
+    PopFront(c);
+    Push(c + 1, newest);
+  }
 }
 
 void ExpHistogram::AdvanceTime(Timestamp now) {
   if (now < now_) return;  // clock regressions are no-ops (see StreamSink)
   now_ = now;
-  EvictExpired();
+  // A bucket is dropped once even its NEWEST element expired; the oldest
+  // surviving bucket may straddle the window boundary, which is where the
+  // eps error comes from. The oldest bucket heads the top class's ring.
+  while (nonempty_ != 0) {
+    const uint32_t top = FloorLog2(nonempty_);
+    if (now_ - slots_[Slot(top, 0)] < t0_) return;
+    total_ -= uint64_t{1} << top;
+    PopFront(top);
+  }
 }
 
 void ExpHistogram::Save(BinaryWriter* w) const {
+  // Oldest first: classes from the top down, each ring front to back.
   w->PutI64(now_);
-  w->PutU64(count_.size());
-  for (uint64_t i = 0; i < count_.size(); ++i) {
-    w->PutI64(newest_[i]);
-    w->PutU64(count_[i]);
+  w->PutU64(BucketCount());
+  for (uint32_t c = 64; c-- > 0;) {
+    for (uint32_t i = 0; i < size_[c]; ++i) {
+      w->PutI64(slots_[Slot(c, i)]);
+      w->PutU64(uint64_t{1} << c);
+    }
   }
 }
 
@@ -95,36 +94,42 @@ bool ExpHistogram::Load(BinaryReader* r) {
       size > r->remaining() / 16 + 1) {
     return false;
   }
-  newest_.clear();
-  count_.clear();
-  class_count_.fill(0);
+  head_.fill(0);
+  size_.fill(0);
+  nonempty_ = 0;
   total_ = 0;
+  Timestamp last_newest = 0;  // the previous bucket's fields
+  uint64_t last_count = ~uint64_t{0};
   for (uint64_t i = 0; i < size; ++i) {
     Timestamp newest = 0;
     uint64_t count = 0;
-    // Counts are powers of two, non-increasing front (oldest) to back;
-    // newest-arrival timestamps are non-decreasing, non-negative (so the
-    // expiry subtraction cannot overflow) and not expired.
-    if (!r->GetI64(&newest) || !r->GetU64(&count) || count < 1 ||
-        (count & (count - 1)) != 0 || newest < 0 || newest > now_ ||
-        now_ - newest >= t0_ ||
-        (!count_.empty() &&
-         (count > count_.back() || newest < newest_.back()))) {
+    // Counts are powers of two, non-increasing oldest to newest, at most
+    // max_per_size_ per class (as Add leaves them); timestamps are
+    // non-decreasing, non-negative (so the expiry subtraction cannot
+    // overflow) and not expired.
+    if (!r->GetI64(&newest) || !r->GetU64(&count) || !IsPowerOfTwo(count) ||
+        newest < 0 || newest > now_ || now_ - newest >= t0_ ||
+        count > last_count || newest < last_newest ||
+        size_[FloorLog2(count)] == max_per_size_) {
       return false;
     }
-    newest_.push_back(newest);
-    count_.push_back(count);
-    ++class_count_[FloorLog2(count)];
+    Push(FloorLog2(count), newest);
     total_ += count;
+    last_newest = newest;
+    last_count = count;
   }
   return true;
 }
 
+uint64_t ExpHistogram::BucketCount() const {
+  return std::accumulate(size_.begin(), size_.end(), uint64_t{0});
+}
+
 uint64_t ExpHistogram::Estimate() {
-  EvictExpired();
-  if (count_.empty()) return 0;
+  AdvanceTime(now_);
+  if (nonempty_ == 0) return 0;
   // Count the straddling oldest bucket at half weight.
-  return total_ - count_.front() / 2;
+  return total_ - (uint64_t{1} << FloorLog2(nonempty_)) / 2;
 }
 
 }  // namespace swsample

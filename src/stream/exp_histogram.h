@@ -15,12 +15,13 @@
 // the sum of all non-expired buckets, counting the oldest (straddling)
 // bucket at half weight -- relative error at most eps.
 //
-// Layout: the bucket list is stored as two parallel rings (SoA) -- newest-
-// arrival timestamps and power-of-two counts -- plus a per-size-class
-// bucket counter. The counter turns the DGIM merge rule into O(1)
-// amortized work per Add (the two oldest buckets of an overflowing class
-// sit at a directly computable ring position, no scan), and expiry sweeps
-// touch only the dense timestamp ring.
+// Layout: class c (count 2^c, implied by the class) keeps its buckets'
+// newest-arrival timestamps, oldest first, in its own FIFO ring -- one row
+// of a shared buffer, at most max_per_size_ + 1 slots. A merge pops the
+// two fronts of class c and pushes the newer timestamp onto class c+1's
+// back: O(1), and merges never outnumber Adds. The oldest bucket heads the
+// highest non-empty class (one bit scan), so expiry and Estimate are O(1)
+// per bucket dropped.
 
 #ifndef SWSAMPLE_STREAM_EXP_HISTOGRAM_H_
 #define SWSAMPLE_STREAM_EXP_HISTOGRAM_H_
@@ -53,45 +54,53 @@ class ExpHistogram {
   uint64_t Estimate();
 
   /// Number of buckets held (O(eps^-1 log n)).
-  uint64_t BucketCount() const { return count_.size(); }
+  uint64_t BucketCount() const;
 
-  /// Live memory words (one timestamp + one count per bucket).
-  uint64_t MemoryWords() const { return 3 + count_.size() * 2; }
+  /// Live memory words, in the paper's accounting of one timestamp and
+  /// one count per bucket (here the count is implied by the class).
+  uint64_t MemoryWords() const { return 3 + BucketCount() * 2; }
 
-  /// Heap bytes retained beyond the object footprint (both SoA rings'
-  /// buffers).
+  /// Heap bytes retained beyond the object footprint (the class rings).
   uint64_t RetainedBytes() const {
-    return newest_.ReservedBytes() + count_.ReservedBytes();
+    return rows_ * stride_ * sizeof(Timestamp);
   }
 
   /// Checkpointing: clock + buckets (t0/eps are configuration and live in
-  /// the owning estimator's envelope). The byte format is unchanged from
-  /// the AoS layout: (newest, count) pairs, oldest first. Load validates
-  /// bucket monotonicity and power-of-two counts; see util/serial.h.
+  /// the owning estimator's envelope), as (newest, count) pairs, oldest
+  /// first. Load validates bucket monotonicity, power-of-two counts and
+  /// at most max_per_size_ buckets per class; see util/serial.h.
   void Save(BinaryWriter* w) const;
   bool Load(BinaryReader* r);
 
  private:
   ExpHistogram(Timestamp t0, uint64_t max_per_size)
-      : t0_(t0), max_per_size_(max_per_size) {
-    class_count_.fill(0);
+      : t0_(t0), max_per_size_(max_per_size) {}
+  /// Buffer index of the i-th oldest bucket of class c.
+  uint64_t Slot(uint32_t c, uint64_t i) const {
+    const uint64_t pos = head_[c] + i;
+    return c * stride_ + (pos < stride_ ? pos : pos - stride_);
   }
-
-  void EvictExpired();
-  void MergeCascade();
+  void Push(uint32_t c, Timestamp newest) {
+    if (c >= rows_ || size_[c] == stride_) Grow(c);
+    slots_[Slot(c, size_[c]++)] = newest;
+    nonempty_ |= uint64_t{1} << c;
+  }
+  void PopFront(uint32_t c) {
+    head_[c] = head_[c] + 1 == stride_ ? 0 : head_[c] + 1;
+    if (--size_[c] == 0) nonempty_ &= ~(uint64_t{1} << c);
+  }
+  void Grow(uint32_t c);
 
   Timestamp t0_;
-  uint64_t max_per_size_;  // k/2 + 2 with k = ceil(1/eps)
+  uint64_t max_per_size_;  // k/2 + 2 with k = ceil(1/eps), below 2^32
   Timestamp now_ = 0;
-  uint64_t total_ = 0;  // sum of all bucket counts (maintained)
-  // SoA bucket list, front = oldest. Counts are powers of two,
-  // non-increasing from the front; newest-arrival timestamps are
-  // non-decreasing. Buckets of one size class are contiguous.
-  RingDeque<Timestamp> newest_;
-  RingDeque<uint64_t> count_;
-  // class_count_[c] = number of buckets with count 2^c. The oldest bucket
-  // of class c sits at ring index sum(class_count_[d] for d > c).
-  std::array<uint32_t, 64> class_count_;
+  uint64_t total_ = 0;     // sum of all bucket counts (maintained)
+  uint64_t nonempty_ = 0;  // bit c set iff class c holds a bucket
+  UninitArray<Timestamp> slots_;  // rows_ rings of stride_ slots
+  uint32_t rows_ = 0;
+  uint64_t stride_ = 0;
+  std::array<uint32_t, 64> head_{};  // ring offset of class c's oldest
+  std::array<uint32_t, 64> size_{};  // buckets in class c
 };
 
 }  // namespace swsample

@@ -15,10 +15,13 @@
 
 #include "apps/biased.h"
 #include "apps/estimator_registry.h"
+#include "apps/payload_substrate.h"
+#include "apps/ts_payload.h"
 #include "apps/triangles.h"
 #include "stats/exact.h"
 #include "stats/tests.h"
 #include "stream/workload.h"
+#include "util/flat_map.h"
 #include "util/rng.h"
 
 namespace swsample {
@@ -137,6 +140,40 @@ TEST(FkEstimatorTest, ExactOracleSubstrateMatches) {
   double estimate =
       RunOnStream(*est, ZipfStream(100, 10, 1.0, 3), 16, &window);
   EXPECT_DOUBLE_EQ(estimate, 16.0);
+}
+
+// The payload unit rebuilds its map in a ping-pong twin each sync, and the
+// twin keeps its table, so the bytes a keyed budget charges must cover
+// both tables. A mirror sampler fed the same batches gives the candidate
+// counts of the last two syncs; a table never shrinks, so each is at least
+// the smallest table that holds its last candidate set.
+TEST(TsPayloadUnitTest, RetainedBytesCoverBothPayloadTables) {
+  using Unit = TsPayloadUnit<CountPayload, CountOnSampled, CountOnArrival>;
+  const Timestamp t0 = 1 << 20;
+  Unit unit(t0, 5, CountOnSampled{}, CountOnArrival{});
+  auto mirror = TsSingleSampler::Create(t0, 5).ValueOrDie();
+  auto table_bytes = [](uint64_t entries) {
+    FlatMap<StreamIndex, CountPayload> table;
+    for (uint64_t i = 0; i < entries; ++i) table.TryEmplace(i, {});
+    return table.ReservedBytes();
+  };
+  std::vector<Item> batch(64);
+  uint64_t index = 0;
+  uint64_t previous = 0;  // candidates after the batch before the last
+  for (int b = 0; b < 8; ++b) {
+    previous = mirror.StructureCount();
+    for (Item& item : batch) {
+      item = Item{index % 7, index, static_cast<Timestamp>(index)};
+      ++index;
+    }
+    unit.ObserveBatch(batch);
+    mirror.ObserveBatch(batch);
+  }
+  const uint64_t current = mirror.StructureCount();
+  ASSERT_GT(previous, 0u);
+  EXPECT_GE(unit.RetainedBytes(), mirror.zeta().RetainedBytes() +
+                                      table_bytes(current) +
+                                      table_bytes(previous));
 }
 
 TEST(EntropyEstimatorTest, CreateValidation) {
