@@ -36,14 +36,15 @@ void Run() {
     std::vector<uint64_t> joint(n * n, 0);
     std::vector<double> xs, ys;
     for (int t = 0; t < trials; ++t) {
-      EstimatorConfig config;
+      SinkSpec config;
       config.substrate = grid.substrate;
       config.window_n = n;
       config.window_t = static_cast<Timestamp>(n);
       config.r = 1;
       config.seed = Rng::ForkSeed(grid.timestamped ? 500000 : 100,
                                   static_cast<uint64_t>(t));
-      auto est = CreateEstimator("dkw-quantile", config).ValueOrDie();
+      config.name = "dkw-quantile";
+      auto est = CreateEstimator(config).ValueOrDie();
       // One arrival per step; value = index, so the quantile of a
       // 1-sample IS the sampled position.
       uint64_t first = 0, second = 0;

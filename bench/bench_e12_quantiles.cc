@@ -61,12 +61,13 @@ void Run() {
   for (const char* substrate : {"bop-seq-swor", "bdm-chain", "exact-seq"}) {
     for (uint64_t k : (SmokeMode() ? smoke : full)) {
       const double eps = std::sqrt(std::log(2.0 / 0.05) / (2.0 * k));
-      EstimatorConfig config;
+      SinkSpec config;
       config.substrate = substrate;
       config.window_n = n;
       config.r = k;
       config.seed = Rng::ForkSeed(40, k);
-      auto est = CreateEstimator("dkw-quantile", config).ValueOrDie();
+      config.name = "dkw-quantile";
+      auto est = CreateEstimator(config).ValueOrDie();
       driver.Drive(std::span<const Item>(items), *est);
       // One drive per cell; both quantiles come from ONE sample draw
       // (consistent ranks) through the concrete estimator's multi-q

@@ -109,13 +109,14 @@ int main() {
   for (const SamplerSpec& spec : RegisteredSamplers()) {
     // The O(n)-word oracles hold the whole window; keep them in the table
     // (they exercise the default path) but skip nothing else.
-    SamplerConfig config;
+    SinkSpec config;
     config.window_n = kWindow;
     config.window_t = static_cast<Timestamp>(kWindow);
     config.k = spec.single_sample ? 1 : kK;
     config.seed = 15;
+    config.name = spec.name;
     SweepModes("e15", spec.name, std::span<const Item>(stream), kWindow,
-               [&] { return CreateSampler(spec.name, config).ValueOrDie(); });
+               [&] { return CreateSampler(config).ValueOrDie(); });
   }
 
   std::printf(
@@ -134,13 +135,14 @@ int main() {
   Row({"estimator", "per-item", "batch=64", "batch=1k", "batch=16k",
        "unit"});
   for (const char* name : {"ams-fk", "ccm-entropy", "dkw-quantile"}) {
-    EstimatorConfig config;
+    SinkSpec config;
     config.window_n = kWindow;
     config.r = 64;
     config.seed = 15;
+    config.name = name;
     SweepModes("e15", std::string(name) + "/bop-seq-single",
                std::span<const Item>(stream), kWindow,
-               [&] { return CreateEstimator(name, config).ValueOrDie(); });
+               [&] { return CreateEstimator(config).ValueOrDie(); });
   }
 
   // --- Timestamp substrates: the sampler's batch fast path plus one
@@ -153,14 +155,15 @@ int main() {
   Row({"estimator", "per-item", "batch=64", "batch=1k", "batch=16k",
        "unit"});
   for (const char* name : {"ams-fk", "ccm-entropy"}) {
-    EstimatorConfig config;
+    SinkSpec config;
     config.substrate = "bop-ts-single";
     config.window_t = static_cast<Timestamp>(kWindow);
     config.r = 8;
     config.seed = 16;
+    config.name = name;
     SweepModes("e15", std::string(name) + "/bop-ts-single",
                std::span<const Item>(ts_stream), kWindow,
-               [&] { return CreateEstimator(name, config).ValueOrDie(); });
+               [&] { return CreateEstimator(config).ValueOrDie(); });
   }
 
   if (BenchReporter::Global().WriteJsonIfRequested()) {

@@ -50,14 +50,15 @@ std::vector<Item> MakeStream(uint64_t items, uint64_t seed) {
 /// the 1-thread StreamDriver baseline, and per-core efficiency.
 void SamplerSweep(const char* name, std::span<const Item> stream,
                   const std::vector<uint64_t>& thread_counts) {
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = name;
   config.window_n = kWindow;
   config.k = kK;
   config.seed = 16;
 
   double baseline = 0.0;
   {
-    auto sampler = CreateSampler(name, config).ValueOrDie();
+    auto sampler = CreateSampler(config).ValueOrDie();
     StreamDriver::Options options;
     options.batch_size = kChunkItems;
     options.memory_probe_every = 0;
@@ -67,7 +68,7 @@ void SamplerSweep(const char* name, std::span<const Item> stream,
          U(report.peak_memory_words)});
   }
   for (uint64_t threads : thread_counts) {
-    auto shards = CreateShardedSinks(SamplerSinkSpec(name, config), threads).ValueOrDie();
+    auto shards = CreateShardedSinks(config, threads).ValueOrDie();
     auto sinks = SinkPointers(shards);
     ShardedStreamDriver::Options options;
     options.threads = threads;
@@ -94,7 +95,8 @@ void SamplerSweep(const char* name, std::span<const Item> stream,
 
 void EstimatorSweep(std::span<const Item> stream,
                     const std::vector<uint64_t>& thread_counts) {
-  EstimatorConfig config;
+  SinkSpec config;
+  config.name = "ams-fk";
   config.substrate = "bop-seq-single";
   config.window_n = kWindow;
   config.r = 64;
@@ -102,7 +104,7 @@ void EstimatorSweep(std::span<const Item> stream,
 
   double baseline = 0.0;
   {
-    auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+    auto est = CreateEstimator(config).ValueOrDie();
     StreamDriver::Options options;
     options.batch_size = kChunkItems;
     options.memory_probe_every = 0;
@@ -113,7 +115,7 @@ void EstimatorSweep(std::span<const Item> stream,
   }
   for (uint64_t threads : thread_counts) {
     auto shards =
-        CreateShardedSinks(EstimatorSinkSpec("ams-fk", config), threads).ValueOrDie();
+        CreateShardedSinks(config, threads).ValueOrDie();
     auto sinks = SinkPointers(shards);
     ShardedStreamDriver::Options options;
     options.threads = threads;

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/checkpoint.h"
+#include "apps/sink_spec.h"
 #include "core/registry.h"
 #include "stream/driver.h"
 #include "util/rng.h"
@@ -69,19 +69,20 @@ void RunSweep() {
     }
     for (const char* name : names) {
       const SamplerSpec* spec = FindSamplerSpec(name);
-      SamplerConfig config;
+      SinkSpec config;
+      config.name = name;
       config.window_n = window;
       config.window_t = static_cast<Timestamp>(window);
       config.k = spec->single_sample ? 1 : k;
       config.seed = 0xe17;
-      auto sampler = CreateSampler(name, config).ValueOrDie();
+      auto sampler = CreateSampler(config).ValueOrDie();
       driver.Drive(items, *sampler);
 
-      std::string blob = SaveSampler(*sampler, config).ValueOrDie();
+      std::string blob = SaveSink(*sampler, config).ValueOrDie();
       const double save_us = MicrosPerOp(
-          [&] { SaveSampler(*sampler, config).ValueOrDie(); }, reps);
+          [&] { SaveSink(*sampler, config).ValueOrDie(); }, reps);
       const double restore_us =
-          MicrosPerOp([&] { RestoreSampler(blob).ValueOrDie(); }, reps);
+          MicrosPerOp([&] { RestoreSink(blob).ValueOrDie(); }, reps);
       const double bound =
           static_cast<double>(config.k) *
           std::max(1.0, std::log2(static_cast<double>(window)));

@@ -33,11 +33,12 @@ void Run() {
       std::vector<std::string> cells = {U(n), U(k)};
       uint64_t seed = 1;
       for (const char* name : kSamplers) {
-        SamplerConfig config;
+        SinkSpec config;
         config.window_n = n;
         config.k = k;
         config.seed = seed++;
-        auto sampler = CreateSampler(name, config).ValueOrDie();
+        config.name = name;
+        auto sampler = CreateSampler(config).ValueOrDie();
         cells.push_back(
             U(MaxMemorySequenceRun(*sampler, items, 1 << 20, 9 + seed)));
       }

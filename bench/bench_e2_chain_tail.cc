@@ -43,11 +43,12 @@ void Run() {
     chain_words.push_back(static_cast<double>(max_words));
     chain_len.push_back(static_cast<double>(max_len));
 
-    SamplerConfig config;
+    SinkSpec config;
     config.window_n = n;
     config.k = k;
     config.seed = Rng::ForkSeed(100, static_cast<uint64_t>(t));
-    auto bop = CreateSampler("bop-seq-swr", config).ValueOrDie();
+    config.name = "bop-seq-swr";
+    auto bop = CreateSampler(config).ValueOrDie();
     bop_words =
         std::max(bop_words, MaxMemorySequenceRun(*bop, items, 1 << 20,
                                                  900 + t));

@@ -63,11 +63,12 @@ void Run() {
           U(static_cast<uint64_t>(lambda * static_cast<double>(t0))), U(k)};
       uint64_t seed = 1;
       for (const char* name : kSamplers) {
-        SamplerConfig config;
+        SinkSpec config;
         config.window_t = t0;
         config.k = k;
         config.seed = seed++;
-        auto sampler = CreateSampler(name, config).ValueOrDie();
+        config.name = name;
+        auto sampler = CreateSampler(config).ValueOrDie();
         cells.push_back(U(MaxWordsBursty(*sampler, t0, lambda, 9 + seed)));
       }
       Row(cells);
@@ -92,11 +93,12 @@ void RunRetainedOverWords() {
   constexpr Case kCases[] = {
       {"bop-ts-single", 1}, {"bop-ts-swr", 16}, {"bop-ts-swor", 16}};
   for (const Case& c : kCases) {
-    SamplerConfig config;
+    SinkSpec config;
     config.window_t = 1000;
     config.k = c.k;
     config.seed = 11;
-    auto sampler = CreateSampler(c.name, config).ValueOrDie();
+    config.name = c.name;
+    auto sampler = CreateSampler(config).ValueOrDie();
     std::vector<Item> run(1024);
     uint64_t index = 0;
     for (uint64_t w = 0; w < 50; ++w) {

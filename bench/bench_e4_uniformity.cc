@@ -38,12 +38,13 @@ ChiSquareResult WindowUniformity(const char* name, uint64_t window,
     items.push_back(Item{i, i, static_cast<Timestamp>(i)});
   }
   for (int t = 0; t < trials; ++t) {
-    SamplerConfig config;
+    SinkSpec config;
     config.window_n = window;
     config.window_t = static_cast<Timestamp>(window);
     config.k = 1;
     config.seed = seed_base + static_cast<uint64_t>(t);
-    auto s = CreateSampler(name, config).ValueOrDie();
+    config.name = name;
+    auto s = CreateSampler(config).ValueOrDie();
     if (batch == 0) {
       for (const Item& item : items) s->Observe(item);
     } else {

@@ -30,11 +30,12 @@ void PartA() {
   {
     std::map<std::vector<uint64_t>, uint64_t> counts;
     for (int t = 0; t < trials; ++t) {
-      SamplerConfig config;
+      SinkSpec config;
       config.window_n = n;
       config.k = k;
       config.seed = Rng::ForkSeed(100, static_cast<uint64_t>(t));
-      auto s = CreateSampler("bop-seq-swor", config).ValueOrDie();
+      config.name = "bop-seq-swor";
+      auto s = CreateSampler(config).ValueOrDie();
       for (uint64_t i = 0; i < len; ++i) {
         s->Observe(Item{i, i, static_cast<Timestamp>(i)});
       }
@@ -53,11 +54,12 @@ void PartA() {
   {
     std::map<std::vector<uint64_t>, uint64_t> counts;
     for (int t = 0; t < trials; ++t) {
-      SamplerConfig config;
+      SinkSpec config;
       config.window_t = static_cast<Timestamp>(n);
       config.k = k;
       config.seed = Rng::ForkSeed(700000, static_cast<uint64_t>(t));
-      auto s = CreateSampler("bop-ts-swor", config).ValueOrDie();
+      config.name = "bop-ts-swor";
+      auto s = CreateSampler(config).ValueOrDie();
       for (Timestamp i = 0; i < static_cast<Timestamp>(len); ++i) {
         s->Observe(
             Item{static_cast<uint64_t>(i), static_cast<uint64_t>(i), i});
@@ -102,11 +104,12 @@ void PartB() {
          "randomized"});
   }
   {
-    SamplerConfig config;
+    SinkSpec config;
     config.window_n = n;
     config.k = k;
     config.seed = 50;
-    auto s = CreateSampler("bop-seq-swor", config).ValueOrDie();
+    config.name = "bop-seq-swor";
+    auto s = CreateSampler(config).ValueOrDie();
     Rng rng(8);
     uint64_t word_acc = 0, steps = 0, shortfalls = 0;
     for (uint64_t i = 0; i < 4 * n; ++i) {

@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/registry.h"
@@ -26,8 +27,9 @@ namespace {
 constexpr uint64_t kWindow = 1 << 16;
 constexpr uint64_t kBatch = 1 << 10;
 
-SamplerConfig BenchConfig(uint64_t k) {
-  SamplerConfig config;
+SinkSpec BenchConfig(std::string name, uint64_t k) {
+  SinkSpec config;
+  config.name = std::move(name);
   config.window_n = kWindow;
   config.window_t = static_cast<Timestamp>(kWindow);
   config.k = k;
@@ -65,14 +67,14 @@ void DriveObserveBatch(benchmark::State& state, WindowSampler& sampler) {
 
 void SamplerObserve(benchmark::State& state, std::string name) {
   auto sampler =
-      CreateSampler(name, BenchConfig(static_cast<uint64_t>(state.range(0))))
+      CreateSampler(BenchConfig(name, static_cast<uint64_t>(state.range(0))))
           .ValueOrDie();
   DriveObserve(state, *sampler);
 }
 
 void SamplerObserveBatch(benchmark::State& state, std::string name) {
   auto sampler =
-      CreateSampler(name, BenchConfig(static_cast<uint64_t>(state.range(0))))
+      CreateSampler(BenchConfig(name, static_cast<uint64_t>(state.range(0))))
           .ValueOrDie();
   DriveObserveBatch(state, *sampler);
 }
@@ -128,7 +130,7 @@ BENCHMARK(BM_ReservoirAlgorithmL);
 
 // Query-path cost.
 void BM_SeqSwrSample(benchmark::State& state) {
-  auto s = CreateSampler("bop-seq-swr", BenchConfig(16)).ValueOrDie();
+  auto s = CreateSampler(BenchConfig("bop-seq-swr", 16)).ValueOrDie();
   for (uint64_t i = 0; i < 2 * kWindow; ++i) {
     s->Observe(Item{i, i, static_cast<Timestamp>(i)});
   }
@@ -137,11 +139,12 @@ void BM_SeqSwrSample(benchmark::State& state) {
 BENCHMARK(BM_SeqSwrSample);
 
 void BM_TsSworSample(benchmark::State& state) {
-  SamplerConfig config;
+  SinkSpec config;
   config.window_t = 1 << 12;
   config.k = 16;
   config.seed = 7;
-  auto s = CreateSampler("bop-ts-swor", config).ValueOrDie();
+  config.name = "bop-ts-swor";
+  auto s = CreateSampler(config).ValueOrDie();
   for (uint64_t i = 0; i < (1 << 13); ++i) {
     s->Observe(Item{i, i, static_cast<Timestamp>(i)});
   }

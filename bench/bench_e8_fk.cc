@@ -61,13 +61,14 @@ void RunCase(uint32_t moment, double alpha, uint64_t domain) {
   StreamDriver driver;
   for (const char* substrate : {"bop-seq-single", "exact-seq"}) {
     for (uint64_t r : UnitCounts()) {
-      EstimatorConfig config;
+      SinkSpec config;
       config.substrate = substrate;
       config.window_n = n;
       config.r = r;
       config.moment = moment;
       config.seed = Rng::ForkSeed(900, r + moment);
-      auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+      config.name = "ams-fk";
+      auto est = CreateEstimator(config).ValueOrDie();
       DriveReport drive = driver.Drive(std::span<const Item>(items), *est);
       const double estimate = est->Estimate().value;
       Row({label, F(alpha, 1), substrate, U(r), Sci(exact), Sci(estimate),
@@ -111,14 +112,15 @@ void RunTimestampCase(double alpha) {
   for (const char* substrate : {"bop-ts-single", "exact-ts"}) {
     for (uint64_t r : UnitCounts()) {
       if (r < 64 && !SmokeMode()) continue;  // ts variance needs r >= 64
-      EstimatorConfig config;
+      SinkSpec config;
       config.substrate = substrate;
       config.window_t = t0;
       config.r = r;
       config.moment = 2;
       config.count_eps = 0.05;
       config.seed = Rng::ForkSeed(400, r);
-      auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+      config.name = "ams-fk";
+      auto est = CreateEstimator(config).ValueOrDie();
       DriveReport drive = driver.Drive(std::span<const Item>(items), *est);
       est->AdvanceTime(end);
       const double estimate = est->Estimate().value;

@@ -53,12 +53,13 @@ void RunCase(double alpha, uint64_t domain) {
   StreamDriver driver;
   for (const char* substrate : {"bop-seq-single", "exact-seq"}) {
     for (uint64_t r : UnitCounts()) {
-      EstimatorConfig config;
+      SinkSpec config;
       config.substrate = substrate;
       config.window_n = n;
       config.r = r;
       config.seed = Rng::ForkSeed(1700, r + domain);
-      auto est = CreateEstimator("ccm-entropy", config).ValueOrDie();
+      config.name = "ccm-entropy";
+      auto est = CreateEstimator(config).ValueOrDie();
       DriveReport drive = driver.Drive(std::span<const Item>(items), *est);
       const double estimate = est->Estimate().value;
       Row({F(alpha, 1), U(domain), substrate, U(r), F(exact, 4),

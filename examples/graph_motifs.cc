@@ -48,13 +48,14 @@ int main() {
   const uint32_t v = 40;          // vertex universe (community = 0..9)
   const uint64_t n = 4096;        // edge window
   const uint64_t total = 6 * n;
-  EstimatorConfig config;
-  config.substrate = "bop-seq-single";
-  config.window_n = n;
-  config.r = 8192;
-  config.seed = 5;
-  config.num_vertices = v;
-  auto est = CreateEstimator("buriol-triangles", config).ValueOrDie();
+  SinkSpec spec;
+  spec.name = "buriol-triangles";
+  spec.substrate = "bop-seq-single";
+  spec.window_n = n;
+  spec.r = 8192;
+  spec.seed = 5;
+  spec.num_vertices = v;
+  auto est = CreateEstimator(spec).ValueOrDie();
 
   Rng rng(21);
   std::deque<uint64_t> window;

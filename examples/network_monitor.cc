@@ -24,11 +24,12 @@ using namespace swsample;
 int main() {
   const Timestamp window_seconds = 60;
   const uint64_t k = 64;
-  SamplerConfig config;
-  config.window_t = window_seconds;
-  config.k = k;
-  config.seed = 7;
-  auto sampler = CreateSampler("bop-ts-swor", config).ValueOrDie();
+  SinkSpec spec;
+  spec.name = "bop-ts-swor";
+  spec.window_t = window_seconds;
+  spec.k = k;
+  spec.seed = 7;
+  auto sampler = CreateSampler(spec).ValueOrDie();
 
   // Traffic: 256 sources with Zipf popularity, bursty arrivals whose rate
   // swings over a day-night cycle (lambda 8 by "day", 0.5 by "night").

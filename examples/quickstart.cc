@@ -27,15 +27,16 @@ int main() {
 
   // The paper's four k-samplers, constructed by name from the registry
   // (the factory validates the configuration).
-  SamplerConfig config;
-  config.window_n = n;
-  config.window_t = t0;
-  config.k = k;
+  SinkSpec spec;
+  spec.window_n = n;
+  spec.window_t = t0;
+  spec.k = k;
   std::vector<std::unique_ptr<WindowSampler>> samplers;
   for (const char* name :
        {"bop-seq-swr", "bop-seq-swor", "bop-ts-swr", "bop-ts-swor"}) {
-    ++config.seed;
-    samplers.push_back(CreateSampler(name, config).ValueOrDie());
+    spec.name = name;
+    ++spec.seed;
+    samplers.push_back(CreateSampler(spec).ValueOrDie());
   }
 
   // A synthetic sensor: Zipf-skewed readings, 4 per tick, ingested in

@@ -39,14 +39,16 @@ int main() {
                             });
   // Both symbol estimators come from the estimator registry; swap the
   // substrate string to run them over any other compatible sampler.
-  EstimatorConfig config;
-  config.substrate = "bop-seq-single";
-  config.window_n = n;
-  config.r = 512;
-  config.seed = 2;
-  auto repeat_rate = CreateEstimator("ams-fk", config).ValueOrDie();
-  config.seed = 3;
-  auto entropy = CreateEstimator("ccm-entropy", config).ValueOrDie();
+  SinkSpec spec;
+  spec.name = "ams-fk";
+  spec.substrate = "bop-seq-single";
+  spec.window_n = n;
+  spec.r = 512;
+  spec.seed = 2;
+  auto repeat_rate = CreateEstimator(spec).ValueOrDie();
+  spec.name = "ccm-entropy";
+  spec.seed = 3;
+  auto entropy = CreateEstimator(spec).ValueOrDie();
 
   const uint64_t total = 6 * n;
   const std::vector<Item> trades =

@@ -12,8 +12,7 @@
 namespace swsample {
 
 Result<std::unique_ptr<StepBiasedSampler>> StepBiasedSampler::Create(
-    std::vector<BiasLevel> levels, uint64_t seed,
-    const std::string& substrate, uint64_t level_k) {
+    std::vector<BiasLevel> levels, const SinkSpec& substrate) {
   if (levels.empty()) {
     return Status::InvalidArgument("StepBiasedSampler: need >= 1 level");
   }
@@ -33,21 +32,21 @@ Result<std::unique_ptr<StepBiasedSampler>> StepBiasedSampler::Create(
     }
     total += levels[i].weight;
   }
-  const SamplerSpec* spec = FindSamplerSpec(substrate);
+  const SamplerSpec* spec = FindSamplerSpec(substrate.name);
   if (spec == nullptr || spec->model != WindowModel::kSequence) {
     return Status::InvalidArgument(
         "StepBiasedSampler: substrate must be a registered sequence-model "
-        "sampler, got \"" + substrate + "\"");
+        "sampler, got \"" + substrate.name + "\"");
   }
   for (auto& level : levels) level.weight /= total;
   auto sampler = std::unique_ptr<StepBiasedSampler>(
-      new StepBiasedSampler(std::move(levels), seed));
+      new StepBiasedSampler(std::move(levels), substrate.seed));
+  SinkSpec level_spec = substrate;
+  if (spec->single_sample) level_spec.k = 1;
   for (size_t i = 0; i < sampler->levels_.size(); ++i) {
-    SamplerConfig config;
-    config.window_n = sampler->levels_[i].window;
-    config.k = spec->single_sample ? 1 : level_k;
-    config.seed = Rng::ForkSeed(seed, i + 1);
-    auto level_sampler = CreateSampler(substrate, config);
+    level_spec.window_n = sampler->levels_[i].window;
+    level_spec.seed = Rng::ForkSeed(substrate.seed, i + 1);
+    auto level_sampler = CreateSampler(level_spec);
     if (!level_sampler.ok()) return level_sampler.status();
     sampler->samplers_.push_back(std::move(level_sampler).ValueOrDie());
   }

@@ -23,35 +23,29 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "apps/estimator.h"
 #include "core/api.h"
+#include "core/sink_spec.h"
 #include "stream/item.h"
 #include "util/rng.h"
 #include "util/status.h"
 
 namespace swsample {
 
-/// One recency level of a step-biased sampler.
-struct BiasLevel {
-  uint64_t window;  ///< window length n_j (must be strictly increasing)
-  double weight;    ///< probability mass of this level (> 0)
-  friend bool operator==(const BiasLevel&, const BiasLevel&) = default;
-};
-
 /// Step-biased sampler over nested fixed-size windows.
 class StepBiasedSampler {
  public:
   /// Creates a sampler from strictly increasing window lengths with
-  /// positive weights (weights are normalized internally). Each level runs
-  /// one single-sample copy of the sequence-model sampler registered under
-  /// `substrate` ("bop-seq-swr" by default, matching the paper scheme).
+  /// positive weights (weights are normalized internally). `substrate`
+  /// names a sequence-model sampler (the paper scheme uses "bop-seq-swr");
+  /// level i runs a copy of it with window_n = levels[i].window, k forced
+  /// to 1 for single-sample names, and seed Rng::ForkSeed(substrate.seed,
+  /// i + 1). Every other field (k, oversample, wr) passes through.
   static Result<std::unique_ptr<StepBiasedSampler>> Create(
-      std::vector<BiasLevel> levels, uint64_t seed,
-      const std::string& substrate = "bop-seq-swr", uint64_t level_k = 1);
+      std::vector<BiasLevel> levels, const SinkSpec& substrate);
 
   /// Feeds one arrival.
   void Observe(const Item& item);

@@ -4,6 +4,7 @@
 
 #include <utility>
 
+#include "apps/biased.h"
 #include "apps/entropy.h"
 #include "apps/freq_moments.h"
 #include "apps/payload_substrate.h"
@@ -64,62 +65,69 @@ EstimatorResult Widen(Result<std::unique_ptr<T>> r) {
   return std::unique_ptr<WindowEstimator>(std::move(r).ValueOrDie());
 }
 
-PayloadSubstrateParams PayloadParams(const EstimatorConfig& config,
+PayloadSubstrateParams PayloadParams(const SinkSpec& spec,
                                      const SamplerSpec& substrate) {
   PayloadSubstrateParams params;
   params.kind = PayloadKindOf(substrate.name);
-  params.window_n = config.window_n;
-  params.window_t = config.window_t;
-  params.r = config.r;
-  params.count_eps = config.count_eps;
-  params.seed = config.seed;
+  params.window_n = spec.window_n;
+  params.window_t = spec.window_t;
+  params.r = spec.r;
+  params.count_eps = spec.count_eps;
+  params.seed = spec.seed;
   return params;
 }
 
-EstimatorResult MakeQuantile(const EstimatorConfig& config,
+/// The spec of an estimator's inner sampler: the estimator's own spec
+/// renamed to the substrate, drawing `r` samples.
+SinkSpec SubstrateSpec(const SinkSpec& spec, const SamplerSpec& substrate) {
+  SinkSpec sampler_spec = spec;
+  sampler_spec.name = substrate.name;
+  sampler_spec.k = spec.r;
+  return sampler_spec;
+}
+
+EstimatorResult MakeQuantile(const SinkSpec& spec,
                              const ResolvedConfig& resolved) {
   // A single-sample substrate cannot honor a DKW sample size r > 1, and
   // silently degrading the rank guarantee would betray the estimator's
   // name — require the caller to opt into r = 1 explicitly.
-  if (resolved.substrate->single_sample && config.r != 1) {
+  if (resolved.substrate->single_sample && spec.r != 1) {
     return Status::InvalidArgument(
         std::string("dkw-quantile: substrate ") + resolved.substrate->name +
-        " maintains a single sample; set config.r = 1 (the rank guarantee"
+        " maintains a single sample; set r=1 (the rank guarantee"
         " then degenerates to a uniform window position)");
   }
-  SamplerConfig sampler_config;
-  sampler_config.window_n = config.window_n;
-  sampler_config.window_t = config.window_t;
-  sampler_config.k = config.r;
-  sampler_config.seed = config.seed;
-  sampler_config.oversample_factor = config.oversample_factor;
+  SinkSpec sampler_spec = SubstrateSpec(spec, *resolved.substrate);
   // Quantiles want distinct ranks where the substrate offers the choice.
-  sampler_config.with_replacement = false;
-  auto sampler = CreateSampler(resolved.substrate->name, sampler_config);
+  sampler_spec.with_replacement = false;
+  auto sampler = CreateSampler(sampler_spec);
   if (!sampler.ok()) return sampler.status();
   return Widen(
-      QuantileEstimator::Create(std::move(sampler).ValueOrDie(), config.q));
+      QuantileEstimator::Create(std::move(sampler).ValueOrDie(), spec.q));
 }
 
-EstimatorResult MakeBiasedMean(const EstimatorConfig& config,
+EstimatorResult MakeBiasedMean(const SinkSpec& spec,
                                const ResolvedConfig& resolved) {
-  std::vector<BiasLevel> levels = config.bias_levels;
+  SinkSpec level_spec = SubstrateSpec(spec, *resolved.substrate);
+  std::vector<BiasLevel> levels = std::move(level_spec.bias_levels);
   if (levels.empty()) {
     // Default staircase: recent quarter window at equal weight with the
     // full window (degenerates to one level for tiny windows).
-    const uint64_t quarter = config.window_n / 4;
-    if (quarter >= 1 && quarter < config.window_n) {
+    const uint64_t quarter = spec.window_n / 4;
+    if (quarter >= 1 && quarter < spec.window_n) {
       levels.push_back(BiasLevel{quarter, 1.0});
     }
-    levels.push_back(BiasLevel{config.window_n, 1.0});
+    levels.push_back(BiasLevel{spec.window_n, 1.0});
   }
-  auto sampler = StepBiasedSampler::Create(
-      std::move(levels), config.seed, resolved.substrate->name, config.r);
+  // The estimator envelope carries no sampling mode, so the levels keep
+  // the default one and a restored estimator rebuilds the same levels.
+  level_spec.with_replacement = SinkSpec{}.with_replacement;
+  auto sampler = StepBiasedSampler::Create(std::move(levels), level_spec);
   if (!sampler.ok()) return sampler.status();
   return Widen(BiasedMeanEstimator::Create(std::move(sampler).ValueOrDie()));
 }
 
-EstimatorResult MakeWindowCount(const EstimatorConfig& config,
+EstimatorResult MakeWindowCount(const SinkSpec& spec,
                                 const ResolvedConfig& resolved) {
   WindowCountEstimator::Mode mode;
   if (resolved.substrate->model == WindowModel::kSequence) {
@@ -129,32 +137,31 @@ EstimatorResult MakeWindowCount(const EstimatorConfig& config,
   } else {
     mode = WindowCountEstimator::Mode::kTsHistogram;
   }
-  return Widen(WindowCountEstimator::Create(mode, config.window_n,
-                                            config.window_t,
-                                            config.count_eps));
+  return Widen(WindowCountEstimator::Create(mode, spec.window_n,
+                                            spec.window_t, spec.count_eps));
 }
 
 struct Entry {
   EstimatorSpec spec;
-  EstimatorResult (*make)(const EstimatorConfig&, const ResolvedConfig&);
+  EstimatorResult (*make)(const SinkSpec&, const ResolvedConfig&);
 };
 
 const std::vector<Entry>& Entries() {
   static const std::vector<Entry>* entries = new std::vector<Entry>{
       {{"ams-fk", "F_k", "bop-seq-single", kPayloadSubstrates,
         "AMS frequency moment F_k over a sliding window (Cor 5.2)"},
-       +[](const EstimatorConfig& c, const ResolvedConfig& r) {
+       +[](const SinkSpec& c, const ResolvedConfig& r) {
          return Widen(
              FkEstimator::Create(PayloadParams(c, *r.substrate), c.moment));
        }},
       {{"ccm-entropy", "H-bits", "bop-seq-single", kPayloadSubstrates,
         "CCM empirical entropy (bits) over a sliding window (Cor 5.4)"},
-       +[](const EstimatorConfig& c, const ResolvedConfig& r) {
+       +[](const SinkSpec& c, const ResolvedConfig& r) {
          return Widen(EntropyEstimator::Create(PayloadParams(c, *r.substrate)));
        }},
       {{"buriol-triangles", "T3", "bop-seq-single", kPayloadSubstrates,
         "Buriol et al. triangle count over a sliding edge window (Cor 5.3)"},
-       +[](const EstimatorConfig& c, const ResolvedConfig& r) {
+       +[](const SinkSpec& c, const ResolvedConfig& r) {
          return Widen(TriangleEstimator::Create(PayloadParams(c, *r.substrate),
                                                 c.num_vertices));
        }},
@@ -221,17 +228,16 @@ bool EstimatorSupportsSubstrate(std::string_view name,
          SpecSupports(*spec, substrate);
 }
 
-Result<std::unique_ptr<WindowEstimator>> CreateEstimator(
-    std::string_view name, const EstimatorConfig& config) {
-  const Entry* entry = FindEntry(name);
+Result<std::unique_ptr<WindowEstimator>> CreateEstimator(const SinkSpec& spec) {
+  const Entry* entry = FindEntry(spec.name);
   if (entry == nullptr) {
-    return Status::InvalidArgument("unknown estimator \"" +
-                                   std::string(name) + "\"; registered: " +
+    return Status::InvalidArgument("unknown estimator \"" + spec.name +
+                                   "\"; registered: " +
                                    RegisteredEstimatorNames());
   }
-  const std::string substrate_name = config.substrate.empty()
+  const std::string substrate_name = spec.substrate.empty()
                                          ? entry->spec.default_substrate
-                                         : config.substrate;
+                                         : spec.substrate;
   const SamplerSpec* substrate = FindSamplerSpec(substrate_name);
   if (substrate == nullptr) {
     return Status::InvalidArgument(
@@ -247,21 +253,21 @@ Result<std::unique_ptr<WindowEstimator>> CreateEstimator(
   }
   // Validate the window parameter of the substrate's model up front so
   // every estimator rejects a missing/invalid window uniformly.
-  if (substrate->model == WindowModel::kSequence && config.window_n < 1) {
+  if (substrate->model == WindowModel::kSequence && spec.window_n < 1) {
     return Status::InvalidArgument(std::string(entry->spec.name) +
-                                   ": config.window_n must be >= 1 for "
+                                   ": spec.window_n must be >= 1 for "
                                    "sequence substrate " + substrate_name);
   }
-  if (substrate->model == WindowModel::kTimestamp && config.window_t < 1) {
+  if (substrate->model == WindowModel::kTimestamp && spec.window_t < 1) {
     return Status::InvalidArgument(std::string(entry->spec.name) +
-                                   ": config.window_t must be >= 1 for "
+                                   ": spec.window_t must be >= 1 for "
                                    "timestamp substrate " + substrate_name);
   }
-  if (config.r < 1) {
+  if (spec.r < 1) {
     return Status::InvalidArgument(std::string(entry->spec.name) +
-                                   ": config.r must be >= 1");
+                                   ": spec.r must be >= 1");
   }
-  return entry->make(config, ResolvedConfig{substrate});
+  return entry->make(spec, ResolvedConfig{substrate});
 }
 
 std::string RegisteredEstimatorNames() {

@@ -2,14 +2,18 @@
 
 /// \file
 /// Estimator registry: every sliding-window estimator in the library is
-/// constructible from a string name, a sampling substrate named by its
-/// SAMPLER-registry string, and one common configuration struct. This is
-/// Theorem 5.1 realized as code: the theorem turns any sampling-based
-/// streaming estimator into a sliding-window estimator by swapping its
-/// sampling substrate, and here the swap is a config field. Harnesses,
-/// examples, benchmarks, the CLI and the sharded driver's replica factory
-/// drive estimators through this single entry point; benches E8-E12
-/// sweep the estimator x substrate grid.
+/// constructible from one SinkSpec (core/sink_spec.h): `name` is the
+/// estimator's registry key and `substrate` names its sampling substrate
+/// by its SAMPLER-registry string. This is Theorem 5.1 realized as code:
+/// the theorem turns any sampling-based streaming estimator into a
+/// sliding-window estimator by swapping its sampling substrate, and here
+/// the swap is a spec field. An estimator that builds an inner sampler
+/// derives that sampler's spec from its own: a copy with `name` set to
+/// the substrate plus its own overrides (dkw-quantile sets k = r and
+/// wr = 0; biased-mean sets each level's window, k and a forked seed).
+/// Harnesses, examples, benchmarks, the CLI and the sharded driver's
+/// replica factory drive estimators through this single entry point;
+/// benches E8-E12 sweep the estimator x substrate grid.
 ///
 /// Ownership: CreateEstimator returns a caller-owned unique_ptr that owns
 /// its substrate outright; the registry holds only static specs.
@@ -50,48 +54,17 @@
 #include <string_view>
 #include <vector>
 
-#include "apps/biased.h"
 #include "apps/estimator.h"
+#include "core/sink_spec.h"
 #include "util/status.h"
 
 namespace swsample {
-
-/// One configuration for every registered estimator. Only the fields the
-/// named estimator (and substrate model) uses are validated; the rest are
-/// ignored.
-struct EstimatorConfig {
-  /// Sampler-registry name of the sampling substrate; "" selects the
-  /// estimator's default substrate.
-  std::string substrate;
-  /// Sequence window size n (sequence-model substrates; >= 1 there).
-  uint64_t window_n = 0;
-  /// Timestamp window length t0 (timestamp-model substrates; >= 1 there).
-  Timestamp window_t = 0;
-  /// Independent sampling units to average / sample size to draw (>= 1).
-  uint64_t r = 64;
-  /// RNG seed; equal configs construct identically-behaving estimators.
-  uint64_t seed = 0;
-  /// Frequency moment k (ams-fk only; >= 1).
-  uint32_t moment = 2;
-  /// Vertex universe size (buriol-triangles only; >= 3).
-  uint32_t num_vertices = 0;
-  /// Relative error of the DGIM window-size estimate used by timestamp
-  /// substrates (in (0, 1]).
-  double count_eps = 0.05;
-  /// Quantile reported by dkw-quantile's Estimate() (in [0, 1]).
-  double q = 0.5;
-  /// Recency levels (biased-mean only); empty derives a two-level
-  /// staircase {window_n / 4, window_n} with equal weights.
-  std::vector<BiasLevel> bias_levels;
-  /// Over-sampling factor passed through to an oversample-swor substrate.
-  uint64_t oversample_factor = 3;
-};
 
 /// Static description of one registered estimator.
 struct EstimatorSpec {
   const char* name;               ///< registry key; equals name()
   const char* metric;             ///< what Estimate().value approximates
-  const char* default_substrate;  ///< used when config.substrate is ""
+  const char* default_substrate;  ///< used when spec.substrate is ""
   std::vector<const char*> substrates;  ///< compatible sampler names
   const char* summary;            ///< one-line description for --help
 };
@@ -110,17 +83,15 @@ bool IsRegisteredEstimator(std::string_view name);
 bool EstimatorSupportsSubstrate(std::string_view name,
                                 std::string_view substrate);
 
-/// Constructs the estimator registered under `name` over the configured
-/// substrate. Unknown names, unknown or incompatible substrates, and
-/// invalid configurations come back as InvalidArgument.
+/// Constructs the estimator registered under `spec.name` over the
+/// spec's substrate. Unknown names, unknown or incompatible substrates,
+/// and invalid specs come back as InvalidArgument.
 ///
-/// Registry-level persistence lives in apps/estimator_checkpoint.h:
-/// SaveEstimator wraps a constructed estimator's state in a
-/// self-describing envelope (name + config + payload) and
-/// RestoreEstimator reconstructs the exact object from one, in any
-/// process.
-Result<std::unique_ptr<WindowEstimator>> CreateEstimator(
-    std::string_view name, const EstimatorConfig& config);
+/// Persistence lives in apps/sink_spec.h: SaveSink wraps a constructed
+/// estimator's state in a self-describing envelope (name + spec fields +
+/// payload) and RestoreSink reconstructs the exact object from one, in
+/// any process.
+Result<std::unique_ptr<WindowEstimator>> CreateEstimator(const SinkSpec& spec);
 
 /// "name1, name2, ..." — for CLI usage/error text.
 std::string RegisteredEstimatorNames();

@@ -3,8 +3,9 @@
 #include "apps/sink_spec.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
-#include "apps/estimator_checkpoint.h"
 #include "core/checkpoint.h"
 #include "util/rng.h"
 #include "util/serial.h"
@@ -120,74 +121,17 @@ std::string FormatSinkSpec(const SinkSpec& spec) {
   return out;
 }
 
-SamplerConfig ToSamplerConfig(const SinkSpec& spec) {
-  SamplerConfig config;
-  config.window_n = spec.window_n;
-  config.window_t = spec.window_t;
-  config.k = spec.k;
-  config.seed = spec.seed;
-  config.oversample_factor = spec.oversample_factor;
-  config.with_replacement = spec.with_replacement;
-  return config;
-}
-
-EstimatorConfig ToEstimatorConfig(const SinkSpec& spec) {
-  EstimatorConfig config;
-  config.substrate = spec.substrate;
-  config.window_n = spec.window_n;
-  config.window_t = spec.window_t;
-  config.r = spec.r;
-  config.seed = spec.seed;
-  config.moment = spec.moment;
-  config.num_vertices = spec.num_vertices;
-  config.count_eps = spec.count_eps;
-  config.q = spec.q;
-  config.bias_levels = spec.bias_levels;
-  config.oversample_factor = spec.oversample_factor;
-  return config;
-}
-
-SinkSpec SamplerSinkSpec(std::string_view name, const SamplerConfig& config) {
-  SinkSpec spec;
-  spec.name = std::string(name);
-  spec.window_n = config.window_n;
-  spec.window_t = config.window_t;
-  spec.k = config.k;
-  spec.seed = config.seed;
-  spec.oversample_factor = config.oversample_factor;
-  spec.with_replacement = config.with_replacement;
-  return spec;
-}
-
-SinkSpec EstimatorSinkSpec(std::string_view name,
-                           const EstimatorConfig& config) {
-  SinkSpec spec;
-  spec.name = std::string(name);
-  spec.substrate = config.substrate;
-  spec.window_n = config.window_n;
-  spec.window_t = config.window_t;
-  spec.r = config.r;
-  spec.seed = config.seed;
-  spec.moment = config.moment;
-  spec.num_vertices = config.num_vertices;
-  spec.count_eps = config.count_eps;
-  spec.q = config.q;
-  spec.bias_levels = config.bias_levels;
-  spec.oversample_factor = config.oversample_factor;
-  return spec;
-}
-
 Result<Sink> CreateSink(const SinkSpec& spec) {
   auto kind = SinkKindOf(spec.name);
   if (!kind.ok()) return kind.status();
   Sink out;
   if (kind.value() == SinkKind::kSampler) {
-    auto sampler = CreateSampler(spec.name, ToSamplerConfig(spec));
+    auto sampler = CreateSampler(spec);
     if (!sampler.ok()) return sampler.status();
     out.sampler = sampler.value().get();
     out.sink = std::move(sampler).ValueOrDie();
   } else {
-    auto estimator = CreateEstimator(spec.name, ToEstimatorConfig(spec));
+    auto estimator = CreateEstimator(spec);
     if (!estimator.ok()) return estimator.status();
     out.estimator = estimator.value().get();
     out.sink = std::move(estimator).ValueOrDie();
@@ -201,8 +145,6 @@ Result<SinkFactory> SinkFactory::Bind(const SinkSpec& spec) {
   SinkFactory factory;
   factory.spec_ = spec;
   factory.kind_ = kind.value();
-  factory.sampler_config_ = ToSamplerConfig(spec);
-  factory.estimator_config_ = ToEstimatorConfig(spec);
   // Probe construction front-loads every configuration error (it goes
   // through CreateSampler/CreateEstimator, so window validation runs
   // here once); afterwards Create can use the resolved maker directly.
@@ -215,20 +157,21 @@ Result<SinkFactory> SinkFactory::Bind(const SinkSpec& spec) {
 }
 
 Result<Sink> SinkFactory::Create(uint64_t seed) const {
+  // Copy-assignment into one spec per thread reuses its string and level
+  // buffers, so after a thread's first sink the seeded copy allocates
+  // nothing.
+  thread_local SinkSpec seeded;
+  seeded = spec_;
+  seeded.seed = seed;
   Sink out;
   if (kind_ == SinkKind::kSampler) {
-    SamplerConfig config = sampler_config_;
-    config.seed = seed;
-    auto sampler = sampler_maker_ != nullptr
-                       ? sampler_maker_(config)
-                       : CreateSampler(spec_.name, config);
+    auto sampler = sampler_maker_ != nullptr ? sampler_maker_(seeded)
+                                             : CreateSampler(seeded);
     if (!sampler.ok()) return sampler.status();
     out.sampler = sampler.value().get();
     out.sink = std::move(sampler).ValueOrDie();
   } else {
-    EstimatorConfig config = estimator_config_;
-    config.seed = seed;
-    auto estimator = CreateEstimator(spec_.name, config);
+    auto estimator = CreateEstimator(seeded);
     if (!estimator.ok()) return estimator.status();
     out.estimator = estimator.value().get();
     out.sink = std::move(estimator).ValueOrDie();
@@ -296,65 +239,165 @@ Result<std::vector<Sink>> CreateShardedSinks(const SinkSpec& spec,
   return replicas;
 }
 
+namespace {
+
+/// Caps a corrupt bias-level count before allocation (levels are nested
+/// windows — a handful in any real configuration).
+constexpr uint64_t kMaxBiasLevels = 1024;
+
+/// The envelope fields of each kind after the registry name, in wire
+/// order. SaveSink and RestoreSink both walk this list, so no field can
+/// be written by one and dropped by the other.
+template <typename Visit>
+void ForEachEnvelopeField(SinkKind kind, Visit visit) {
+  if (kind == SinkKind::kSampler) {
+    visit(&SinkSpec::window_n);
+    visit(&SinkSpec::window_t);
+    visit(&SinkSpec::k);
+    visit(&SinkSpec::seed);
+    visit(&SinkSpec::oversample_factor);
+    visit(&SinkSpec::with_replacement);
+    return;
+  }
+  visit(&SinkSpec::substrate);
+  visit(&SinkSpec::window_n);
+  visit(&SinkSpec::window_t);
+  visit(&SinkSpec::r);
+  visit(&SinkSpec::seed);
+  visit(&SinkSpec::moment);
+  visit(&SinkSpec::num_vertices);
+  visit(&SinkSpec::count_eps);
+  visit(&SinkSpec::q);
+  visit(&SinkSpec::oversample_factor);
+  visit(&SinkSpec::bias_levels);
+}
+
+/// Wire encoding per field type; 32-bit fields travel as u64.
+void PutField(uint64_t value, BinaryWriter* w) { w->PutU64(value); }
+void PutField(uint32_t value, BinaryWriter* w) { w->PutU64(value); }
+void PutField(int64_t value, BinaryWriter* w) { w->PutI64(value); }
+void PutField(double value, BinaryWriter* w) { w->PutDouble(value); }
+void PutField(bool value, BinaryWriter* w) { w->PutBool(value); }
+void PutField(const std::string& value, BinaryWriter* w) {
+  w->PutString(value);
+}
+void PutField(const std::vector<BiasLevel>& levels, BinaryWriter* w) {
+  w->PutU64(levels.size());
+  for (const BiasLevel& level : levels) {
+    w->PutU64(level.window);
+    w->PutDouble(level.weight);
+  }
+}
+
+/// The decoding side, with the per-type load caps: 32-bit fields must
+/// fit, scalar doubles must be finite, and the level count is capped
+/// before anything is allocated for it.
+bool GetField(BinaryReader* r, uint64_t* value) { return r->GetU64(value); }
+bool GetField(BinaryReader* r, uint32_t* value) {
+  uint64_t wide = 0;
+  if (!r->GetU64(&wide) || wide > std::numeric_limits<uint32_t>::max()) {
+    return false;
+  }
+  *value = static_cast<uint32_t>(wide);
+  return true;
+}
+bool GetField(BinaryReader* r, int64_t* value) { return r->GetI64(value); }
+bool GetField(BinaryReader* r, double* value) {
+  return r->GetDouble(value) && std::isfinite(*value);
+}
+bool GetField(BinaryReader* r, bool* value) { return r->GetBool(value); }
+bool GetField(BinaryReader* r, std::string* value) {
+  return r->GetString(value);
+}
+bool GetField(BinaryReader* r, std::vector<BiasLevel>* levels) {
+  uint64_t count = 0;
+  if (!r->GetU64(&count) || count > kMaxBiasLevels) return false;
+  levels->resize(count);
+  for (BiasLevel& level : *levels) {
+    if (!r->GetU64(&level.window) || !r->GetDouble(&level.weight)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The unit-count load caps: a corrupt k, r or oversample factor would
+/// otherwise allocate that many sampler units before any payload
+/// validation runs. oversample-swor allocates k × oversample chain units
+/// — as a sampler, or as an estimator's substrate drawing r — so the
+/// product is capped too (both factors are <= the cap here, so it cannot
+/// overflow 64 bits).
+bool WithinUnitCaps(const SinkSpec& spec) {
+  const uint64_t drawn = spec.substrate == "oversample-swor" ? spec.r : spec.k;
+  return spec.k <= kMaxCheckpointUnits && spec.r <= kMaxCheckpointUnits &&
+         spec.oversample_factor <= kMaxCheckpointUnits &&
+         drawn * spec.oversample_factor <= kMaxCheckpointUnits;
+}
+
+CheckpointKind EnvelopeKind(SinkKind kind) {
+  return kind == SinkKind::kSampler ? CheckpointKind::kSampler
+                                    : CheckpointKind::kEstimator;
+}
+
+}  // namespace
+
 Result<std::string> SaveSink(const StreamSink& sink, const SinkSpec& spec) {
   auto kind = SinkKindOf(spec.name);
   if (!kind.ok()) return kind.status();
-  if (kind.value() == SinkKind::kSampler) {
-    const auto* sampler = dynamic_cast<const WindowSampler*>(&sink);
-    if (sampler == nullptr) {
-      return Status::InvalidArgument(
-          "SaveSink: spec names sampler \"" + spec.name +
-          "\" but the sink is not a WindowSampler");
-    }
-    return SaveSampler(*sampler, ToSamplerConfig(spec));
+  if (spec.name != sink.name()) {
+    return Status::InvalidArgument("SaveSink: spec names \"" + spec.name +
+                                   "\" but the sink is \"" + sink.name() +
+                                   "\"");
   }
-  const auto* estimator = dynamic_cast<const WindowEstimator*>(&sink);
-  if (estimator == nullptr) {
-    return Status::InvalidArgument(
-        "SaveSink: spec names estimator \"" + spec.name +
-        "\" but the sink is not a WindowEstimator");
+  if (!sink.persistable()) {
+    return Status::FailedPrecondition(spec.name + ": sink is not persistable");
   }
-  return SaveEstimator(*estimator, ToEstimatorConfig(spec));
+  BinaryWriter w;
+  WriteCheckpointHeader(EnvelopeKind(kind.value()), &w);
+  w.PutString(spec.name);
+  ForEachEnvelopeField(kind.value(), [&](auto field) {
+    PutField(spec.*field, &w);
+  });
+  sink.SaveState(&w);
+  return w.Release();
 }
 
 Result<RestoredSink> RestoreSink(std::string_view blob) {
-  // Parse the envelope header once to recover the (name, config) pair the
-  // spec is lifted from, then let the kind's own restore function rebuild
-  // the object from the full blob.
-  BinaryReader header(blob);
-  CheckpointKind kind;
-  if (!ReadCheckpointHeader(&header, &kind)) {
+  BinaryReader r(blob);
+  CheckpointKind envelope_kind;
+  if (!ReadCheckpointHeader(&r, &envelope_kind)) {
     return Status::InvalidArgument(
         "RestoreSink: bad magic, unsupported version, or unknown kind");
   }
-  std::string name;
-  if (!header.GetString(&name)) {
-    return Status::InvalidArgument("RestoreSink: truncated envelope");
-  }
-  RestoredSink out;
-  if (kind == CheckpointKind::kSampler) {
-    SamplerConfig config;
-    if (!LoadSamplerConfig(&header, &config)) {
-      return Status::InvalidArgument("RestoreSink: truncated envelope");
-    }
-    auto sampler = RestoreSampler(blob);
-    if (!sampler.ok()) return sampler.status();
-    out.spec = SamplerSinkSpec(name, config);
-    out.sink.sampler = sampler.value().get();
-    out.sink.sink = std::move(sampler).ValueOrDie();
-  } else if (kind == CheckpointKind::kEstimator) {
-    EstimatorConfig config;
-    if (!LoadEstimatorConfig(&header, &config)) {
-      return Status::InvalidArgument("RestoreSink: truncated envelope");
-    }
-    auto estimator = RestoreEstimator(blob);
-    if (!estimator.ok()) return estimator.status();
-    out.spec = EstimatorSinkSpec(name, config);
-    out.sink.estimator = estimator.value().get();
-    out.sink.sink = std::move(estimator).ValueOrDie();
-  } else {
+  if (envelope_kind != CheckpointKind::kSampler &&
+      envelope_kind != CheckpointKind::kEstimator) {
     return Status::InvalidArgument(
         "RestoreSink: blob is not a sampler or estimator checkpoint");
+  }
+  RestoredSink out;
+  if (!r.GetString(&out.spec.name)) {
+    return Status::InvalidArgument("RestoreSink: truncated envelope");
+  }
+  auto kind = SinkKindOf(out.spec.name);
+  if (!kind.ok()) return kind.status();
+  if (EnvelopeKind(kind.value()) != envelope_kind) {
+    return Status::InvalidArgument("RestoreSink: \"" + out.spec.name +
+                                   "\" does not match the envelope kind");
+  }
+  bool fields_ok = true;
+  ForEachEnvelopeField(kind.value(), [&](auto field) {
+    fields_ok = fields_ok && GetField(&r, &(out.spec.*field));
+  });
+  if (!fields_ok || !WithinUnitCaps(out.spec)) {
+    return Status::InvalidArgument(
+        "RestoreSink: truncated or invalid envelope");
+  }
+  auto sink = CreateSink(out.spec);
+  if (!sink.ok()) return sink.status();
+  out.sink = std::move(sink).ValueOrDie();
+  if (!out.sink.sink->LoadState(&r) || !r.AtEnd()) {
+    return Status::InvalidArgument(
+        out.spec.name + ": truncated, corrupt, or trailing checkpoint state");
   }
   return out;
 }

@@ -37,6 +37,10 @@
 /// serializers (stream/checkpoint.h) stamp each shard's envelope with the
 /// exact spec that constructed it via the same derivation.
 ///
+/// Persistence: SaveSink / RestoreSink are the one envelope codec for
+/// every sink; the struct itself lives in core/sink_spec.h so the core
+/// sampler registry can take it too.
+///
 /// Ownership: CreateSink returns a caller-owned Sink whose unique_ptr owns
 /// the object; the typed views (`sampler`/`estimator`) alias it and share
 /// its lifetime.
@@ -56,6 +60,7 @@
 #include "apps/estimator_registry.h"
 #include "core/api.h"
 #include "core/registry.h"
+#include "core/sink_spec.h"
 #include "util/status.h"
 
 namespace swsample {
@@ -65,45 +70,6 @@ namespace swsample {
 enum class SinkKind {
   kSampler,    ///< name is a sampler-registry key
   kEstimator,  ///< name is an estimator-registry key
-};
-
-/// One description of any constructible sink: the union of SamplerConfig
-/// and EstimatorConfig keyed by a single registry name. Only the fields
-/// the named sink (and its window model) uses are validated; the rest are
-/// ignored, exactly like the per-registry configs.
-struct SinkSpec {
-  /// Sampler- or estimator-registry name. Decides the kind.
-  std::string name;
-  /// Sampling substrate (estimators only); "" selects the estimator's
-  /// default substrate.
-  std::string substrate;
-  /// Sequence window size n (sequence-model sinks; >= 1 there).
-  uint64_t window_n = 0;
-  /// Timestamp window length t0 (timestamp-model sinks; >= 1 there).
-  Timestamp window_t = 0;
-  /// Samples to maintain (samplers; single-sample names require 1).
-  uint64_t k = 1;
-  /// Independent sampling units / sample size (estimators).
-  uint64_t r = 64;
-  /// RNG seed; equal specs construct identically-behaving sinks.
-  uint64_t seed = 0;
-  /// Frequency moment (ams-fk only).
-  uint32_t moment = 2;
-  /// Vertex universe size (buriol-triangles only).
-  uint32_t num_vertices = 0;
-  /// Relative error of the DGIM window-size estimate (timestamp
-  /// substrates).
-  double count_eps = 0.05;
-  /// Quantile reported by dkw-quantile.
-  double q = 0.5;
-  /// Recency levels (biased-mean only); empty derives the default
-  /// staircase.
-  std::vector<BiasLevel> bias_levels;
-  /// Over-sampling factor (oversample-swor substrate/sampler).
-  uint64_t oversample_factor = 3;
-  /// Sampling mode of the exact-window oracles.
-  bool with_replacement = true;
-  friend bool operator==(const SinkSpec&, const SinkSpec&) = default;
 };
 
 /// A constructed sink with its typed views: `sink` owns the object;
@@ -132,28 +98,17 @@ Result<SinkSpec> ParseSinkSpec(std::string_view text);
 /// Canonical string form (defaults omitted); ParseSinkSpec round-trips it.
 std::string FormatSinkSpec(const SinkSpec& spec);
 
-/// The per-registry configs a spec projects onto. Conversions are total:
-/// field validation happens in the registry factories, not here.
-SamplerConfig ToSamplerConfig(const SinkSpec& spec);
-EstimatorConfig ToEstimatorConfig(const SinkSpec& spec);
-
-/// Lifts a registry config back into a spec (checkpoint restore, alias
-/// flags). The inverse of the To* projections.
-SinkSpec SamplerSinkSpec(std::string_view name, const SamplerConfig& config);
-SinkSpec EstimatorSinkSpec(std::string_view name,
-                           const EstimatorConfig& config);
-
 /// THE factory: constructs the sink `spec` describes through the proper
 /// registry. Unknown names, unknown/incompatible substrates and invalid
 /// configurations come back as InvalidArgument.
 Result<Sink> CreateSink(const SinkSpec& spec);
 
 /// Pre-resolved construction state for one spec: the registry kind and
-/// the projected per-registry config are computed ONCE at bind time, so
-/// call sites that construct the same shape over and over with varying
-/// seeds — the keyed engine makes one sink per tenant, millions of them
-/// at 1e7 keys — skip the name lookup, spec copy, and config projection
-/// CreateSink pays per call. Create(seed) behaves exactly like
+/// the sampler maker are resolved ONCE at bind time, so call sites that
+/// construct the same shape over and over with varying seeds — the keyed
+/// engine makes one sink per tenant, millions of them at 1e7 keys — skip
+/// the kind lookup and name scan CreateSink pays per call, and the seeded
+/// spec copy allocates nothing. Create(seed) behaves exactly like
 /// CreateSink on a copy of the bound spec with `seed` substituted.
 class SinkFactory {
  public:
@@ -176,8 +131,6 @@ class SinkFactory {
  private:
   SinkSpec spec_;
   SinkKind kind_ = SinkKind::kSampler;
-  SamplerConfig sampler_config_;
-  EstimatorConfig estimator_config_;
   /// Resolved sampler construction function (nullptr for estimators);
   /// Bind's probe construction already validated the configuration, so
   /// Create can call this directly instead of re-running CreateSampler's
@@ -202,15 +155,30 @@ Result<SinkSpec> ShardSinkSpec(const SinkSpec& spec, uint64_t shard,
 Result<std::vector<Sink>> CreateShardedSinks(const SinkSpec& spec,
                                              uint64_t shards);
 
-/// Serializes a spec-constructed sink into the self-describing checkpoint
-/// envelope (core/checkpoint.h / apps/estimator_checkpoint.h — the blob
-/// format is unchanged, so old checkpoints restore through this layer).
-/// `spec` must be the spec the sink was constructed from.
+/// The sink envelope codec: the only serialization of a sink, sampler or
+/// estimator alike. SaveSink writes the core/checkpoint.h header (kind
+/// kSampler or kEstimator), the registry name, the fields of `spec` that
+/// kind carries, and the sink's SaveState payload. `spec` must be the
+/// spec the sink was constructed from (its name must equal sink.name()).
+/// Fails when the sink is not persistable.
+///
+/// Wire fields after the name, in order (u64 unless noted):
+///   sampler:   n, t (i64), k, seed, oversample, wr (bool)
+///   estimator: substrate (string), n, t (i64), r, seed, moment,
+///              vertices, eps (f64), q (f64), oversample,
+///              bias level count, then (window, weight f64) per level
+/// A sampler envelope carries no estimator field and vice versa, so those
+/// restore at their SinkSpec defaults.
 Result<std::string> SaveSink(const StreamSink& sink, const SinkSpec& spec);
 
-/// Restores any sink envelope (sampler or estimator kind, dispatched on
-/// the embedded header) into a constructed Sink plus the spec that
-/// reconstructs it.
+/// Restores any sink envelope in one pass: decodes the spec, constructs
+/// the named sink from it and refills it with StreamSink::LoadState, so
+/// the result resumes the saved sink bit for bit. Untrusted input never
+/// crashes: truncation, trailing bytes, unknown names, a kind tag that
+/// disagrees with the name, and fields past their load caps (k, r and
+/// oversample at most kMaxCheckpointUnits, as is the number of
+/// oversample-swor chain units they imply; moment and vertices within 32
+/// bits; at most 1024 bias levels; finite eps and q) are InvalidArgument.
 struct RestoredSink {
   Sink sink;
   SinkSpec spec;

@@ -47,8 +47,8 @@ class SeqSingleSampler final : public WindowSampler {
   std::unique_ptr<SequenceSwrSampler> inner_;
 };
 
-Status RequireSingle(const SamplerConfig& config, const char* name) {
-  if (config.k != 1) {
+Status RequireSingle(const SinkSpec& spec, const char* name) {
+  if (spec.k != 1) {
     return Status::InvalidArgument(std::string(name) +
                                    ": single-sample variant requires k == 1");
   }
@@ -63,13 +63,13 @@ SamplerResult Widen(Result<std::unique_ptr<T>> r) {
 
 struct Entry {
   SamplerSpec spec;
-  SamplerResult (*make)(const SamplerConfig&);
+  SamplerResult (*make)(const SinkSpec&);
 };
 
 const Entry kEntries[] = {
     {{"bop-seq-single", WindowModel::kSequence, /*single_sample=*/true,
       "paper Sec 2.1 single sample, O(1) words"},
-     [](const SamplerConfig& c) -> SamplerResult {
+     [](const SinkSpec& c) -> SamplerResult {
        if (Status s = RequireSingle(c, "bop-seq-single"); !s.ok()) return s;
        auto inner = SequenceSwrSampler::Create(c.window_n, 1, c.seed);
        if (!inner.ok()) return inner.status();
@@ -78,17 +78,17 @@ const Entry kEntries[] = {
      }},
     {{"bop-seq-swr", WindowModel::kSequence, /*single_sample=*/false,
       "paper Thm 2.1 k-sample with replacement, O(k) words"},
-     [](const SamplerConfig& c) {
+     [](const SinkSpec& c) {
        return Widen(SequenceSwrSampler::Create(c.window_n, c.k, c.seed));
      }},
     {{"bop-seq-swor", WindowModel::kSequence, /*single_sample=*/false,
       "paper Thm 2.2 k-sample without replacement, O(k) words"},
-     [](const SamplerConfig& c) {
+     [](const SinkSpec& c) {
        return Widen(SequenceSworSampler::Create(c.window_n, c.k, c.seed));
      }},
     {{"bop-ts-single", WindowModel::kTimestamp, /*single_sample=*/true,
       "paper Sec 3 single sample, O(log n) words"},
-     [](const SamplerConfig& c) -> SamplerResult {
+     [](const SinkSpec& c) -> SamplerResult {
        if (Status s = RequireSingle(c, "bop-ts-single"); !s.ok()) return s;
        // TsSingleSampler implements WindowSampler directly; no wrapper.
        auto inner = TsSingleSampler::Create(c.window_t, c.seed);
@@ -98,44 +98,44 @@ const Entry kEntries[] = {
      }},
     {{"bop-ts-swr", WindowModel::kTimestamp, /*single_sample=*/false,
       "paper Thm 3.9 k-sample with replacement, O(k log n) words"},
-     [](const SamplerConfig& c) {
+     [](const SinkSpec& c) {
        return Widen(TsSwrSampler::Create(c.window_t, c.k, c.seed));
      }},
     {{"bop-ts-swor", WindowModel::kTimestamp, /*single_sample=*/false,
       "paper Thm 4.4 k-sample without replacement, O(k log n) words"},
-     [](const SamplerConfig& c) {
+     [](const SinkSpec& c) {
        return Widen(TsSworSampler::Create(c.window_t, c.k, c.seed));
      }},
     {{"bdm-chain", WindowModel::kSequence, /*single_sample=*/false,
       "Babcock-Datar-Motwani chain sampling (randomized memory)"},
-     [](const SamplerConfig& c) {
+     [](const SinkSpec& c) {
        return Widen(ChainSampler::Create(c.window_n, c.k, c.seed));
      }},
     {{"oversample-swor", WindowModel::kSequence, /*single_sample=*/false,
       "over-sampling SWOR baseline (may fail to return k distinct)"},
-     [](const SamplerConfig& c) {
+     [](const SinkSpec& c) {
        return Widen(OverSampler::Create(c.window_n, c.k,
                                         c.oversample_factor, c.seed));
      }},
     {{"exact-seq", WindowModel::kSequence, /*single_sample=*/false,
       "exact full-window oracle, O(n) words"},
-     [](const SamplerConfig& c) {
+     [](const SinkSpec& c) {
        return Widen(ExactWindow::CreateSequence(c.window_n, c.k,
                                                 c.with_replacement, c.seed));
      }},
     {{"bdm-priority", WindowModel::kTimestamp, /*single_sample=*/false,
       "Babcock-Datar-Motwani priority sampling (randomized memory)"},
-     [](const SamplerConfig& c) {
+     [](const SinkSpec& c) {
        return Widen(PrioritySampler::Create(c.window_t, c.k, c.seed));
      }},
     {{"gl-bounded-priority", WindowModel::kTimestamp, /*single_sample=*/false,
       "Gemulla-Lehner bounded priority SWOR (randomized memory)"},
-     [](const SamplerConfig& c) {
+     [](const SinkSpec& c) {
        return Widen(BoundedPrioritySampler::Create(c.window_t, c.k, c.seed));
      }},
     {{"exact-ts", WindowModel::kTimestamp, /*single_sample=*/false,
       "exact full-window oracle, O(window) words"},
-     [](const SamplerConfig& c) {
+     [](const SinkSpec& c) {
        return Widen(ExactWindow::CreateTimestamp(c.window_t, c.k,
                                                  c.with_replacement, c.seed));
      }},
@@ -173,25 +173,24 @@ bool IsRegisteredSampler(std::string_view name) {
   return FindSamplerSpec(name) != nullptr;
 }
 
-Result<std::unique_ptr<WindowSampler>> CreateSampler(
-    std::string_view name, const SamplerConfig& config) {
-  const Entry* entry = FindEntry(name);
+Result<std::unique_ptr<WindowSampler>> CreateSampler(const SinkSpec& spec) {
+  const Entry* entry = FindEntry(spec.name);
   if (entry == nullptr) {
-    return Status::InvalidArgument("unknown sampler \"" + std::string(name) +
+    return Status::InvalidArgument("unknown sampler \"" + spec.name +
                                    "\"; registered: " +
                                    RegisteredSamplerNames());
   }
   // Validate the window parameter of the relevant model up front so every
   // sampler rejects a missing/invalid window uniformly.
-  if (entry->spec.model == WindowModel::kSequence && config.window_n < 1) {
+  if (entry->spec.model == WindowModel::kSequence && spec.window_n < 1) {
     return Status::InvalidArgument(std::string(entry->spec.name) +
-                                   ": config.window_n must be >= 1");
+                                   ": spec.window_n must be >= 1");
   }
-  if (entry->spec.model == WindowModel::kTimestamp && config.window_t < 1) {
+  if (entry->spec.model == WindowModel::kTimestamp && spec.window_t < 1) {
     return Status::InvalidArgument(std::string(entry->spec.name) +
-                                   ": config.window_t must be >= 1");
+                                   ": spec.window_t must be >= 1");
   }
-  return entry->make(config);
+  return entry->make(spec);
 }
 
 std::string RegisteredSamplerNames() {

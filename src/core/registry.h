@@ -3,10 +3,11 @@
 /// \file
 /// Sampler registry: every sliding-window sampler in the library — the six
 /// paper algorithms of BravermanOZ09 and the six prior-art baselines — is
-/// constructible from a string name and one common configuration struct.
-/// Harnesses, examples, benchmarks, the CLI and the sharded driver's
-/// replica factory drive samplers through this single entry point, so
-/// adding a sampler never touches call sites.
+/// constructible from one SinkSpec (core/sink_spec.h) whose `name` is the
+/// registry key. Harnesses, examples, benchmarks, the CLI and the sharded
+/// driver's replica factory drive samplers through this single entry
+/// point (usually via CreateSink, apps/sink_spec.h), so adding a sampler
+/// never touches call sites.
 ///
 /// Ownership: CreateSampler returns a caller-owned unique_ptr; the
 /// registry holds only static specs (no constructed instances).
@@ -45,39 +46,23 @@
 #include <vector>
 
 #include "core/api.h"
+#include "core/sink_spec.h"
 #include "util/status.h"
 
 namespace swsample {
 
 /// Which window model a registered sampler implements; decides whether
-/// SamplerConfig::window_n or ::window_t is the relevant parameter.
+/// SinkSpec::window_n or ::window_t is the relevant parameter.
 enum class WindowModel {
   kSequence,   ///< last window_n arrivals are active
   kTimestamp,  ///< active <=> now - T(p) < window_t
-};
-
-/// One configuration for every registered sampler. Only the fields the
-/// named sampler uses are validated; the rest are ignored.
-struct SamplerConfig {
-  /// Sequence window size n (sequence-model samplers; must be >= 1 there).
-  uint64_t window_n = 0;
-  /// Timestamp window length t0 (timestamp-model samplers; >= 1 there).
-  Timestamp window_t = 0;
-  /// Samples to maintain; single-sample variants require k == 1.
-  uint64_t k = 1;
-  /// RNG seed; equal configs construct identically-behaving samplers.
-  uint64_t seed = 0;
-  /// Over-sampling factor (oversample-swor only).
-  uint64_t oversample_factor = 3;
-  /// Sampling mode of the exact-window oracles (exact-seq / exact-ts).
-  bool with_replacement = true;
 };
 
 /// Static description of one registered sampler.
 struct SamplerSpec {
   const char* name;      ///< registry key; equals the instance's name()
   WindowModel model;     ///< which window parameter applies
-  bool single_sample;    ///< true => the sampler requires config.k == 1
+  bool single_sample;    ///< true => the sampler requires spec.k == 1
   const char* summary;   ///< one-line description for --help output
 };
 
@@ -91,11 +76,11 @@ const SamplerSpec* FindSamplerSpec(std::string_view name);
 bool IsRegisteredSampler(std::string_view name);
 
 /// Construction function for one registered sampler. A maker skips
-/// CreateSampler's name lookup and window validation, so callers must
-/// have validated the configuration once (e.g. via a probe CreateSampler
-/// call) before using it on a hot path.
+/// CreateSampler's name lookup and window validation (and does not read
+/// spec.name), so callers must have validated the spec once (e.g. via a
+/// probe CreateSampler call) before using it on a hot path.
 using SamplerMaker =
-    Result<std::unique_ptr<WindowSampler>> (*)(const SamplerConfig&);
+    Result<std::unique_ptr<WindowSampler>> (*)(const SinkSpec&);
 
 /// Resolves `name` to its construction function, or nullptr if unknown —
 /// the registry's linear name scan hoisted out of per-construction cost
@@ -104,16 +89,15 @@ using SamplerMaker =
 /// means hundreds of thousands of constructions per run).
 SamplerMaker FindSamplerMaker(std::string_view name);
 
-/// Constructs the sampler registered under `name`. Unknown names and
-/// configurations rejected by the sampler's own factory come back as
+/// Constructs the sampler registered under `spec.name`. Unknown names and
+/// specs rejected by the sampler's own factory come back as
 /// InvalidArgument through the library's usual status mechanism.
 ///
-/// Registry-level persistence lives in core/checkpoint.h: SaveSampler
-/// wraps a constructed sampler's state in a self-describing envelope
-/// (name + config + payload) and RestoreSampler reconstructs the exact
-/// object from one, in any process.
-Result<std::unique_ptr<WindowSampler>> CreateSampler(
-    std::string_view name, const SamplerConfig& config);
+/// Persistence lives in apps/sink_spec.h: SaveSink wraps a constructed
+/// sampler's state in a self-describing envelope (name + spec fields +
+/// payload) and RestoreSink reconstructs the exact object from one, in
+/// any process.
+Result<std::unique_ptr<WindowSampler>> CreateSampler(const SinkSpec& spec);
 
 /// "name1, name2, ..." — for CLI usage/error text.
 std::string RegisteredSamplerNames();

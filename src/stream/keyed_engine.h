@@ -397,8 +397,8 @@ class KeyedWindowEngine final : public StreamSink {
 
   KeyedEngineOptions options_;
   SinkKind kind_ = SinkKind::kSampler;
-  /// Pre-resolved per-key constructor (registry lookup + config
-  /// projection done once, not per key).
+  /// Pre-resolved per-key constructor (registry lookup done once, not
+  /// per key).
   SinkFactory factory_;
   FlatMap<uint64_t, KeyEntry*> directory_;
   /// Keys parked on disk (value unused; FlatMap as a set).

@@ -29,7 +29,7 @@ enum class StatusCode {
 /// Lightweight status value. Ok status carries no message and no allocation.
 class Status {
  public:
-  Status() : code_(StatusCode::kOk) {}
+  constexpr Status() : code_(StatusCode::kOk) {}
 
   static Status Ok() { return Status(); }
   static Status InvalidArgument(std::string msg) {
@@ -68,6 +68,11 @@ class Status {
   std::string message_;
 };
 
+/// The Ok status Result<T>::status() hands out for a held value. A
+/// namespace-scope constant, so the accessor carries no function-local
+/// static-init guard.
+inline const Status kOkStatus;
+
 /// Either a value or an error Status. `ValueOrDie()` aborts on error and is
 /// intended for tests/examples where the inputs are known-valid.
 template <typename T>
@@ -81,8 +86,7 @@ class Result {
   bool ok() const { return std::holds_alternative<T>(v_); }
 
   const Status& status() const {
-    static const Status kOk;
-    return ok() ? kOk : std::get<Status>(v_);
+    return ok() ? kOkStatus : std::get<Status>(v_);
   }
 
   T& value() {

@@ -55,8 +55,10 @@ std::vector<uint64_t> ZipfStream(uint64_t len, uint64_t domain, double alpha,
   return values;
 }
 
-EstimatorConfig SeqConfig(uint64_t n, uint64_t r, uint64_t seed) {
-  EstimatorConfig config;
+SinkSpec SeqConfig(std::string name, uint64_t n, uint64_t r,
+                   uint64_t seed) {
+  SinkSpec config;
+  config.name = std::move(name);
   config.substrate = "bop-seq-single";
   config.window_n = n;
   config.r = r;
@@ -65,19 +67,19 @@ EstimatorConfig SeqConfig(uint64_t n, uint64_t r, uint64_t seed) {
 }
 
 TEST(FkEstimatorTest, CreateValidation) {
-  EXPECT_FALSE(CreateEstimator("ams-fk", SeqConfig(0, 10, 1)).ok());
-  EstimatorConfig bad_moment = SeqConfig(8, 10, 1);
+  EXPECT_FALSE(CreateEstimator(SeqConfig("ams-fk", 0, 10, 1)).ok());
+  SinkSpec bad_moment = SeqConfig("ams-fk", 8, 10, 1);
   bad_moment.moment = 0;
-  EXPECT_FALSE(CreateEstimator("ams-fk", bad_moment).ok());
-  EXPECT_FALSE(CreateEstimator("ams-fk", SeqConfig(8, 0, 1)).ok());
+  EXPECT_FALSE(CreateEstimator(bad_moment).ok());
+  EXPECT_FALSE(CreateEstimator(SeqConfig("ams-fk", 8, 0, 1)).ok());
 }
 
 TEST(FkEstimatorTest, F1IsWindowSize) {
   // F_1 = sum of frequencies = window size; the AMS estimate with k=1 is
   // n * (c - (c-1)) = n exactly, with zero variance.
-  EstimatorConfig config = SeqConfig(16, 4, 2);
+  SinkSpec config = SeqConfig("ams-fk", 16, 4, 2);
   config.moment = 1;
-  auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+  auto est = CreateEstimator(config).ValueOrDie();
   std::vector<uint64_t> window;
   double estimate =
       RunOnStream(*est, ZipfStream(100, 10, 1.0, 3), 16, &window);
@@ -86,7 +88,7 @@ TEST(FkEstimatorTest, F1IsWindowSize) {
 
 TEST(FkEstimatorTest, F2CloseToExactOnSkewedWindow) {
   const uint64_t n = 256;
-  auto est = CreateEstimator("ams-fk", SeqConfig(n, 2000, 4)).ValueOrDie();
+  auto est = CreateEstimator(SeqConfig("ams-fk", n, 2000, 4)).ValueOrDie();
   std::vector<uint64_t> window;
   double estimate =
       RunOnStream(*est, ZipfStream(3 * n, 8, 1.5, 5), n, &window);
@@ -97,9 +99,9 @@ TEST(FkEstimatorTest, F2CloseToExactOnSkewedWindow) {
 
 TEST(FkEstimatorTest, F3CloseToExact) {
   const uint64_t n = 256;
-  EstimatorConfig config = SeqConfig(n, 4000, 6);
+  SinkSpec config = SeqConfig("ams-fk", n, 4000, 6);
   config.moment = 3;
-  auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+  auto est = CreateEstimator(config).ValueOrDie();
   std::vector<uint64_t> window;
   double estimate =
       RunOnStream(*est, ZipfStream(3 * n, 6, 1.5, 7), n, &window);
@@ -118,9 +120,9 @@ TEST(FkEstimatorTest, UnbiasedOverManyRuns) {
   const int runs = 400;
   double exact = 0.0;
   for (int r = 0; r < runs; ++r) {
-    auto est = CreateEstimator(
-                   "ams-fk", SeqConfig(n, 32, Rng::ForkSeed(100, r)))
-                   .ValueOrDie();
+    auto est =
+        CreateEstimator(SeqConfig("ams-fk", n, 32, Rng::ForkSeed(100, r)))
+            .ValueOrDie();
     mean += RunOnStream(*est, values, n, &window);
   }
   exact = ExactFrequencyMoment(window, 2);
@@ -132,10 +134,10 @@ TEST(FkEstimatorTest, UnbiasedOverManyRuns) {
 TEST(FkEstimatorTest, ExactOracleSubstrateMatches) {
   // The exact-seq substrate draws positions from the buffered window; at
   // moment 1 it reports the window size exactly, like the paper substrate.
-  EstimatorConfig config = SeqConfig(16, 4, 2);
+  SinkSpec config = SeqConfig("ams-fk", 16, 4, 2);
   config.substrate = "exact-seq";
   config.moment = 1;
-  auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+  auto est = CreateEstimator(config).ValueOrDie();
   std::vector<uint64_t> window;
   double estimate =
       RunOnStream(*est, ZipfStream(100, 10, 1.0, 3), 16, &window);
@@ -177,15 +179,15 @@ TEST(TsPayloadUnitTest, RetainedBytesCoverBothPayloadTables) {
 }
 
 TEST(EntropyEstimatorTest, CreateValidation) {
-  EXPECT_FALSE(CreateEstimator("ccm-entropy", SeqConfig(0, 10, 1)).ok());
-  EXPECT_FALSE(CreateEstimator("ccm-entropy", SeqConfig(8, 0, 1)).ok());
+  EXPECT_FALSE(CreateEstimator(SeqConfig("ccm-entropy", 0, 10, 1)).ok());
+  EXPECT_FALSE(CreateEstimator(SeqConfig("ccm-entropy", 8, 0, 1)).ok());
 }
 
 TEST(EntropyEstimatorTest, ConstantStreamHasZeroEntropy) {
   // Per-unit estimates are nonzero (c log(n/c) terms), but the estimator is
   // unbiased with H = 0, so a large unit average must be near zero.
   auto est =
-      CreateEstimator("ccm-entropy", SeqConfig(32, 4000, 9)).ValueOrDie();
+      CreateEstimator(SeqConfig("ccm-entropy", 32, 4000, 9)).ValueOrDie();
   std::vector<uint64_t> values(100, 7);
   std::vector<uint64_t> window;
   double estimate = RunOnStream(*est, values, 32, &window);
@@ -195,7 +197,7 @@ TEST(EntropyEstimatorTest, ConstantStreamHasZeroEntropy) {
 TEST(EntropyEstimatorTest, CloseToExactOnZipfWindow) {
   const uint64_t n = 256;
   auto est =
-      CreateEstimator("ccm-entropy", SeqConfig(n, 3000, 10)).ValueOrDie();
+      CreateEstimator(SeqConfig("ccm-entropy", n, 3000, 10)).ValueOrDie();
   std::vector<uint64_t> window;
   double estimate =
       RunOnStream(*est, ZipfStream(3 * n, 16, 1.0, 11), n, &window);
@@ -207,7 +209,7 @@ TEST(EntropyEstimatorTest, CloseToExactOnZipfWindow) {
 TEST(EntropyEstimatorTest, UniformWindowApproachesLogDomain) {
   const uint64_t n = 512;
   auto est =
-      CreateEstimator("ccm-entropy", SeqConfig(n, 3000, 12)).ValueOrDie();
+      CreateEstimator(SeqConfig("ccm-entropy", n, 3000, 12)).ValueOrDie();
   // Round-robin over 16 values -> exactly uniform window -> H = 4 bits.
   std::vector<uint64_t> values(3 * n);
   for (uint64_t i = 0; i < values.size(); ++i) values[i] = i % 16;
@@ -224,27 +226,26 @@ TEST(TriangleTest, EdgeCodec) {
   EXPECT_EQ(EncodeEdge(3, 5), EncodeEdge(5, 3));
 }
 
-EstimatorConfig TriangleConfig(uint64_t n, uint32_t v, uint64_t r,
-                               uint64_t seed) {
-  EstimatorConfig config = SeqConfig(n, r, seed);
+SinkSpec TriangleConfig(std::string name, uint64_t n, uint32_t v,
+                        uint64_t r, uint64_t seed) {
+  SinkSpec config = SeqConfig(std::move(name), n, r, seed);
   config.num_vertices = v;
   return config;
 }
 
 TEST(TriangleTest, CreateValidation) {
   EXPECT_FALSE(
-      CreateEstimator("buriol-triangles", TriangleConfig(0, 10, 5, 1)).ok());
+      CreateEstimator(TriangleConfig("buriol-triangles", 0, 10, 5, 1)).ok());
   EXPECT_FALSE(
-      CreateEstimator("buriol-triangles", TriangleConfig(8, 2, 5, 1)).ok());
+      CreateEstimator(TriangleConfig("buriol-triangles", 8, 2, 5, 1)).ok());
   EXPECT_FALSE(
-      CreateEstimator("buriol-triangles", TriangleConfig(8, 10, 0, 1)).ok());
+      CreateEstimator(TriangleConfig("buriol-triangles", 8, 10, 0, 1)).ok());
 }
 
 TEST(TriangleTest, NoTrianglesEstimatesZero) {
   // A star graph has no triangles.
   const uint32_t v = 32;
-  auto est = CreateEstimator("buriol-triangles",
-                             TriangleConfig(64, v, 500, 13))
+  auto est = CreateEstimator(TriangleConfig("buriol-triangles", 64, v, 500, 13))
                  .ValueOrDie();
   uint64_t idx = 0;
   for (uint32_t leaf = 1; leaf < v; ++leaf) {
@@ -260,9 +261,9 @@ TEST(TriangleTest, PlantedTrianglesExactExpectation) {
   // in a comfortable band around it.
   const uint32_t v = 30;
   const uint64_t n = 300;  // window larger than the 30 streamed edges
-  auto est = CreateEstimator("buriol-triangles",
-                             TriangleConfig(n, v, 20000, 14))
-                 .ValueOrDie();
+  auto est =
+      CreateEstimator(TriangleConfig("buriol-triangles", n, v, 20000, 14))
+          .ValueOrDie();
   uint64_t idx = 0;
   for (uint32_t t = 0; t < v / 3; ++t) {
     est->Observe(Item{EncodeEdge(3 * t, 3 * t + 1), idx++, 0});
@@ -292,9 +293,8 @@ TEST(TriangleTest, UnbiasedOverManyRuns) {
   double mean = 0.0;
   const int runs = 300;
   for (int r = 0; r < runs; ++r) {
-    auto est = CreateEstimator(
-                   "buriol-triangles",
-                   TriangleConfig(n, v, 64, Rng::ForkSeed(900, r)))
+    auto est = CreateEstimator(TriangleConfig("buriol-triangles", n, v, 64,
+                                              Rng::ForkSeed(900, r)))
                    .ValueOrDie();
     uint64_t idx = 0;
     for (uint64_t e : edge_stream) est->Observe(Item{e, idx++, 0});
@@ -304,19 +304,32 @@ TEST(TriangleTest, UnbiasedOverManyRuns) {
   EXPECT_NEAR(mean, 3.0, 1.0);
 }
 
+/// The per-level substrate spec of a step-biased sampler: the paper's
+/// single-sample bop-seq-swr levels unless `name` says otherwise.
+SinkSpec LevelSpec(uint64_t seed, std::string name = "bop-seq-swr") {
+  SinkSpec spec;
+  spec.name = std::move(name);
+  spec.seed = seed;
+  return spec;
+}
+
 TEST(BiasedTest, CreateValidation) {
-  EXPECT_FALSE(StepBiasedSampler::Create({}, 1).ok());
+  EXPECT_FALSE(StepBiasedSampler::Create({}, LevelSpec(1)).ok());
+  EXPECT_FALSE(StepBiasedSampler::Create({{8, 1.0}, {8, 1.0}}, LevelSpec(1))
+                   .ok());  // not increasing
+  EXPECT_FALSE(StepBiasedSampler::Create({{8, 0.0}}, LevelSpec(1))
+                   .ok());  // zero weight
   EXPECT_FALSE(
-      StepBiasedSampler::Create({{8, 1.0}, {8, 1.0}}, 1).ok());  // not increasing
-  EXPECT_FALSE(StepBiasedSampler::Create({{8, 0.0}}, 1).ok());  // zero weight
-  EXPECT_FALSE(StepBiasedSampler::Create({{8, 1.0}}, 1, "bop-ts-swr").ok());
-  EXPECT_FALSE(StepBiasedSampler::Create({{8, 1.0}}, 1, "no-such").ok());
-  EXPECT_TRUE(StepBiasedSampler::Create({{8, 1.0}, {32, 1.0}}, 1).ok());
+      StepBiasedSampler::Create({{8, 1.0}}, LevelSpec(1, "bop-ts-swr")).ok());
+  EXPECT_FALSE(
+      StepBiasedSampler::Create({{8, 1.0}}, LevelSpec(1, "no-such")).ok());
+  EXPECT_TRUE(
+      StepBiasedSampler::Create({{8, 1.0}, {32, 1.0}}, LevelSpec(1)).ok());
 }
 
 TEST(BiasedTest, InclusionProbabilitiesFormStaircase) {
-  auto s =
-      StepBiasedSampler::Create({{4, 1.0}, {16, 1.0}}, 2).ValueOrDie();
+  auto s = StepBiasedSampler::Create({{4, 1.0}, {16, 1.0}}, LevelSpec(2))
+               .ValueOrDie();
   // Normalized weights: 0.5 each. Age < 4: 0.5/4 + 0.5/16; age in [4,16):
   // 0.5/16; age >= 16: 0.
   EXPECT_NEAR(s->InclusionProbability(0), 0.5 / 4 + 0.5 / 16, 1e-12);
@@ -331,7 +344,7 @@ TEST(BiasedTest, EmpiricalDistributionMatchesStaircase) {
   std::vector<uint64_t> counts(16, 0);
   for (int t = 0; t < trials; ++t) {
     auto s = StepBiasedSampler::Create({{4, 1.0}, {16, 1.0}},
-                                       Rng::ForkSeed(300, t))
+                                       LevelSpec(Rng::ForkSeed(300, t)))
                  .ValueOrDie();
     const uint64_t len = 40;
     for (uint64_t i = 0; i < len; ++i) {
@@ -342,7 +355,8 @@ TEST(BiasedTest, EmpiricalDistributionMatchesStaircase) {
     ++counts[len - 1 - sample->index];  // age
   }
   std::vector<double> probs(16);
-  auto s = StepBiasedSampler::Create({{4, 1.0}, {16, 1.0}}, 1).ValueOrDie();
+  auto s = StepBiasedSampler::Create({{4, 1.0}, {16, 1.0}}, LevelSpec(1))
+               .ValueOrDie();
   double total = 0.0;
   for (uint64_t age = 0; age < 16; ++age) {
     probs[age] = s->InclusionProbability(age);
@@ -354,20 +368,45 @@ TEST(BiasedTest, EmpiricalDistributionMatchesStaircase) {
 }
 
 TEST(BiasedTest, RecentElementsMoreLikely) {
-  auto s = StepBiasedSampler::Create({{8, 2.0}, {64, 1.0}}, 4).ValueOrDie();
+  auto s = StepBiasedSampler::Create({{8, 2.0}, {64, 1.0}}, LevelSpec(4))
+               .ValueOrDie();
   EXPECT_GT(s->InclusionProbability(0), s->InclusionProbability(20));
+}
+
+TEST(BiasedTest, OversampleSubstrateHonorsOversampleFactor) {
+  // Each level of biased-mean@oversample-swor runs factor * r chain units,
+  // so its footprint must grow with the spec's oversample factor — the
+  // levels derive their spec from the estimator's, not a fixed default.
+  auto words = [](uint64_t oversample) {
+    SinkSpec spec;
+    spec.name = "biased-mean";
+    spec.substrate = "oversample-swor";
+    spec.window_n = 4096;
+    spec.r = 4;
+    spec.oversample_factor = oversample;
+    auto est = CreateEstimator(spec).ValueOrDie();
+    for (uint64_t i = 0; i < 20000; ++i) {
+      est->Observe(Item{i % 97, i, static_cast<Timestamp>(i)});
+    }
+    return est->MemoryWords();
+  };
+  const uint64_t low = words(3);
+  const uint64_t high = words(9);
+  EXPECT_GT(high, 2 * low) << "oversample=3: " << low
+                           << " words, oversample=9: " << high << " words";
 }
 
 TEST(BiasedTest, MeanEstimatorTracksRecencyWeightedMean) {
   // Old half of the window holds value 0, recent quarter holds 1000: the
   // biased mean must sit between the plain window mean and the recent
   // mean, reflecting the staircase's recency weighting.
-  EstimatorConfig config;
+  SinkSpec config;
+  config.name = "biased-mean";
   config.substrate = "bop-seq-swr";
   config.window_n = 64;
   config.r = 64;
   config.seed = 6;
-  auto est = CreateEstimator("biased-mean", config).ValueOrDie();
+  auto est = CreateEstimator(config).ValueOrDie();
   uint64_t i = 0;
   for (; i < 48; ++i) est->Observe(Item{0, i, static_cast<Timestamp>(i)});
   for (; i < 64; ++i) est->Observe(Item{1000, i, static_cast<Timestamp>(i)});

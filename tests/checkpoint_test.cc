@@ -24,9 +24,8 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/estimator_checkpoint.h"
-#include "apps/sink_spec.h"
 #include "apps/estimator_registry.h"
+#include "apps/sink_spec.h"
 #include "apps/triangles.h"
 #include "core/checkpoint.h"
 #include "core/registry.h"
@@ -43,8 +42,9 @@ constexpr uint64_t kWindowN = 48;
 constexpr Timestamp kWindowT = 25;
 constexpr uint32_t kVertices = 12;
 
-SamplerConfig MatrixSamplerConfig(const SamplerSpec& spec, uint64_t seed) {
-  SamplerConfig config;
+SinkSpec MatrixSamplerConfig(const SamplerSpec& spec, uint64_t seed) {
+  SinkSpec config;
+  config.name = spec.name;
   config.window_n = kWindowN;
   config.window_t = kWindowT;
   config.k = spec.single_sample ? 1 : 4;
@@ -88,8 +88,8 @@ TEST(CheckpointMatrixTest, EverySamplerResumesExactly) {
   for (const SamplerSpec& spec : RegisteredSamplers()) {
     SCOPED_TRACE(spec.name);
     const bool timestamped = spec.model == WindowModel::kTimestamp;
-    SamplerConfig config = MatrixSamplerConfig(spec, 0xc0ffee);
-    auto original = CreateSampler(spec.name, config).ValueOrDie();
+    SinkSpec config = MatrixSamplerConfig(spec, 0xc0ffee);
+    auto original = CreateSampler(config).ValueOrDie();
     ASSERT_TRUE(original->persistable()) << spec.name;
 
     BurstStream stream(17, /*edges=*/false);
@@ -97,8 +97,11 @@ TEST(CheckpointMatrixTest, EverySamplerResumesExactly) {
       for (const Item& item : stream.Step(t)) original->Observe(item);
       if (timestamped) original->AdvanceTime(t);
     }
-    std::string blob = SaveSampler(*original, config).ValueOrDie();
-    auto restored = RestoreSampler(blob).ValueOrDie();
+    std::string blob = SaveSink(*original, config).ValueOrDie();
+    RestoredSink resumed = RestoreSink(blob).ValueOrDie();
+    EXPECT_EQ(resumed.spec, config);
+    WindowSampler* restored = resumed.sink.sampler;
+    ASSERT_NE(restored, nullptr);
     EXPECT_STREQ(restored->name(), spec.name);
 
     for (Timestamp t = 150; t < 300; ++t) {
@@ -122,10 +125,10 @@ TEST(CheckpointMatrixTest, EverySamplerResumesExactly) {
   }
 }
 
-EstimatorConfig MatrixEstimatorConfig(const EstimatorSpec& spec,
-                                      const SamplerSpec& substrate,
-                                      uint64_t seed) {
-  EstimatorConfig config;
+SinkSpec MatrixEstimatorConfig(const EstimatorSpec& spec,
+                               const SamplerSpec& substrate, uint64_t seed) {
+  SinkSpec config;
+  config.name = spec.name;
   config.substrate = substrate.name;
   config.window_n = kWindowN;
   config.window_t = kWindowT;
@@ -147,9 +150,8 @@ TEST(CheckpointMatrixTest, EveryEstimatorSubstrateResumesExactly) {
       const SamplerSpec* substrate = FindSamplerSpec(substrate_name);
       ASSERT_NE(substrate, nullptr);
       const bool timestamped = substrate->model == WindowModel::kTimestamp;
-      EstimatorConfig config =
-          MatrixEstimatorConfig(spec, *substrate, 0xf00d);
-      auto original = CreateEstimator(spec.name, config).ValueOrDie();
+      SinkSpec config = MatrixEstimatorConfig(spec, *substrate, 0xf00d);
+      auto original = CreateEstimator(config).ValueOrDie();
       ASSERT_TRUE(original->persistable())
           << spec.name << " over " << substrate_name;
 
@@ -158,8 +160,11 @@ TEST(CheckpointMatrixTest, EveryEstimatorSubstrateResumesExactly) {
         for (const Item& item : stream.Step(t)) original->Observe(item);
         if (timestamped) original->AdvanceTime(t);
       }
-      std::string blob = SaveEstimator(*original, config).ValueOrDie();
-      auto restored = RestoreEstimator(blob).ValueOrDie();
+      std::string blob = SaveSink(*original, config).ValueOrDie();
+      RestoredSink resumed = RestoreSink(blob).ValueOrDie();
+      EXPECT_EQ(resumed.spec, config);
+      WindowEstimator* restored = resumed.sink.estimator;
+      ASSERT_NE(restored, nullptr);
       EXPECT_STREQ(restored->name(), spec.name);
 
       for (Timestamp t = 120; t < 220; ++t) {
@@ -193,21 +198,21 @@ TEST(CheckpointMatrixTest, EveryEstimatorSubstrateResumesExactly) {
 std::vector<std::string> AllEnvelopes() {
   std::vector<std::string> blobs;
   for (const SamplerSpec& spec : RegisteredSamplers()) {
-    SamplerConfig config = MatrixSamplerConfig(spec, 99);
-    auto sampler = CreateSampler(spec.name, config).ValueOrDie();
+    SinkSpec config = MatrixSamplerConfig(spec, 99);
+    auto sampler = CreateSampler(config).ValueOrDie();
     BurstStream stream(5, /*edges=*/false);
     for (Timestamp t = 0; t < 80; ++t) {
       for (const Item& item : stream.Step(t)) sampler->Observe(item);
       if (spec.model == WindowModel::kTimestamp) sampler->AdvanceTime(t);
     }
-    blobs.push_back(SaveSampler(*sampler, config).ValueOrDie());
+    blobs.push_back(SaveSink(*sampler, config).ValueOrDie());
   }
   for (const EstimatorSpec& spec : RegisteredEstimators()) {
     const bool edges = std::string_view(spec.name) == "buriol-triangles";
     for (const char* substrate_name : spec.substrates) {
       const SamplerSpec* substrate = FindSamplerSpec(substrate_name);
-      EstimatorConfig config = MatrixEstimatorConfig(spec, *substrate, 7);
-      auto estimator = CreateEstimator(spec.name, config).ValueOrDie();
+      SinkSpec config = MatrixEstimatorConfig(spec, *substrate, 7);
+      auto estimator = CreateEstimator(config).ValueOrDie();
       BurstStream stream(11, edges);
       for (Timestamp t = 0; t < 80; ++t) {
         for (const Item& item : stream.Step(t)) estimator->Observe(item);
@@ -215,31 +220,18 @@ std::vector<std::string> AllEnvelopes() {
           estimator->AdvanceTime(t);
         }
       }
-      blobs.push_back(SaveEstimator(*estimator, config).ValueOrDie());
+      blobs.push_back(SaveSink(*estimator, config).ValueOrDie());
     }
   }
   return blobs;
 }
 
-Result<std::unique_ptr<StreamSink>> RestoreAny(const std::string& blob) {
-  auto kind = PeekCheckpointKind(blob);
-  if (!kind.ok()) return kind.status();
-  if (kind.value() == CheckpointKind::kSampler) {
-    auto sampler = RestoreSampler(blob);
-    if (!sampler.ok()) return sampler.status();
-    return std::unique_ptr<StreamSink>(std::move(sampler).ValueOrDie());
-  }
-  auto estimator = RestoreEstimator(blob);
-  if (!estimator.ok()) return estimator.status();
-  return std::unique_ptr<StreamSink>(std::move(estimator).ValueOrDie());
-}
-
 TEST(CheckpointFuzzTest, TruncationIsRejectedOnEveryEnvelope) {
   for (const std::string& blob : AllEnvelopes()) {
-    ASSERT_TRUE(RestoreAny(blob).ok());
+    ASSERT_TRUE(RestoreSink(blob).ok());
     for (size_t cut = 0; cut < blob.size();
          cut += 1 + blob.size() / 97) {  // ~97 cuts per envelope
-      ASSERT_FALSE(RestoreAny(blob.substr(0, cut)).ok()) << "cut=" << cut;
+      ASSERT_FALSE(RestoreSink(blob.substr(0, cut)).ok()) << "cut=" << cut;
     }
   }
 }
@@ -252,15 +244,15 @@ TEST(CheckpointFuzzTest, ByteCorruptionNeverCrashes) {
       const size_t pos = rng.UniformIndex(corrupt.size());
       corrupt[pos] = static_cast<char>(corrupt[pos] ^
                                        (1u << rng.UniformIndex(8)));
-      auto restored = RestoreAny(corrupt);
+      auto restored = RestoreSink(corrupt);
       if (!restored.ok()) continue;  // rejected: fine
       // A flipped value byte can still parse; queries must not crash.
-      StreamSink& sink = *restored.value();
-      sink.MemoryWords();
-      if (auto* sampler = dynamic_cast<WindowSampler*>(&sink)) {
-        sampler->Sample();
-      } else if (auto* estimator = dynamic_cast<WindowEstimator*>(&sink)) {
-        estimator->Estimate();
+      Sink& sink = restored.value().sink;
+      sink.sink->MemoryWords();
+      if (sink.sampler != nullptr) {
+        sink.sampler->Sample();
+      } else {
+        sink.estimator->Estimate();
       }
     }
   }
@@ -317,7 +309,8 @@ TEST(DriverCheckpointTest, SingleSinkResumeMatchesUninterruptedRun) {
   const std::string dir = testing::TempDir() + "ckpt_single_dir";
   fs::remove_all(dir);
 
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swor";
   config.window_n = 64;
   config.k = 8;
   config.seed = 0x5eed;
@@ -327,19 +320,18 @@ TEST(DriverCheckpointTest, SingleSinkResumeMatchesUninterruptedRun) {
   StreamDriver driver(options);
 
   // Uninterrupted reference run.
-  auto reference = CreateSampler("bop-seq-swor", config).ValueOrDie();
+  auto reference = CreateSampler(config).ValueOrDie();
   ASSERT_TRUE(driver.DriveFile(stream, false, *reference).ok());
 
   // Crashed run: ingest only the prefix, checkpointing as it goes. (The
   // sink object dies with this scope — recovery must come from disk.)
   {
-    auto crashed = CreateSampler("bop-seq-swor", config).ValueOrDie();
+    auto crashed = CreateSampler(config).ValueOrDie();
     CheckpointPolicy policy;
     policy.dir = dir;
     policy.every_items = 1000;
     CheckpointWriter writer(
-        policy, MakeSinkSerializers(SamplerSinkSpec("bop-seq-swor", config), 1)
-                    .ValueOrDie());
+        policy, MakeSinkSerializers(config, 1).ValueOrDie());
     auto report = driver.DriveFile(prefix, false, *crashed,
                                                &writer, nullptr);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -377,7 +369,8 @@ TEST(DriverCheckpointTest, ResumeCrossesMmapAndPipeInputs) {
   const std::string prefix = TruncateFile(stream, 3000);
   const std::string dir = testing::TempDir() + "ckpt_cross_dir";
 
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-ts-swor";
   config.window_t = 30;
   config.k = 8;
   config.seed = 0xc0de;
@@ -385,10 +378,10 @@ TEST(DriverCheckpointTest, ResumeCrossesMmapAndPipeInputs) {
   options.batch_size = 128;
   StreamDriver driver(options);
 
-  auto reference = CreateSampler("bop-ts-swor", config).ValueOrDie();
+  auto reference = CreateSampler(config).ValueOrDie();
   ASSERT_TRUE(driver.DriveFile(stream, true, *reference).ok());
   const std::string reference_state =
-      SaveSampler(*reference, config).ValueOrDie();
+      SaveSink(*reference, config).ValueOrDie();
 
   auto drive_pipe = [&](const std::string& path, StreamSink& sink,
                         CheckpointWriter* writer,
@@ -404,14 +397,13 @@ TEST(DriverCheckpointTest, ResumeCrossesMmapAndPipeInputs) {
     SCOPED_TRACE(mmap_first ? "mmap, then pipe" : "pipe, then mmap");
     fs::remove_all(dir);
     {
-      auto crashed = CreateSampler("bop-ts-swor", config).ValueOrDie();
+      auto crashed = CreateSampler(config).ValueOrDie();
       CheckpointPolicy policy;
       policy.dir = dir;
       policy.every_items = 1000;
       CheckpointWriter writer(
           policy,
-          MakeSinkSerializers(SamplerSinkSpec("bop-ts-swor", config), 1)
-              .ValueOrDie());
+          MakeSinkSerializers(config, 1).ValueOrDie());
       auto report = mmap_first
                         ? driver.DriveFile(prefix, true, *crashed, &writer)
                         : drive_pipe(prefix, *crashed, &writer, nullptr);
@@ -428,7 +420,7 @@ TEST(DriverCheckpointTest, ResumeCrossesMmapAndPipeInputs) {
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report.value().items, 5000u - 2048u);
     EXPECT_EQ(
-        SaveSampler(*resumed.value().sinks[0].sampler, config).ValueOrDie(),
+        SaveSink(*resumed.value().sinks[0].sampler, config).ValueOrDie(),
         reference_state);
   }
 }
@@ -458,7 +450,8 @@ TEST(DriverCheckpointTest, TsSamplerResumeCutInsideSameTimestampRun) {
   const std::string dir = testing::TempDir() + "ckpt_ts_run_dir";
   fs::remove_all(dir);
 
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-ts-swor";
   config.window_t = 25;
   config.k = 8;
   config.seed = 0x7ead;
@@ -467,17 +460,16 @@ TEST(DriverCheckpointTest, TsSamplerResumeCutInsideSameTimestampRun) {
   options.batch_size = 128;
   StreamDriver driver(options);
 
-  auto reference = CreateSampler("bop-ts-swor", config).ValueOrDie();
+  auto reference = CreateSampler(config).ValueOrDie();
   ASSERT_TRUE(driver.DriveFile(path, true, *reference).ok());
 
   {
-    auto crashed = CreateSampler("bop-ts-swor", config).ValueOrDie();
+    auto crashed = CreateSampler(config).ValueOrDie();
     CheckpointPolicy policy;
     policy.dir = dir;
     policy.every_items = 1000;
     CheckpointWriter writer(
-        policy, MakeSinkSerializers(SamplerSinkSpec("bop-ts-swor", config), 1)
-                    .ValueOrDie());
+        policy, MakeSinkSerializers(config, 1).ValueOrDie());
     auto report =
         driver.DriveFile(prefix, true, *crashed, &writer, nullptr);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -512,7 +504,8 @@ TEST(DriverCheckpointTest, SingleEstimatorResumeMatchesUninterruptedRun) {
   const std::string dir = testing::TempDir() + "ckpt_est_dir";
   fs::remove_all(dir);
 
-  EstimatorConfig config;
+  SinkSpec config;
+  config.name = "ams-fk";
   config.substrate = "bop-ts-single";
   config.window_t = 40;
   config.r = 16;
@@ -522,17 +515,17 @@ TEST(DriverCheckpointTest, SingleEstimatorResumeMatchesUninterruptedRun) {
   options.batch_size = 256;
   StreamDriver driver(options);
 
-  auto reference = CreateEstimator("ams-fk", config).ValueOrDie();
+  auto reference = CreateEstimator(config).ValueOrDie();
   ASSERT_TRUE(driver.DriveFile(stream, true, *reference).ok());
 
   {
-    auto crashed = CreateEstimator("ams-fk", config).ValueOrDie();
+    auto crashed = CreateEstimator(config).ValueOrDie();
     CheckpointPolicy policy;
     policy.dir = dir;
     policy.every_items = 800;
     CheckpointWriter writer(
         policy,
-        MakeSinkSerializers(EstimatorSinkSpec("ams-fk", config), 1).ValueOrDie());
+        MakeSinkSerializers(config, 1).ValueOrDie());
     ASSERT_TRUE(driver
                     .DriveFile(prefix, true, *crashed, &writer,
                                            nullptr)
@@ -594,7 +587,8 @@ TEST(DriverCheckpointTest, ShardedChunksResumeMatchesUninterruptedRun) {
   const std::string dir = testing::TempDir() + "ckpt_sharded_dir";
   fs::remove_all(dir);
 
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swor";
   config.window_n = 64;
   config.k = 4;
   config.seed = 0xd1ce;
@@ -607,7 +601,7 @@ TEST(DriverCheckpointTest, ShardedChunksResumeMatchesUninterruptedRun) {
   ShardedStreamDriver driver(options);
 
   auto reference =
-      CreateShardedSinks(SamplerSinkSpec("bop-seq-swor", config), kShards).ValueOrDie();
+      CreateShardedSinks(config, kShards).ValueOrDie();
   {
     auto sinks = SinkPointers(reference);
     ASSERT_TRUE(driver.DriveFileCheckpointed(stream, false, sinks).ok());
@@ -615,14 +609,13 @@ TEST(DriverCheckpointTest, ShardedChunksResumeMatchesUninterruptedRun) {
 
   {
     auto crashed =
-        CreateShardedSinks(SamplerSinkSpec("bop-seq-swor", config), kShards).ValueOrDie();
+        CreateShardedSinks(config, kShards).ValueOrDie();
     auto sinks = SinkPointers(crashed);
     CheckpointPolicy policy;
     policy.dir = dir;
     policy.every_items = 1000;
     CheckpointWriter writer(
-        policy, MakeSinkSerializers(SamplerSinkSpec("bop-seq-swor", config), kShards)
-                    .ValueOrDie());
+        policy, MakeSinkSerializers(config, kShards).ValueOrDie());
     auto report =
         driver.DriveFileCheckpointed(prefix, false, sinks, &writer, nullptr);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -664,7 +657,8 @@ TEST(DriverCheckpointTest, ShardedKeyHashEstimatorResumeMatches) {
   const std::string dir = testing::TempDir() + "ckpt_keyhash_dir";
   fs::remove_all(dir);
 
-  EstimatorConfig config;
+  SinkSpec config;
+  config.name = "ams-fk";
   config.substrate = "bop-ts-single";
   config.window_t = 50;
   config.r = 8;
@@ -678,7 +672,7 @@ TEST(DriverCheckpointTest, ShardedKeyHashEstimatorResumeMatches) {
   ShardedStreamDriver driver(options);
 
   auto reference =
-      CreateShardedSinks(EstimatorSinkSpec("ams-fk", config), kShards).ValueOrDie();
+      CreateShardedSinks(config, kShards).ValueOrDie();
   {
     auto sinks = SinkPointers(reference);
     ASSERT_TRUE(driver.DriveFileCheckpointed(stream, true, sinks).ok());
@@ -686,14 +680,13 @@ TEST(DriverCheckpointTest, ShardedKeyHashEstimatorResumeMatches) {
 
   {
     auto crashed =
-        CreateShardedSinks(EstimatorSinkSpec("ams-fk", config), kShards).ValueOrDie();
+        CreateShardedSinks(config, kShards).ValueOrDie();
     auto sinks = SinkPointers(crashed);
     CheckpointPolicy policy;
     policy.dir = dir;
     policy.every_items = 700;
     CheckpointWriter writer(
-        policy, MakeSinkSerializers(EstimatorSinkSpec("ams-fk", config), kShards)
-                    .ValueOrDie());
+        policy, MakeSinkSerializers(config, kShards).ValueOrDie());
     ASSERT_TRUE(
         driver.DriveFileCheckpointed(prefix, true, sinks, &writer, nullptr)
             .ok());
@@ -728,7 +721,8 @@ TEST(DriverCheckpointTest, ResumeRejectsMismatchedGeometryAndBadDirs) {
   const std::string dir = testing::TempDir() + "ckpt_geom_dir";
   fs::remove_all(dir);
 
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swor";
   config.window_n = 64;
   config.k = 4;
   config.seed = 5;
@@ -738,7 +732,7 @@ TEST(DriverCheckpointTest, ResumeRejectsMismatchedGeometryAndBadDirs) {
   options.partition = ShardPartition::kChunks;
   ShardedStreamDriver driver(options);
 
-  auto shards = CreateShardedSinks(SamplerSinkSpec("bop-seq-swor", config), 2).ValueOrDie();
+  auto shards = CreateShardedSinks(config, 2).ValueOrDie();
   {
     auto sinks = SinkPointers(shards);
     CheckpointPolicy policy;
@@ -746,7 +740,7 @@ TEST(DriverCheckpointTest, ResumeRejectsMismatchedGeometryAndBadDirs) {
     policy.every_items = 500;
     CheckpointWriter writer(
         policy,
-        MakeSinkSerializers(SamplerSinkSpec("bop-seq-swor", config), 2).ValueOrDie());
+        MakeSinkSerializers(config, 2).ValueOrDie());
     ASSERT_TRUE(
         driver.DriveFileCheckpointed(stream, false, sinks, &writer, nullptr)
             .ok());
@@ -825,20 +819,21 @@ TEST(DriverCheckpointTest, ResumeDetectsDivergentReplay) {
   const std::string dir = testing::TempDir() + "ckpt_diverge_dir";
   fs::remove_all(dir);
 
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-ts-swr";
   config.window_t = 40;
   config.k = 2;
   config.seed = 9;
   StreamDriver driver;
 
   {
-    auto sink = CreateSampler("bop-ts-swr", config).ValueOrDie();
+    auto sink = CreateSampler(config).ValueOrDie();
     CheckpointPolicy policy;
     policy.dir = dir;
     policy.every_items = 1000;
     CheckpointWriter writer(
         policy,
-        MakeSinkSerializers(SamplerSinkSpec("bop-ts-swr", config), 1).ValueOrDie());
+        MakeSinkSerializers(config, 1).ValueOrDie());
     ASSERT_TRUE(
         driver.DriveFile(stream, true, *sink, &writer, nullptr)
             .ok());

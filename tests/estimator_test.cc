@@ -2,7 +2,7 @@
 //
 // Tests for the estimator registry and the estimator batch path:
 // (1) every registered estimator constructs by name over EVERY compatible
-// sampler substrate from one common EstimatorConfig and reports itself
+// sampler substrate from one common SinkSpec and reports itself
 // under the registry key; (2) unknown names, unknown substrates,
 // incompatible pairs and invalid configs are rejected through the status
 // mechanism with teaching error messages; (3) estimator ObserveBatch —
@@ -35,8 +35,9 @@ Item MakeItem(uint64_t i) {
   return Item{i, i, static_cast<Timestamp>(i)};
 }
 
-EstimatorConfig BasicConfig(uint64_t seed = 1) {
-  EstimatorConfig config;
+SinkSpec BasicConfig(std::string name, uint64_t seed = 1) {
+  SinkSpec config;
+  config.name = std::move(name);
   config.window_n = 32;
   config.window_t = 32;
   config.r = 4;
@@ -59,7 +60,7 @@ TEST(EstimatorRegistryTest, EveryCompatiblePairConstructsAndRuns) {
         EstimatorSupportsSubstrate(spec.name, spec.default_substrate))
         << spec.name;
     for (const char* substrate : spec.substrates) {
-      EstimatorConfig config = BasicConfig();
+      SinkSpec config = BasicConfig(spec.name);
       config.substrate = substrate;
       // dkw-quantile requires an explicit r = 1 over single-sample
       // substrates rather than silently clamping the DKW sample size.
@@ -67,7 +68,7 @@ TEST(EstimatorRegistryTest, EveryCompatiblePairConstructsAndRuns) {
           FindSamplerSpec(substrate)->single_sample) {
         config.r = 1;
       }
-      auto created = CreateEstimator(spec.name, config);
+      auto created = CreateEstimator(config);
       ASSERT_TRUE(created.ok()) << spec.name << " x " << substrate << ": "
                                 << created.status().ToString();
       auto est = std::move(created).ValueOrDie();
@@ -85,16 +86,16 @@ TEST(EstimatorRegistryTest, EveryCompatiblePairConstructsAndRuns) {
 
 TEST(EstimatorRegistryTest, DefaultSubstrateUsedWhenEmpty) {
   for (const EstimatorSpec& spec : RegisteredEstimators()) {
-    EstimatorConfig config = BasicConfig();
+    SinkSpec config = BasicConfig(spec.name);
     config.substrate.clear();
-    auto created = CreateEstimator(spec.name, config);
+    auto created = CreateEstimator(config);
     ASSERT_TRUE(created.ok()) << spec.name << ": "
                               << created.status().ToString();
   }
 }
 
 TEST(EstimatorRegistryTest, UnknownEstimatorRejected) {
-  auto created = CreateEstimator("no-such-estimator", BasicConfig());
+  auto created = CreateEstimator(BasicConfig("no-such-estimator"));
   ASSERT_FALSE(created.ok());
   EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
   // The error should teach the caller the registered names.
@@ -102,9 +103,9 @@ TEST(EstimatorRegistryTest, UnknownEstimatorRejected) {
 }
 
 TEST(EstimatorRegistryTest, UnknownSubstrateRejected) {
-  EstimatorConfig config = BasicConfig();
+  SinkSpec config = BasicConfig("ams-fk");
   config.substrate = "no-such-sampler";
-  auto created = CreateEstimator("ams-fk", config);
+  auto created = CreateEstimator(config);
   ASSERT_FALSE(created.ok());
   EXPECT_NE(created.status().message().find("bop-seq-swr"),
             std::string::npos);
@@ -113,9 +114,9 @@ TEST(EstimatorRegistryTest, UnknownSubstrateRejected) {
 TEST(EstimatorRegistryTest, IncompatibleSubstrateRejected) {
   // bdm-priority cannot carry forward payloads; the error must list the
   // compatible substrates.
-  EstimatorConfig config = BasicConfig();
+  SinkSpec config = BasicConfig("ams-fk");
   config.substrate = "bdm-priority";
-  auto created = CreateEstimator("ams-fk", config);
+  auto created = CreateEstimator(config);
   ASSERT_FALSE(created.ok());
   EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(created.status().message().find("bop-seq-single"),
@@ -128,14 +129,14 @@ TEST(EstimatorRegistryTest, IncompatibleSubstrateRejected) {
 TEST(EstimatorRegistryTest, MissingWindowParameterRejected) {
   for (const EstimatorSpec& spec : RegisteredEstimators()) {
     for (const char* substrate : spec.substrates) {
-      EstimatorConfig config = BasicConfig();
+      SinkSpec config = BasicConfig(spec.name);
       config.substrate = substrate;
       if (FindSamplerSpec(substrate)->model == WindowModel::kSequence) {
         config.window_n = 0;
       } else {
         config.window_t = 0;
       }
-      auto created = CreateEstimator(spec.name, config);
+      auto created = CreateEstimator(config);
       EXPECT_FALSE(created.ok()) << spec.name << " x " << substrate;
       EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument)
           << spec.name << " x " << substrate;
@@ -144,27 +145,27 @@ TEST(EstimatorRegistryTest, MissingWindowParameterRejected) {
 }
 
 TEST(EstimatorRegistryTest, InvalidParametersRejected) {
-  EstimatorConfig config = BasicConfig();
+  SinkSpec config = BasicConfig("ams-fk");
   config.r = 0;
-  EXPECT_FALSE(CreateEstimator("ams-fk", config).ok());
-  config = BasicConfig();
+  EXPECT_FALSE(CreateEstimator(config).ok());
+  config = BasicConfig("dkw-quantile");
   config.q = 1.5;
-  EXPECT_FALSE(CreateEstimator("dkw-quantile", config).ok());
-  config = BasicConfig();
+  EXPECT_FALSE(CreateEstimator(config).ok());
+  config = BasicConfig("buriol-triangles");
   config.num_vertices = 2;
-  EXPECT_FALSE(CreateEstimator("buriol-triangles", config).ok());
+  EXPECT_FALSE(CreateEstimator(config).ok());
   // Substrate's own factory validation propagates: SWOR needs k <= n.
-  config = BasicConfig();
+  config = BasicConfig("dkw-quantile");
   config.window_n = 4;
   config.r = 5;
-  EXPECT_FALSE(CreateEstimator("dkw-quantile", config).ok());
+  EXPECT_FALSE(CreateEstimator(config).ok());
   // Single-sample substrates cannot honor a DKW sample size r > 1; the
   // registry refuses rather than silently degrading the guarantee.
-  config = BasicConfig();
+  config = BasicConfig("dkw-quantile");
   config.substrate = "bop-seq-single";
-  auto clamped = CreateEstimator("dkw-quantile", config);
+  auto clamped = CreateEstimator(config);
   ASSERT_FALSE(clamped.ok());
-  EXPECT_NE(clamped.status().message().find("config.r = 1"),
+  EXPECT_NE(clamped.status().message().find("set r=1"),
             std::string::npos);
 }
 
@@ -181,12 +182,13 @@ std::vector<uint64_t> QuantilePositionCounts(uint64_t n, uint64_t stream_len,
   items.reserve(stream_len);
   for (uint64_t i = 0; i < stream_len; ++i) items.push_back(MakeItem(i));
   for (int t = 0; t < trials; ++t) {
-    EstimatorConfig config;
+    SinkSpec config;
+    config.name = "dkw-quantile";
     config.substrate = "bop-seq-swr";
     config.window_n = n;
     config.r = 1;
     config.seed = Rng::ForkSeed(seed, t);
-    auto est = CreateEstimator("dkw-quantile", config).ValueOrDie();
+    auto est = CreateEstimator(config).ValueOrDie();
     if (batch == 0) {
       for (const Item& item : items) est->Observe(item);
     } else {
@@ -218,12 +220,13 @@ std::vector<uint64_t> FkPositionCounts(uint64_t n, uint64_t stream_len,
     items.push_back(Item{7, i, static_cast<Timestamp>(i)});  // constant
   }
   for (int t = 0; t < trials; ++t) {
-    EstimatorConfig config;
+    SinkSpec config;
+    config.name = "ams-fk";
     config.substrate = "bop-seq-single";
     config.window_n = n;
     config.r = 1;
     config.seed = Rng::ForkSeed(seed, t);
-    auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+    auto est = CreateEstimator(config).ValueOrDie();
     if (batch == 0) {
       for (const Item& item : items) est->Observe(item);
     } else {
@@ -306,7 +309,8 @@ std::vector<uint64_t> TsFkPositionCounts(const std::vector<Item>& items,
   const uint64_t stream_len = items.size();
   std::vector<uint64_t> counts(n, 0);
   for (int t = 0; t < trials; ++t) {
-    EstimatorConfig config;
+    SinkSpec config;
+    config.name = "ams-fk";
     config.substrate = "bop-ts-single";
     config.window_t = t0;
     config.r = 1;
@@ -314,7 +318,7 @@ std::vector<uint64_t> TsFkPositionCounts(const std::vector<Item>& items,
     // recovery below cannot collide adjacent cells.
     config.count_eps = 0.001;
     config.seed = Rng::ForkSeed(seed, t);
-    auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+    auto est = CreateEstimator(config).ValueOrDie();
     if (batch == 0) {
       for (const Item& item : items) est->Observe(item);
     } else {
@@ -415,7 +419,7 @@ TEST(EstimatorDriverTest, DriverPumpsEveryEstimator) {
   std::vector<Item> items;
   for (uint64_t i = 0; i < 1000; ++i) items.push_back(MakeItem(i));
   for (const EstimatorSpec& spec : RegisteredEstimators()) {
-    auto est = CreateEstimator(spec.name, BasicConfig(5)).ValueOrDie();
+    auto est = CreateEstimator(BasicConfig(spec.name, 5)).ValueOrDie();
     StreamDriver::Options options;
     options.batch_size = 64;
     DriveReport report =

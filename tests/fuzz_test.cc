@@ -24,8 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/sink_spec.h"
 #include "baseline/exact_window.h"
-#include "core/checkpoint.h"
 #include "core/registry.h"
 #include "util/rng.h"
 
@@ -34,20 +34,32 @@ namespace {
 
 class FuzzSweep : public ::testing::TestWithParam<uint64_t> {};
 
+/// Round-trips a registry sampler through the sink envelope, as a
+/// different process would restore it.
+std::unique_ptr<WindowSampler> Resume(const WindowSampler& sampler,
+                                      const SinkSpec& spec) {
+  Sink restored =
+      RestoreSink(SaveSink(sampler, spec).ValueOrDie()).ValueOrDie().sink;
+  restored.sink.release();  // ownership moves to the typed pointer
+  return std::unique_ptr<WindowSampler>(restored.sampler);
+}
+
 TEST_P(FuzzSweep, TimestampSamplersAgainstOracle) {
   const uint64_t seed = GetParam();
   Rng scenario(seed);
   const Timestamp t0 = 1 + static_cast<Timestamp>(scenario.UniformIndex(40));
   const uint64_t k = 1 + scenario.UniformIndex(6);
 
-  SamplerConfig swr_config;
+  SinkSpec swr_config;
+  swr_config.name = "bop-ts-swr";
   swr_config.window_t = t0;
   swr_config.k = k;
   swr_config.seed = seed * 3 + 1;
-  SamplerConfig swor_config = swr_config;
+  SinkSpec swor_config = swr_config;
+  swor_config.name = "bop-ts-swor";
   swor_config.seed = seed * 3 + 2;
-  auto swr = CreateSampler("bop-ts-swr", swr_config).ValueOrDie();
-  auto swor = CreateSampler("bop-ts-swor", swor_config).ValueOrDie();
+  auto swr = CreateSampler(swr_config).ValueOrDie();
+  auto swor = CreateSampler(swor_config).ValueOrDie();
   auto oracle =
       ExactWindow::CreateTimestamp(t0, 1, true, seed * 3 + 3).ValueOrDie();
 
@@ -79,8 +91,7 @@ TEST_P(FuzzSweep, TimestampSamplersAgainstOracle) {
     // Occasionally checkpoint-cycle the SWOR sampler through the
     // self-describing envelope (a different process could do this half).
     if (scenario.UniformIndex(20) == 0) {
-      std::string blob = SaveSampler(*swor, swor_config).ValueOrDie();
-      swor = RestoreSampler(blob).ValueOrDie();
+      swor = Resume(*swor, swor_config);
     }
 
     // Oracle membership set.
@@ -120,14 +131,16 @@ TEST_P(FuzzSweep, SequenceSamplersAgainstOracle) {
   const uint64_t n = 1 + scenario.UniformIndex(100);
   const uint64_t k = 1 + scenario.UniformIndex(std::min<uint64_t>(n, 8));
 
-  SamplerConfig swr_config;
+  SinkSpec swr_config;
+  swr_config.name = "bop-seq-swr";
   swr_config.window_n = n;
   swr_config.k = k;
   swr_config.seed = seed * 5 + 1;
-  SamplerConfig swor_config = swr_config;
+  SinkSpec swor_config = swr_config;
+  swor_config.name = "bop-seq-swor";
   swor_config.seed = seed * 5 + 2;
-  auto swr = CreateSampler("bop-seq-swr", swr_config).ValueOrDie();
-  auto swor = CreateSampler("bop-seq-swor", swor_config).ValueOrDie();
+  auto swr = CreateSampler(swr_config).ValueOrDie();
+  auto swor = CreateSampler(swor_config).ValueOrDie();
   auto oracle =
       ExactWindow::CreateSequence(n, 1, true, seed * 5 + 3).ValueOrDie();
 
@@ -143,10 +156,8 @@ TEST_P(FuzzSweep, SequenceSamplersAgainstOracle) {
       oracle->Observe(item);
     }
     if (scenario.UniformIndex(15) == 0) {
-      swr = RestoreSampler(SaveSampler(*swr, swr_config).ValueOrDie())
-                .ValueOrDie();
-      swor = RestoreSampler(SaveSampler(*swor, swor_config).ValueOrDie())
-                 .ValueOrDie();
+      swr = Resume(*swr, swr_config);
+      swor = Resume(*swor, swor_config);
     }
     std::set<uint64_t> active;
     for (const Item& item : oracle->contents()) active.insert(item.index);

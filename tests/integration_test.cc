@@ -37,12 +37,13 @@ TEST(IntegrationTest, AllRegisteredSamplersAgreeWithOracleOnMembership) {
   std::vector<std::unique_ptr<WindowSampler>> ts_samplers, seq_samplers;
   uint64_t seed = 1;
   for (const SamplerSpec& spec : RegisteredSamplers()) {
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = spec.name;
     config.window_n = seq_n;
     config.window_t = t0;
     config.k = spec.single_sample ? 1 : k;
     config.seed = seed++;
-    auto sampler = CreateSampler(spec.name, config).ValueOrDie();
+    auto sampler = CreateSampler(config).ValueOrDie();
     (spec.model == WindowModel::kTimestamp ? ts_samplers : seq_samplers)
         .push_back(std::move(sampler));
   }
@@ -92,10 +93,11 @@ TEST(IntegrationTest, DisjointWindowSamplesIndependent) {
   const int trials = 80000;
   std::vector<uint64_t> joint(n * n, 0);
   for (int t = 0; t < trials; ++t) {
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = "bop-seq-single";
     config.window_n = n;
     config.seed = 7000 + static_cast<uint64_t>(t);
-    auto s = CreateSampler("bop-seq-single", config).ValueOrDie();
+    auto s = CreateSampler(config).ValueOrDie();
     uint64_t first = 0, second = 0;
     for (uint64_t i = 0; i < 4 * n; ++i) {
       s->Observe(Item{i, i, static_cast<Timestamp>(i)});
@@ -114,10 +116,11 @@ TEST(IntegrationTest, DisjointWindowIndependenceTimestamp) {
   const int trials = 80000;
   std::vector<uint64_t> joint(t0 * t0, 0);
   for (int t = 0; t < trials; ++t) {
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = "bop-ts-single";
     config.window_t = t0;
     config.seed = 90000 + static_cast<uint64_t>(t);
-    auto s = CreateSampler("bop-ts-single", config).ValueOrDie();
+    auto s = CreateSampler(config).ValueOrDie();
     uint64_t first = 0, second = 0;
     for (Timestamp i = 0; i < 8; ++i) {
       s->Observe(Item{static_cast<uint64_t>(i), static_cast<uint64_t>(i), i});
@@ -136,11 +139,12 @@ TEST(IntegrationTest, SampleValuesUncorrelatedAcrossDisjointWindows) {
   const int trials = 4000;
   std::vector<double> xs, ys;
   for (int t = 0; t < trials; ++t) {
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = "bop-seq-swor";
     config.window_n = n;
     config.k = 1;
     config.seed = 333 + static_cast<uint64_t>(t);
-    auto s = CreateSampler("bop-seq-swor", config).ValueOrDie();
+    auto s = CreateSampler(config).ValueOrDie();
     Rng value_rng(5555 + t);
     std::vector<uint64_t> values(2 * n);
     for (auto& v : values) v = value_rng.UniformIndex(1000);
@@ -161,11 +165,12 @@ TEST(IntegrationTest, SampleValuesUncorrelatedAcrossDisjointWindows) {
 // registry-built sampler.
 TEST(IntegrationTest, SlidingAdapterTracksWindowedMean) {
   const uint64_t n = 256, k = 64;
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swr";
   config.window_n = n;
   config.k = k;
   config.seed = 11;
-  auto sampler = CreateSampler("bop-seq-swr", config).ValueOrDie();
+  auto sampler = CreateSampler(config).ValueOrDie();
   auto estimator = [](const std::vector<Item>& sample) {
     double acc = 0;
     for (const Item& item : sample) acc += static_cast<double>(item.value);
@@ -196,11 +201,12 @@ TEST(IntegrationTest, FullyDeterministic) {
     auto stream = WorkloadGenerator::Create(
                       "poisson@zipf,lambda=1.7,domain=100,alpha=1.1", 21)
                       .ValueOrDie();
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = "bop-ts-swor";
     config.window_t = 9;
     config.k = 3;
     config.seed = 22;
-    auto s = CreateSampler("bop-ts-swor", config).ValueOrDie();
+    auto s = CreateSampler(config).ValueOrDie();
     std::vector<uint64_t> trace;
     for (Timestamp t = 0; t < 300; ++t) {
       for (const Item& item : stream->Step()) s->Observe(item);
@@ -215,11 +221,12 @@ TEST(IntegrationTest, FullyDeterministic) {
 // Seq samplers must tolerate items whose timestamps are nonsense (they
 // ignore time entirely).
 TEST(IntegrationTest, SequenceSamplersIgnoreTimestamps) {
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swr";
   config.window_n = 8;
   config.k = 2;
   config.seed = 31;
-  auto s = CreateSampler("bop-seq-swr", config).ValueOrDie();
+  auto s = CreateSampler(config).ValueOrDie();
   for (uint64_t i = 0; i < 40; ++i) {
     s->Observe(Item{i, i, static_cast<Timestamp>(1000 - i)});
     s->AdvanceTime(0);  // no-op

@@ -45,12 +45,13 @@ TEST(SamplerSnapshotTest, MergeCapableSamplersSnapshot) {
   for (const char* name :
        {"bop-seq-single", "bop-seq-swr", "bop-seq-swor", "exact-seq",
         "exact-ts"}) {
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = name;
     config.window_n = 64;
     config.window_t = 64;
     config.k = std::string_view(name) == "bop-seq-single" ? 1 : 8;
     config.seed = 7;
-    auto sampler = CreateSampler(name, config).ValueOrDie();
+    auto sampler = CreateSampler(config).ValueOrDie();
     EXPECT_TRUE(sampler->mergeable()) << name;
     for (uint64_t i = 0; i < 100; ++i) sampler->Observe(MakeItem(i, i));
     auto snapshot = sampler->Snapshot();
@@ -64,11 +65,12 @@ TEST(SamplerSnapshotTest, MergeCapableSamplersSnapshot) {
 TEST(SamplerSnapshotTest, NonMergeableSamplersRefuse) {
   for (const char* name : {"bdm-chain", "oversample-swor", "bop-ts-swr",
                            "bop-ts-swor", "bdm-priority"}) {
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = name;
     config.window_n = 64;
     config.window_t = 64;
     config.k = 4;
-    auto sampler = CreateSampler(name, config).ValueOrDie();
+    auto sampler = CreateSampler(config).ValueOrDie();
     EXPECT_FALSE(sampler->mergeable()) << name;
     auto snapshot = sampler->Snapshot();
     ASSERT_FALSE(snapshot.ok()) << name;
@@ -199,10 +201,11 @@ TEST(SamplerSnapshotTest, PartialShardWeightsByOccupancy) {
 
 TEST(MergedSnapshotTest, RejectsEmptyAndNonMergeable) {
   EXPECT_FALSE(MergedSnapshot({}, 0).ok());
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bdm-chain";
   config.window_n = 64;
   config.k = 4;
-  auto chain = CreateSampler("bdm-chain", config).ValueOrDie();
+  auto chain = CreateSampler(config).ValueOrDie();
   std::vector<WindowSampler*> shards = {chain.get()};
   auto merged = MergedSnapshot(shards, 0);
   ASSERT_FALSE(merged.ok());

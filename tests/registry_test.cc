@@ -1,7 +1,7 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 //
 // Tests for the sampler registry and the batched ingestion path:
-// (1) every registered name constructs from a common SamplerConfig and
+// (1) every registered name constructs from a common SinkSpec and
 // reports itself under the registry key; (2) invalid names and configs are
 // rejected through the status mechanism; (3) ObserveBatch — including the
 // skip-ahead fast paths of the sequence samplers — is distributionally
@@ -28,8 +28,9 @@ Item MakeItem(uint64_t i) {
   return Item{i, i, static_cast<Timestamp>(i)};
 }
 
-SamplerConfig BasicConfig(uint64_t seed = 1) {
-  SamplerConfig config;
+SinkSpec BasicConfig(std::string name, uint64_t seed = 1) {
+  SinkSpec config;
+  config.name = std::move(name);
   config.window_n = 32;
   config.window_t = 32;
   config.k = 1;
@@ -43,7 +44,7 @@ TEST(RegistryTest, TwelveSamplersRegistered) {
 
 TEST(RegistryTest, EveryRegisteredNameConstructs) {
   for (const SamplerSpec& spec : RegisteredSamplers()) {
-    auto created = CreateSampler(spec.name, BasicConfig());
+    auto created = CreateSampler(BasicConfig(spec.name));
     ASSERT_TRUE(created.ok()) << spec.name << ": "
                               << created.status().ToString();
     auto sampler = std::move(created).ValueOrDie();
@@ -55,7 +56,7 @@ TEST(RegistryTest, EveryRegisteredNameConstructs) {
 
 TEST(RegistryTest, ConstructedSamplersSampleTheirWindow) {
   for (const SamplerSpec& spec : RegisteredSamplers()) {
-    auto sampler = CreateSampler(spec.name, BasicConfig()).ValueOrDie();
+    auto sampler = CreateSampler(BasicConfig(spec.name)).ValueOrDie();
     for (uint64_t i = 0; i < 100; ++i) sampler->Observe(MakeItem(i));
     for (const Item& item : sampler->Sample()) {
       // Window 32 in both models covers indices/timestamps [68, 99].
@@ -66,7 +67,7 @@ TEST(RegistryTest, ConstructedSamplersSampleTheirWindow) {
 }
 
 TEST(RegistryTest, UnknownNameRejected) {
-  auto created = CreateSampler("no-such-sampler", BasicConfig());
+  auto created = CreateSampler(BasicConfig("no-such-sampler"));
   ASSERT_FALSE(created.ok());
   EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
   // The error should teach the caller the registered names.
@@ -75,13 +76,13 @@ TEST(RegistryTest, UnknownNameRejected) {
 
 TEST(RegistryTest, MissingWindowParameterRejected) {
   for (const SamplerSpec& spec : RegisteredSamplers()) {
-    SamplerConfig config = BasicConfig();
+    SinkSpec config = BasicConfig(spec.name);
     if (spec.model == WindowModel::kSequence) {
       config.window_n = 0;
     } else {
       config.window_t = 0;
     }
-    auto created = CreateSampler(spec.name, config);
+    auto created = CreateSampler(config);
     EXPECT_FALSE(created.ok()) << spec.name;
     EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument)
         << spec.name;
@@ -90,19 +91,19 @@ TEST(RegistryTest, MissingWindowParameterRejected) {
 
 TEST(RegistryTest, SingleVariantsRequireKOne) {
   for (const char* name : {"bop-seq-single", "bop-ts-single"}) {
-    SamplerConfig config = BasicConfig();
+    SinkSpec config = BasicConfig(name);
     config.k = 2;
-    auto created = CreateSampler(name, config);
+    auto created = CreateSampler(config);
     EXPECT_FALSE(created.ok()) << name;
   }
 }
 
 TEST(RegistryTest, SamplerOwnFactoryValidationPropagates) {
   // k > n violates SequenceSworSampler's own 1 <= k <= n precondition.
-  SamplerConfig config = BasicConfig();
+  SinkSpec config = BasicConfig("bop-seq-swor");
   config.window_n = 4;
   config.k = 5;
-  auto created = CreateSampler("bop-seq-swor", config);
+  auto created = CreateSampler(config);
   ASSERT_FALSE(created.ok());
   EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
 }
@@ -120,12 +121,13 @@ std::vector<uint64_t> PositionCounts(const char* name, uint64_t n,
   items.reserve(stream_len);
   for (uint64_t i = 0; i < stream_len; ++i) items.push_back(MakeItem(i));
   for (int t = 0; t < trials; ++t) {
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = name;
     config.window_n = n;
     config.window_t = static_cast<Timestamp>(n);
     config.k = 1;
     config.seed = seed + static_cast<uint64_t>(t);
-    auto sampler = CreateSampler(name, config).ValueOrDie();
+    auto sampler = CreateSampler(config).ValueOrDie();
     if (batch == 0) {
       for (const Item& item : items) sampler->Observe(item);
     } else {
@@ -182,9 +184,9 @@ TEST(RegistryTest, BatchMatchesObserveDistributionally) {
 
 // A without-replacement batch sample must stay distinct.
 TEST(RegistryTest, BatchedSworSamplesDistinct) {
-  SamplerConfig config = BasicConfig(77);
+  SinkSpec config = BasicConfig("bop-seq-swor", 77);
   config.k = 8;
-  auto sampler = CreateSampler("bop-seq-swor", config).ValueOrDie();
+  auto sampler = CreateSampler(config).ValueOrDie();
   std::vector<Item> items;
   for (uint64_t i = 0; i < 500; ++i) items.push_back(MakeItem(i));
   sampler->ObserveBatch(std::span<const Item>(items.data(), 311));
@@ -205,7 +207,7 @@ TEST(RegistryTest, DriverDeliversEveryItemToEveryRegisteredSampler) {
   std::vector<Item> items;
   for (uint64_t i = 0; i < 1000; ++i) items.push_back(MakeItem(i));
   for (const SamplerSpec& spec : RegisteredSamplers()) {
-    auto sampler = CreateSampler(spec.name, BasicConfig(5)).ValueOrDie();
+    auto sampler = CreateSampler(BasicConfig(spec.name, 5)).ValueOrDie();
     StreamDriver::Options options;
     options.batch_size = 64;
     DriveReport report =
@@ -230,7 +232,7 @@ Result<DriveReport> DriveText(const char* text, bool timestamped,
 }
 
 TEST(RegistryTest, DriverSkipsBlankLines) {
-  auto sampler = CreateSampler("bop-seq-swr", BasicConfig(11)).ValueOrDie();
+  auto sampler = CreateSampler(BasicConfig("bop-seq-swr", 11)).ValueOrDie();
   auto result = DriveText("1\n\n2\n   \n\t\n3\n", /*timestamped=*/false,
                           *sampler);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -238,7 +240,7 @@ TEST(RegistryTest, DriverSkipsBlankLines) {
 }
 
 TEST(RegistryTest, DriverRejectsMalformedLineWithLineNumber) {
-  auto sampler = CreateSampler("bop-seq-swr", BasicConfig(12)).ValueOrDie();
+  auto sampler = CreateSampler(BasicConfig("bop-seq-swr", 12)).ValueOrDie();
   auto result = DriveText("1\n2\nnot-a-number\n4\n", /*timestamped=*/false,
                           *sampler);
   ASSERT_FALSE(result.ok());
@@ -249,7 +251,7 @@ TEST(RegistryTest, DriverRejectsMalformedLineWithLineNumber) {
 }
 
 TEST(RegistryTest, DriverRejectsMalformedTimestampedLine) {
-  auto sampler = CreateSampler("bop-ts-swr", BasicConfig(13)).ValueOrDie();
+  auto sampler = CreateSampler(BasicConfig("bop-ts-swr", 13)).ValueOrDie();
   auto result = DriveText("1 10\n2\n", /*timestamped=*/true, *sampler);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("test-input:2"),
@@ -257,7 +259,7 @@ TEST(RegistryTest, DriverRejectsMalformedTimestampedLine) {
 }
 
 TEST(RegistryTest, DriverRejectsDecreasingTimestamps) {
-  auto sampler = CreateSampler("bop-ts-swr", BasicConfig(14)).ValueOrDie();
+  auto sampler = CreateSampler(BasicConfig("bop-ts-swr", 14)).ValueOrDie();
   auto result = DriveText("5 10\n3 11\n", /*timestamped=*/true, *sampler);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("non-decreasing"),
@@ -265,7 +267,7 @@ TEST(RegistryTest, DriverRejectsDecreasingTimestamps) {
 }
 
 TEST(RegistryTest, DriverRejectsOverlongLine) {
-  auto sampler = CreateSampler("bop-seq-swr", BasicConfig(15)).ValueOrDie();
+  auto sampler = CreateSampler(BasicConfig("bop-seq-swr", 15)).ValueOrDie();
   std::string text = "1\n" + std::string(300, '7') + "\n";
   auto result = DriveText(text.c_str(), /*timestamped=*/false, *sampler);
   ASSERT_FALSE(result.ok());
@@ -275,7 +277,7 @@ TEST(RegistryTest, DriverRejectsOverlongLine) {
 TEST(RegistryTest, DriverPerItemModeMatchesBatchedItemCount) {
   std::vector<Item> items;
   for (uint64_t i = 0; i < 257; ++i) items.push_back(MakeItem(i));
-  auto sampler = CreateSampler("bdm-chain", BasicConfig(9)).ValueOrDie();
+  auto sampler = CreateSampler(BasicConfig("bdm-chain", 9)).ValueOrDie();
   StreamDriver::Options options;
   options.batch_size = 0;  // per-item Observe
   DriveReport report =

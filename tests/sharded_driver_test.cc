@@ -57,10 +57,11 @@ ShardedStreamDriver::Options SmallChunkOptions(uint64_t threads,
 
 TEST(ShardedDriverTest, ValidatesOptionsAndShards) {
   const std::vector<Item> stream = IdentityStream(16);
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swr";
   config.window_n = 8;
   config.k = 2;
-  auto sampler = CreateSampler("bop-seq-swr", config).ValueOrDie();
+  auto sampler = CreateSampler(config).ValueOrDie();
   std::vector<StreamSink*> sinks = {sampler.get()};
 
   ShardedStreamDriver::Options bad;
@@ -80,11 +81,12 @@ TEST(ShardedDriverTest, ValidatesOptionsAndShards) {
 }
 
 TEST(CreateShardedSinksTest, SplitsSequenceWindowsAndForksSeeds) {
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swr";
   config.window_n = 4096;
   config.k = 8;
   config.seed = 5;
-  auto replicas = CreateShardedSinks(SamplerSinkSpec("bop-seq-swr", config), 4).ValueOrDie();
+  auto replicas = CreateShardedSinks(config, 4).ValueOrDie();
   ASSERT_EQ(replicas.size(), 4u);
   // Each replica carries a 1024-item window: after 2048 identical items
   // its snapshot occupancy is the shard window, not the global one.
@@ -96,15 +98,18 @@ TEST(CreateShardedSinksTest, SplitsSequenceWindowsAndForksSeeds) {
     EXPECT_EQ(replica.sampler->Snapshot().ValueOrDie().active, 1024u);
   }
 
-  EXPECT_FALSE(CreateShardedSinks(SamplerSinkSpec("no-such-sampler", config), 2).ok());
+  config.name = "no-such-sampler";
+  EXPECT_FALSE(CreateShardedSinks(config, 2).ok());
   config.window_n = 4098;  // not divisible by 4
-  EXPECT_FALSE(CreateShardedSinks(SamplerSinkSpec("bop-seq-swr", config), 4).ok());
+  config.name = "bop-seq-swr";
+  EXPECT_FALSE(CreateShardedSinks(config, 4).ok());
   config.window_n = 2;  // smaller than the shard count
-  EXPECT_FALSE(CreateShardedSinks(SamplerSinkSpec("bop-seq-swr", config), 4).ok());
+  EXPECT_FALSE(CreateShardedSinks(config, 4).ok());
 
   // Timestamp windows pass through unsplit.
   config.window_t = 4098;
-  auto ts = CreateShardedSinks(SamplerSinkSpec("exact-ts", config), 4).ValueOrDie();
+  config.name = "exact-ts";
+  auto ts = CreateShardedSinks(config, 4).ValueOrDie();
   EXPECT_EQ(ts.size(), 4u);
 }
 
@@ -112,11 +117,12 @@ TEST(ShardedDriverTest, ConservesItemsAcrossPartitionModes) {
   const std::vector<Item> stream = IdentityStream(kItems);
   for (ShardPartition partition :
        {ShardPartition::kChunks, ShardPartition::kKeyHash}) {
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = "bop-seq-swr";
     config.window_n = kWindow;
     config.k = 8;
     auto replicas =
-        CreateShardedSinks(SamplerSinkSpec("bop-seq-swr", config), 4).ValueOrDie();
+        CreateShardedSinks(config, 4).ValueOrDie();
     auto sinks = SinkPointers(replicas);
     auto report = ShardedStreamDriver(SmallChunkOptions(4, partition))
                       .Drive(stream, sinks)
@@ -136,10 +142,11 @@ TEST(ShardedDriverTest, ConservesItemsAcrossPartitionModes) {
 
 TEST(ShardedDriverTest, BackpressureCompletesAndConserves) {
   const std::vector<Item> stream = IdentityStream(kItems);
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swor";
   config.window_n = kWindow;
   config.k = 4;
-  auto replicas = CreateShardedSinks(SamplerSinkSpec("bop-seq-swor", config), 8).ValueOrDie();
+  auto replicas = CreateShardedSinks(config, 8).ValueOrDie();
   auto sinks = SinkPointers(replicas);
   ShardedStreamDriver::Options options;
   options.threads = 3;  // shards > threads: workers own several replicas
@@ -180,12 +187,13 @@ TEST_P(MergedUniformityTest, MergedSampleUniformOverExactWindow) {
   options.chunk_items = 32;
   std::vector<uint64_t> counts(16, 0);  // 16 cells across the window
   for (uint64_t trial = 0; trial < kTrials; ++trial) {
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = sampler_name;
     config.window_n = kUWindow;
     config.k = kK;
     config.seed = trial * 31 + 7;
     auto replicas =
-        CreateShardedSinks(SamplerSinkSpec(sampler_name, config), shards).ValueOrDie();
+        CreateShardedSinks(config, shards).ValueOrDie();
     auto sinks = SinkPointers(replicas);
     auto report =
         ShardedStreamDriver(options).Drive(stream, sinks).ValueOrDie();
@@ -217,12 +225,13 @@ INSTANTIATE_TEST_SUITE_P(
 // global window occupancy under chunk partitioning.
 TEST(ShardedEstimatorTest, WindowCountSumsExactly) {
   const std::vector<Item> stream = IdentityStream(kItems);
-  EstimatorConfig config;
+  SinkSpec config;
+  config.name = "window-count";
   config.substrate = "bop-seq-single";
   config.window_n = kWindow;
   config.r = 1;
   auto replicas =
-      CreateShardedSinks(EstimatorSinkSpec("window-count", config), 4).ValueOrDie();
+      CreateShardedSinks(config, 4).ValueOrDie();
   auto sinks = SinkPointers(replicas);
   auto report =
       ShardedStreamDriver(SmallChunkOptions(4, ShardPartition::kChunks))
@@ -260,12 +269,13 @@ TEST(ShardedEstimatorTest, KeyedMergesMatchSingleShardEstimates) {
   }
 
   for (const char* name : {"ams-fk", "ccm-entropy"}) {
-    EstimatorConfig config;
+    SinkSpec config;
+    config.name = name;
     config.substrate = "exact-ts";
     config.window_t = kWindow;  // ts == index, so last kWindow items active
     config.r = 512;
     config.seed = 17;
-    auto replicas = CreateShardedSinks(EstimatorSinkSpec(name, config), 4).ValueOrDie();
+    auto replicas = CreateShardedSinks(config, 4).ValueOrDie();
     auto sinks = SinkPointers(replicas);
     auto report =
         ShardedStreamDriver(SmallChunkOptions(4, ShardPartition::kKeyHash))
@@ -290,12 +300,13 @@ TEST(ShardedEstimatorTest, ConstantMeanSurvivesMergeExactly) {
   for (uint64_t i = 0; i < kItems; ++i) {
     stream.push_back(Item{42, i, static_cast<Timestamp>(i)});
   }
-  EstimatorConfig config;
+  SinkSpec config;
+  config.name = "biased-mean";
   config.substrate = "bop-seq-swr";
   config.window_n = kWindow;
   config.r = 8;
   auto replicas =
-      CreateShardedSinks(EstimatorSinkSpec("biased-mean", config), 4).ValueOrDie();
+      CreateShardedSinks(config, 4).ValueOrDie();
   auto sinks = SinkPointers(replicas);
   ASSERT_TRUE(ShardedStreamDriver(SmallChunkOptions(4, ShardPartition::kChunks))
                   .Drive(stream, sinks)
@@ -314,12 +325,13 @@ TEST(ShardedEstimatorTest, MergeCapabilityMatrix) {
       {"buriol-triangles", EstimateMergeKind::kNone},
   };
   for (const EstimatorSpec& spec : RegisteredEstimators()) {
-    EstimatorConfig config;
+    SinkSpec config;
+    config.name = spec.name;
     config.window_n = 256;
     config.window_t = 256;
     config.r = spec.name == std::string_view("dkw-quantile") ? 8 : 4;
     config.num_vertices = 16;
-    auto estimator = CreateEstimator(spec.name, config).ValueOrDie();
+    auto estimator = CreateEstimator(config).ValueOrDie();
     ASSERT_TRUE(expected.count(spec.name)) << spec.name;
     EXPECT_EQ(estimator->merge_kind(), expected.at(spec.name)) << spec.name;
   }
@@ -341,13 +353,14 @@ TEST(ShardedDriverTest, BurstyTimestampCountsTrackExact) {
   auto oracle = ExactWindow::CreateTimestamp(kT0, 1, true, 1).ValueOrDie();
   for (const Item& item : items) oracle->Observe(item);
 
-  EstimatorConfig config;
+  SinkSpec config;
+  config.name = "window-count";
   config.substrate = "bop-ts-single";
   config.window_t = kT0;
   config.r = 1;
   config.count_eps = 0.05;
   auto replicas =
-      CreateShardedSinks(EstimatorSinkSpec("window-count", config), 4).ValueOrDie();
+      CreateShardedSinks(config, 4).ValueOrDie();
   auto sinks = SinkPointers(replicas);
   auto report =
       ShardedStreamDriver(SmallChunkOptions(4, ShardPartition::kKeyHash))
@@ -380,10 +393,11 @@ TEST(ShardedDriverTest, DriveFileParsesAndPropagatesErrors) {
     std::fclose(f);
   }
 
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swr";
   config.window_n = 512;
   config.k = 4;
-  auto replicas = CreateShardedSinks(SamplerSinkSpec("bop-seq-swr", config), 2).ValueOrDie();
+  auto replicas = CreateShardedSinks(config, 2).ValueOrDie();
   auto sinks = SinkPointers(replicas);
   ShardedStreamDriver driver(SmallChunkOptions(2, ShardPartition::kChunks));
   auto good =

@@ -287,13 +287,14 @@ class DriverEquivalenceTest : public ::testing::Test {
   void ExpectEquivalent(const std::string& text, bool timestamped,
                         uint64_t checkpoint_every = 1000) {
     WriteFile(text);
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = "bop-seq-swr";
     config.window_n = 8;
     config.window_t = 8;
     config.k = 4;
     config.seed = 42;
     auto make_sampler = [&] {
-      return CreateSampler("bop-seq-swr", config).ValueOrDie();
+      return CreateSampler(config).ValueOrDie();
     };
     StreamDriver driver;
     auto reference_sampler = make_sampler();
@@ -342,8 +343,7 @@ class DriverEquivalenceTest : public ::testing::Test {
       policy.every_items = checkpoint_every;
       CheckpointWriter writer(
           policy,
-          MakeSinkSerializers(SamplerSinkSpec("bop-seq-swr", config), 1)
-              .ValueOrDie());
+          MakeSinkSerializers(config, 1).ValueOrDie());
       auto result = driver.DriveFile(path_, timestamped, *sampler, &writer);
       expect_same("DriveFile with checkpoints", result, sampler.get());
     }
@@ -469,11 +469,12 @@ TEST_F(DriverEquivalenceTest, OverlongLineSameError) {
 
 TEST_F(DriverEquivalenceTest, MalformedErrorNamesLine) {
   WriteFile("1\n2\nbad line\n");
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-single";
   config.window_n = 4;
   config.k = 1;
   config.seed = 1;
-  auto sampler = CreateSampler("bop-seq-single", config).ValueOrDie();
+  auto sampler = CreateSampler(config).ValueOrDie();
   auto result = StreamDriver().DriveFile(path_, false, *sampler);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find(path_ + ":3"), std::string::npos)
@@ -484,11 +485,12 @@ TEST_F(DriverEquivalenceTest, MalformedErrorNamesLine) {
 
 TEST_F(DriverEquivalenceTest, EmptyFileDeliversNothing) {
   WriteFile("");
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-single";
   config.window_n = 4;
   config.k = 1;
   config.seed = 1;
-  auto sampler = CreateSampler("bop-seq-single", config).ValueOrDie();
+  auto sampler = CreateSampler(config).ValueOrDie();
   auto result = StreamDriver().DriveFile(path_, false, *sampler);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().items, 0u);
@@ -1060,18 +1062,18 @@ TEST_F(MultiRangeTest, ResumeSkipEndingMidRange) {
   ASSERT_GE(text.size(), kMultiRangeBytes);
   WriteFile(text);
 
-  SamplerConfig config;
-  config.window_t = 500;
-  config.k = 4;
-  config.seed = 5;
-  const SinkSpec spec = SamplerSinkSpec("bop-ts-swr", config);
+  SinkSpec spec;
+  spec.name = "bop-ts-swr";
+  spec.window_t = 500;
+  spec.k = 4;
+  spec.seed = 5;
   StreamDriver::Options options;
   options.batch_size = 100;
   const StreamDriver driver(options);
-  auto reference = CreateSampler("bop-ts-swr", config).ValueOrDie();
+  auto reference = CreateSampler(spec).ValueOrDie();
   ASSERT_TRUE(driver.DriveFile(path_, true, *reference).ok());
   {
-    auto sampler = CreateSampler("bop-ts-swr", config).ValueOrDie();
+    auto sampler = CreateSampler(spec).ValueOrDie();
     CheckpointPolicy policy;
     policy.dir = path_ + ".ckpt";
     policy.every_items = 10000;
@@ -1129,11 +1131,11 @@ TEST_F(MultiRangeTest, ResumeSkipEndingMidRange) {
 // file of many ranges the single driver takes them at the same batch
 // boundaries while it joins the ranges its helpers parse.
 TEST(CheckpointCadenceTest, AfterWriteFiresOncePerIntervalInBothDrivers) {
-  SamplerConfig config;
-  config.window_n = 256;
-  config.k = 4;
-  config.seed = 11;
-  const SinkSpec spec = SamplerSinkSpec("bop-seq-swr", config);
+  SinkSpec spec;
+  spec.name = "bop-seq-swr";
+  spec.window_n = 256;
+  spec.k = 4;
+  spec.seed = 11;
   const std::string path = ::testing::TempDir() + "/cadence_stream.txt";
   // Values are right-aligned to `width` characters (0: not padded).
   auto expect_cadence = [&](uint64_t items, uint64_t every, uint64_t shards,
@@ -1194,11 +1196,12 @@ TEST(CheckpointCadenceTest, AfterWriteFiresOncePerIntervalInBothDrivers) {
 }
 
 TEST(DriveBufferTest, ParsesDirectlyFromMemory) {
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-single";
   config.window_n = 4;
   config.k = 1;
   config.seed = 3;
-  auto sampler = CreateSampler("bop-seq-single", config).ValueOrDie();
+  auto sampler = CreateSampler(config).ValueOrDie();
   auto result = StreamDriver().DriveBuffer("10\n20\n\n30\n", "mem",
                                            /*timestamped=*/false, *sampler);
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -85,11 +85,12 @@ std::vector<uint64_t> TsPositionCounts(const char* name, uint64_t k,
                                        uint64_t active_start) {
   std::vector<uint64_t> counts(items.size() - active_start, 0);
   for (int t = 0; t < trials; ++t) {
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = name;
     config.window_t = kT0;
     config.k = k;
     config.seed = seed + static_cast<uint64_t>(t);
-    auto sampler = CreateSampler(name, config).ValueOrDie();
+    auto sampler = CreateSampler(config).ValueOrDie();
     if (batch == 0) {
       for (const Item& item : items) sampler->Observe(item);
     } else {

@@ -152,9 +152,10 @@ TEST(TsForwardCountTest, MemoryStaysLogarithmic) {
   EXPECT_LT(max_words, 1000u);  // O(log n) structures + payload map
 }
 
-EstimatorConfig TsConfig(Timestamp t0, uint64_t r, double count_eps,
-                         uint64_t seed) {
-  EstimatorConfig config;
+SinkSpec TsConfig(std::string name, Timestamp t0, uint64_t r,
+                  double count_eps, uint64_t seed) {
+  SinkSpec config;
+  config.name = std::move(name);
   config.substrate = "bop-ts-single";
   config.window_t = t0;
   config.r = r;
@@ -164,17 +165,17 @@ EstimatorConfig TsConfig(Timestamp t0, uint64_t r, double count_eps,
 }
 
 TEST(TsFkEstimatorTest, CreateValidation) {
-  EXPECT_FALSE(CreateEstimator("ams-fk", TsConfig(0, 8, 0.1, 1)).ok());
-  EstimatorConfig bad_moment = TsConfig(8, 8, 0.1, 1);
+  EXPECT_FALSE(CreateEstimator(TsConfig("ams-fk", 0, 8, 0.1, 1)).ok());
+  SinkSpec bad_moment = TsConfig("ams-fk", 8, 8, 0.1, 1);
   bad_moment.moment = 0;
-  EXPECT_FALSE(CreateEstimator("ams-fk", bad_moment).ok());
-  EXPECT_FALSE(CreateEstimator("ams-fk", TsConfig(8, 0, 0.1, 1)).ok());
-  EXPECT_FALSE(CreateEstimator("ams-fk", TsConfig(8, 8, 0.0, 1)).ok());
-  EXPECT_TRUE(CreateEstimator("ams-fk", TsConfig(8, 8, 0.1, 1)).ok());
+  EXPECT_FALSE(CreateEstimator(bad_moment).ok());
+  EXPECT_FALSE(CreateEstimator(TsConfig("ams-fk", 8, 0, 0.1, 1)).ok());
+  EXPECT_FALSE(CreateEstimator(TsConfig("ams-fk", 8, 8, 0.0, 1)).ok());
+  EXPECT_TRUE(CreateEstimator(TsConfig("ams-fk", 8, 8, 0.1, 1)).ok());
 }
 
 TEST(TsFkEstimatorTest, EmptyWindowEstimatesZero) {
-  auto est = CreateEstimator("ams-fk", TsConfig(5, 8, 0.1, 2)).ValueOrDie();
+  auto est = CreateEstimator(TsConfig("ams-fk", 5, 8, 0.1, 2)).ValueOrDie();
   EXPECT_DOUBLE_EQ(est->Estimate().value, 0.0);
   est->Observe(Item{1, 0, 0});
   est->AdvanceTime(100);
@@ -186,9 +187,9 @@ TEST(TsFkEstimatorTest, F1TracksWindowSizeUnderBurst) {
   // exactly the histogram's n-hat, so the error is the EH eps alone. The
   // bursty stream with AdvanceTime-only steps exercises expiry under the
   // clock, the satellite correctness requirement.
-  EstimatorConfig config = TsConfig(64, 4, 0.05, 3);
+  SinkSpec config = TsConfig("ams-fk", 64, 4, 0.05, 3);
   config.moment = 1;
-  auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+  auto est = CreateEstimator(config).ValueOrDie();
   Rng rng(4);
   uint64_t index = 0;
   std::deque<Timestamp> active;
@@ -208,15 +209,15 @@ TEST(TsFkEstimatorTest, F1TracksWindowSizeUnderBurst) {
 }
 
 TEST(TsEntropyEstimatorTest, CreateValidation) {
-  EXPECT_FALSE(CreateEstimator("ccm-entropy", TsConfig(0, 8, 0.1, 1)).ok());
-  EXPECT_FALSE(CreateEstimator("ccm-entropy", TsConfig(8, 0, 0.1, 1)).ok());
-  EXPECT_FALSE(CreateEstimator("ccm-entropy", TsConfig(8, 8, 0.0, 1)).ok());
-  EXPECT_TRUE(CreateEstimator("ccm-entropy", TsConfig(8, 8, 0.1, 1)).ok());
+  EXPECT_FALSE(CreateEstimator(TsConfig("ccm-entropy", 0, 8, 0.1, 1)).ok());
+  EXPECT_FALSE(CreateEstimator(TsConfig("ccm-entropy", 8, 0, 0.1, 1)).ok());
+  EXPECT_FALSE(CreateEstimator(TsConfig("ccm-entropy", 8, 8, 0.0, 1)).ok());
+  EXPECT_TRUE(CreateEstimator(TsConfig("ccm-entropy", 8, 8, 0.1, 1)).ok());
 }
 
 TEST(TsEntropyEstimatorTest, ConstantStreamNearZero) {
   auto est =
-      CreateEstimator("ccm-entropy", TsConfig(64, 2000, 0.05, 2)).ValueOrDie();
+      CreateEstimator(TsConfig("ccm-entropy", 64, 2000, 0.05, 2)).ValueOrDie();
   uint64_t index = 0;
   for (Timestamp t = 0; t < 200; ++t) {
     est->Observe(Item{7, index++, t});
@@ -228,7 +229,7 @@ TEST(TsEntropyEstimatorTest, ConstantStreamNearZero) {
 TEST(TsEntropyEstimatorTest, CloseToExactOnZipfWindow) {
   const Timestamp t0 = 512;
   auto est =
-      CreateEstimator("ccm-entropy", TsConfig(t0, 2500, 0.05, 3)).ValueOrDie();
+      CreateEstimator(TsConfig("ccm-entropy", t0, 2500, 0.05, 3)).ValueOrDie();
   auto zipf =
       WorkloadGenerator::Create("constant@zipf,rate=1,domain=32,alpha=1", 4)
           .ValueOrDie();
@@ -255,7 +256,7 @@ TEST(TsEntropyEstimatorTest, CloseToExactOnZipfWindow) {
 TEST(TsFkEstimatorTest, F2CloseToExactOnSkewedWindow) {
   const Timestamp t0 = 512;
   auto est =
-      CreateEstimator("ams-fk", TsConfig(t0, 1500, 0.05, 5)).ValueOrDie();
+      CreateEstimator(TsConfig("ams-fk", t0, 1500, 0.05, 5)).ValueOrDie();
   auto zipf =
       WorkloadGenerator::Create("constant@zipf,rate=1,domain=8,alpha=1.4", 6)
           .ValueOrDie();
@@ -285,10 +286,10 @@ TEST(WindowCountTest, TracksActiveCountUnderBurst) {
   // window-count over the DGIM substrate vs the exact-ts oracle on the
   // same bursty stream with AdvanceTime gaps: the oracle is exact, the
   // histogram within eps.
-  EstimatorConfig config = TsConfig(32, 1, 0.05, 7);
-  auto dgim = CreateEstimator("window-count", config).ValueOrDie();
+  SinkSpec config = TsConfig("window-count", 32, 1, 0.05, 7);
+  auto dgim = CreateEstimator(config).ValueOrDie();
   config.substrate = "exact-ts";
-  auto oracle = CreateEstimator("window-count", config).ValueOrDie();
+  auto oracle = CreateEstimator(config).ValueOrDie();
   Rng rng(8);
   std::deque<Timestamp> active;
   uint64_t index = 0;

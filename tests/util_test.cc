@@ -10,7 +10,6 @@
 #include <cstring>
 #include <deque>
 #include <map>
-#include <memory>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -227,14 +226,10 @@ TEST(StatusTest, AllCodesRender) {
 }
 
 TEST(ResultTest, HoldsValue) {
-  // On the heap: with a stack Result, GCC 12 loses track of the variant's
-  // alternative across status()'s static-init guard and warns that the
-  // destructor reads a Status that was never constructed (a false
-  // -Wmaybe-uninitialized).
-  const auto r = std::make_unique<Result<int>>(42);
-  ASSERT_TRUE(r->ok());
-  EXPECT_EQ(r->value(), 42);
-  EXPECT_TRUE(r->status().ok());
+  Result<int> r(42);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value(), 42);
+  EXPECT_TRUE(r.status().ok());
 }
 
 TEST(ResultTest, HoldsError) {
