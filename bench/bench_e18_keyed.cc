@@ -333,13 +333,11 @@ int main() {
     PrintRow(row, config.keys, config.items, r);
     std::printf("  %s: budget %.1f MiB, peak %.1f MiB%s, evict %.1f us "
                 "item-wise / %.1f us batched (%" PRIu64
-                " spill batches), restore %.1f us (%" PRIu64
-                " prefetched)\n",
+                " spill batches), restore %.1f us\n",
                 row.c_str(), config.budget_bytes / 1048576.0,
                 r.stats.peak_charged_bytes / 1048576.0,
                 r.exceeded ? " EXCEEDED" : "", evict_us, evict_batch_us,
-                r.stats.spill_batches, restore_us,
-                r.stats.prefetched_restores);
+                r.stats.spill_batches, restore_us);
     // Budget rows report the mode ratio under a name the gate does NOT
     // score: both timed regions are dominated by spill-file I/O, so the
     // ratio tracks page-cache and writeback state, not the code path.

@@ -5,12 +5,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
-#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "stream/checkpoint.h"
@@ -38,9 +35,8 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Every spill read — the async reader included — goes through the
-// FileOps seam at this site, so restore faults are injectable on both
-// the sync and prefetch paths.
+// Every spill read and write goes through the FileOps seam at these
+// sites, so restore and eviction faults are injectable.
 constexpr char kSpillReadSite[] = "spill.read";
 constexpr char kSpillWriteSite[] = "spill.write";
 
@@ -82,103 +78,6 @@ const char* KeyedHealthName(KeyedEngineHealth health) {
   return "healthy";
 }
 
-/// I/O-only background reader for the async restore lane: Submit hands it
-/// a spill file path, the worker reads the file BYTES into the slot, and
-/// Take blocks until that read completes. The worker never touches engine
-/// state — decode and directory adoption happen on the ingest thread at
-/// the key's delivery point — which is what makes async restore
-/// bit-identical to the synchronous path by construction. All slot state
-/// is mutex-guarded.
-class KeyedSpillReader {
- public:
-  static constexpr int kSlots = 16;
-
-  KeyedSpillReader() : thread_([this] { Run(); }) {}
-
-  ~KeyedSpillReader() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    work_cv_.notify_all();
-    thread_.join();
-  }
-
-  /// Queues a read; -1 when every slot is busy (the caller falls back to
-  /// a synchronous read for that key).
-  int Submit(std::string path) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int i = 0; i < kSlots; ++i) {
-      if (slots_[i].state == State::kFree) {
-        slots_[i].path = std::move(path);
-        slots_[i].blob.clear();
-        slots_[i].status = Status::Ok();
-        slots_[i].state = State::kQueued;
-        work_cv_.notify_one();
-        return i;
-      }
-    }
-    return -1;
-  }
-
-  /// Blocks until slot `slot`'s read completes, then frees the slot.
-  Result<std::string> Take(int slot) {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return slots_[slot].state == State::kDone; });
-    Slot& s = slots_[slot];
-    s.state = State::kFree;
-    if (!s.status.ok()) return s.status;
-    return std::move(s.blob);
-  }
-
- private:
-  enum class State { kFree, kQueued, kReading, kDone };
-  struct Slot {
-    std::string path;
-    std::string blob;
-    Status status = Status::Ok();
-    State state = State::kFree;
-  };
-
-  void Run() {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      int next = -1;
-      for (int i = 0; i < kSlots; ++i) {
-        if (slots_[i].state == State::kQueued) {
-          next = i;
-          break;
-        }
-      }
-      if (next < 0) {
-        if (stop_) return;
-        work_cv_.wait(lock);
-        continue;
-      }
-      Slot& s = slots_[next];  // slots_ is a fixed array; `s` stays valid
-      s.state = State::kReading;
-      const std::string path = s.path;
-      lock.unlock();
-      auto blob = ReadFileBytes(kSpillReadSite, path);
-      lock.lock();
-      if (blob.ok()) {
-        s.blob = std::move(blob).ValueOrDie();
-      } else {
-        s.status = blob.status();
-      }
-      s.state = State::kDone;
-      done_cv_.notify_all();
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  bool stop_ = false;
-  Slot slots_[kSlots];
-  std::thread thread_;
-};
-
 /// One live key: its sink, per-key stream cursor and LRU linkage.
 /// Recycled through the engine's entry pool (the directory FlatMap
 /// stores the pointer, which is trivially copyable as FlatMap values
@@ -199,9 +98,7 @@ struct KeyedWindowEngine::KeyEntry {
 KeyedWindowEngine::KeyedWindowEngine(const KeyedEngineOptions& options)
     : options_(options) {}
 
-KeyedWindowEngine::~KeyedWindowEngine() {
-  reader_.reset();  // join the restore thread before tearing down state
-}
+KeyedWindowEngine::~KeyedWindowEngine() = default;
 
 Result<std::unique_ptr<KeyedWindowEngine>> KeyedWindowEngine::Create(
     const KeyedEngineOptions& options) {
@@ -432,32 +329,45 @@ Result<std::string> KeyedWindowEngine::EncodeSpill(
   return w.Release();
 }
 
-Status KeyedWindowEngine::SpillEntry(KeyEntry* entry) {
+Status KeyedWindowEngine::SpillEntries(std::span<KeyEntry* const> victims) {
   const auto start = Clock::now();
-  auto blob = EncodeSpill(*entry);
-  if (!blob.ok()) return blob.status();
-  const SpillFile file{SpillFileName(entry->key),
-                       std::move(blob).ValueOrDie()};
-  if (Status status =
-          SpillBatch(options_.spill_dir, std::span<const SpillFile>(&file, 1),
-                     options_.fsync_spills, nullptr, EffectiveRetry(),
-                     &stats_.io_retries, kSpillWriteSite);
-      !status.ok()) {
-    if (status.retryable()) {
+  Status status = Status::Ok();
+  std::vector<SpillFile> files;
+  files.reserve(victims.size());
+  for (const KeyEntry* victim : victims) {
+    auto blob = EncodeSpill(*victim);
+    if (!blob.ok()) {
+      status = blob.status();
+      break;
+    }
+    files.push_back(
+        SpillFile{SpillFileName(victim->key), std::move(blob).ValueOrDie()});
+  }
+  // Entries drop only for files that actually hit disk.
+  size_t written = 0;
+  if (Status batch =
+          SpillBatch(options_.spill_dir, files, options_.fsync_spills,
+                     &written, EffectiveRetry(), &stats_.io_retries,
+                     kSpillWriteSite);
+      !batch.ok()) {
+    if (batch.retryable()) {
       ++stats_.io_giveups;
       SetHealth(KeyedEngineHealth::kDegraded);
     }
-    return status;
-  }
-  if (stats_.health == KeyedEngineHealth::kRecovering) {
+    status = batch;
+  } else if (status.ok() &&
+             stats_.health == KeyedEngineHealth::kRecovering) {
     SetHealth(KeyedEngineHealth::kHealthy);
   }
-  spilled_.TryEmplace(entry->key, 1);
+  for (size_t v = 0; v < written; ++v) {
+    spilled_.TryEmplace(victims[v]->key, 1);
+    ++stats_.evictions;
+    DropEntry(victims[v]);
+  }
   stats_.spilled_keys = spilled_.Size();
-  ++stats_.evictions;
+  ++stats_.spill_batches;
   stats_.evict_seconds += SecondsSince(start);
-  DropEntry(entry);
-  return Status::Ok();
+  return status;
 }
 
 void KeyedWindowEngine::DropEntry(KeyEntry* entry) {
@@ -474,42 +384,21 @@ Result<KeyedWindowEngine::KeyEntry*> KeyedWindowEngine::RestoreEntry(
   MaybeReprobe();
   const auto start = Clock::now();
   const std::string path = SpillPath(key);
-  // Prefer bytes the async reader already fetched for this block; the
-  // decode below runs on this thread either way.
-  int prefetched = -1;
-  for (size_t i = 0; i < prefetch_keys_.size(); ++i) {
-    if (prefetch_keys_[i] == key && prefetch_slots_[i] >= 0) {
-      prefetched = static_cast<int>(i);
-      break;
-    }
-  }
-  Result<std::string> blob = prefetched >= 0
-                                 ? reader_->Take(prefetch_slots_[prefetched])
-                                 : ReadFileBytes(kSpillReadSite, path);
-  if (prefetched >= 0) {
-    prefetch_slots_[prefetched] = -1;  // consumed
-    ++stats_.prefetched_restores;
-  }
-  // Transient read faults — from either lane — retry synchronously here;
-  // a retried restore rereads the same bytes, so success is bit-identical
-  // to a fault-free restore.
-  const RetryPolicy retry = EffectiveRetry();
-  const uint32_t attempts = retry.max_attempts < 1 ? 1 : retry.max_attempts;
-  for (uint32_t attempt = 1;
-       !blob.ok() && blob.status().retryable() && attempt < attempts;
-       ++attempt) {
-    ++stats_.io_retries;
-    const double secs = RetryBackoffSeconds(retry, key, attempt);
-    if (secs > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(secs));
-    }
-    blob = ReadFileBytes(kSpillReadSite, path);
-  }
-  if (!blob.ok()) {
-    if (blob.status().retryable()) {
+  // A retried restore rereads the same bytes, so success after transient
+  // read faults is bit-identical to a fault-free restore.
+  std::string blob;
+  const Status read =
+      RetryIo(EffectiveRetry(), key, &stats_.io_retries, [&]() -> Status {
+        auto bytes = ReadFileBytes(kSpillReadSite, path);
+        if (!bytes.ok()) return bytes.status();
+        blob = std::move(bytes).ValueOrDie();
+        return Status::Ok();
+      });
+  if (!read.ok()) {
+    if (read.retryable()) {
       ++stats_.io_giveups;
       SetHealth(KeyedEngineHealth::kDegraded);
-      if (options_.degrade == KeyedDegradeMode::kBlock) return blob.status();
+      if (options_.degrade == KeyedDegradeMode::kBlock) return read;
       // kShed: the parked state is unreachable — the key restarts fresh
       // and the loss is reported. The file stays put; a later eviction
       // of the reborn key overwrites it.
@@ -524,7 +413,7 @@ Result<KeyedWindowEngine::KeyEntry*> KeyedWindowEngine::RestoreEntry(
     ++stats_.restore_misses;
     return static_cast<KeyEntry*>(nullptr);
   }
-  BinaryReader r(blob.value());
+  BinaryReader r(blob);
   uint64_t magic = 0, version = 0, stored_key = 0, tier = 0, local_index = 0,
            arrivals = 0;
   int64_t last_seen = 0;
@@ -536,7 +425,11 @@ Result<KeyedWindowEngine::KeyEntry*> KeyedWindowEngine::RestoreEntry(
       r.GetU64(&tier) && tier == 0 &&                //
       r.GetU64(&local_index) &&                      //
       r.GetU64(&arrivals) && arrivals == local_index &&
-      r.GetI64(&last_seen) && r.GetString(&envelope) && r.AtEnd();
+      // The engine clock starts at 0 and never falls, so no record the
+      // engine wrote has a negative last_seen (the TTL sweep's
+      // `now - last_seen` would overflow on one).
+      r.GetI64(&last_seen) && last_seen >= 0 &&  //
+      r.GetString(&envelope) && r.AtEnd();
   Result<RestoredSink> restored =
       decoded ? RestoreSink(envelope)
               : Result<RestoredSink>(Status::InvalidArgument(
@@ -730,9 +623,6 @@ void KeyedWindowEngine::ObserveBlock(std::span<const Item> block) {
     order[ordered] = link & ~kRunTail;
     ordered += (link & kRunTail) != 0;
   }
-  // --- Queue disk reads for spilled keys before any delivery work, so
-  // the reader thread overlaps the micro-batch deliveries below.
-  PrefetchSpilledRuns();
   // --- Deliver each key's micro-batch in that order, with a staged
   // software prefetch over the run list. Each delivery chases three
   // dependent cache lines (directory slot -> KeyEntry -> sink), and at
@@ -774,29 +664,6 @@ void KeyedWindowEngine::ObserveBlock(std::span<const Item> block) {
         std::min(demux_backoff_window_ * 2 + 1, kDemuxBackoffMax);
   } else {
     demux_backoff_window_ = kDemuxBackoffBlocks;
-  }
-}
-
-void KeyedWindowEngine::PrefetchSpilledRuns() {
-  prefetch_keys_.clear();
-  prefetch_slots_.clear();
-  if (!options_.async_restore || options_.spill_dir.empty()) return;
-  if (spilled_.Size() == 0) return;
-  for (const KeyRun& run : runs_) {
-    if (!spilled_.Contains(run.key)) continue;
-    bool queued = false;  // a key split into generations has two runs
-    for (uint64_t key : prefetch_keys_) {
-      if (key == run.key) {
-        queued = true;
-        break;
-      }
-    }
-    if (queued) continue;
-    if (reader_ == nullptr) reader_ = std::make_unique<KeyedSpillReader>();
-    const int slot = reader_->Submit(SpillPath(run.key));
-    if (slot < 0) break;  // queue full; later keys restore synchronously
-    prefetch_keys_.push_back(run.key);
-    prefetch_slots_.push_back(slot);
   }
 }
 
@@ -866,56 +733,24 @@ void KeyedWindowEngine::EvictUntil(uint64_t limit, const KeyEntry* protect) {
     ShedUntil(limit, protect);
     return;
   }
-  const auto start = Clock::now();
-  // Collect LRU victims until the projected charge fits, then write all
-  // their spill files as ONE batch: one directory fsync instead of one
-  // per victim. Entries drop only for files that actually hit disk.
-  std::vector<SpillFile> files;
+  // Collect LRU victims until the projected charge fits, then spill them
+  // as ONE pass: one directory fsync instead of one per victim.
   std::vector<KeyEntry*> victims;
   uint64_t projected = ChargedBytes();
-  KeyEntry* victim = lru_tail_;
-  while (projected > limit && victim != nullptr) {
-    if (victim == protect) {
-      victim = victim->lru_prev;
-      continue;
-    }
-    auto blob = EncodeSpill(*victim);
-    if (!blob.ok()) {
-      LatchError(blob.status());
-      break;
-    }
-    files.push_back(
-        SpillFile{SpillFileName(victim->key), std::move(blob).ValueOrDie()});
+  for (KeyEntry* victim = lru_tail_; projected > limit && victim != nullptr;
+       victim = victim->lru_prev) {
+    if (victim == protect) continue;
     victims.push_back(victim);
     projected -= victim->charge_bytes;
-    victim = victim->lru_prev;
   }
   if (victims.empty()) return;
-  size_t written = 0;
-  Status status =
-      SpillBatch(options_.spill_dir, files, options_.fsync_spills, &written,
-                 EffectiveRetry(), &stats_.io_retries, kSpillWriteSite);
-  if (!status.ok()) {
-    if (status.retryable()) {
-      ++stats_.io_giveups;
-      SetHealth(KeyedEngineHealth::kDegraded);
-    }
-    if (options_.degrade == KeyedDegradeMode::kBlock || !status.retryable()) {
-      LatchError(status);
-    }
-  } else if (stats_.health == KeyedEngineHealth::kRecovering) {
-    SetHealth(KeyedEngineHealth::kHealthy);
+  const Status status = SpillEntries(victims);
+  if (status.ok()) return;
+  if (options_.degrade == KeyedDegradeMode::kBlock || !status.retryable()) {
+    LatchError(status);
   }
-  for (size_t v = 0; v < written; ++v) {
-    spilled_.TryEmplace(victims[v]->key, 1);
-    ++stats_.evictions;
-    DropEntry(victims[v]);
-  }
-  stats_.spilled_keys = spilled_.Size();
-  ++stats_.spill_batches;
-  stats_.evict_seconds += SecondsSince(start);
-  if (!status.ok() && options_.degrade == KeyedDegradeMode::kShed) {
-    // The write prefix was not enough: shed the rest so the budget holds
+  if (options_.degrade == KeyedDegradeMode::kShed) {
+    // The written prefix was not enough: shed the rest so the budget holds
     // even on the very pass that discovered the outage.
     ShedUntil(limit, protect);
   }
@@ -1028,7 +863,8 @@ Status KeyedWindowEngine::EvictKey(uint64_t key) {
   if (spilled_.Contains(key)) return Status::Ok();  // already parked
   KeyEntry** slot = directory_.Find(key);
   if (slot == nullptr) return Status::InvalidArgument("keyed: unknown key");
-  return SpillEntry(*slot);
+  KeyEntry* const victim = *slot;
+  return SpillEntries(std::span<KeyEntry* const>(&victim, 1));
 }
 
 std::vector<uint64_t> KeyedWindowEngine::LiveKeys() const {

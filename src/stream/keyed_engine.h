@@ -57,10 +57,10 @@
 /// the keys an item-wise sweep would have dropped by then. The memory budget holds
 /// at micro-batch boundaries; item-wise Observe holds it after every item.
 /// Evictions triggered within a block are grouped into one spill pass with
-/// a single directory fsync (SpillBatch), and spilled keys touched by a
-/// block are prefetched by a background reader thread that only reads file
-/// bytes — decode and adoption stay on the ingest thread at the key's
-/// delivery point, keeping restores bit-identical to the synchronous path.
+/// a single directory fsync (SpillBatch). A restore reads and decodes the
+/// key's spill file on the calling thread when the key is next needed: at
+/// its arrival, at its micro-batch's delivery, or at a query. The engine
+/// starts no thread.
 ///
 /// The demux only pays off when micro-batches amortize the per-key
 /// resolve, so ObserveBatch is adaptive: a block whose scan yields
@@ -99,6 +99,7 @@
 #define SWSAMPLE_STREAM_KEYED_ENGINE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -111,8 +112,6 @@
 #include "util/status.h"
 
 namespace swsample {
-
-class KeyedSpillReader;
 
 /// What the engine does when spill storage stays down after retries.
 enum class KeyedDegradeMode : uint8_t {
@@ -168,12 +167,10 @@ struct KeyedEngineOptions {
   bool fsync_spills = true;
   /// Pre-size the key directory for this many live keys (0 = grow).
   uint64_t max_keys_hint = 0;
-  /// Restore spilled keys touched by a batch through a background read
-  /// thread: the reader fetches file BYTES while the ingest thread
-  /// demuxes, and decode + adoption happen on the ingest thread at each
-  /// key's delivery point, so results are bit-identical to synchronous
-  /// restore. Only the batched path prefetches; Observe() and the query
-  /// surface always restore synchronously.
+  /// Inert: no code reads it, and every restore is synchronous. It stays
+  /// declared only because the end-to-end benchmark (perfbench/
+  /// keyed_spill.cc) still sets it; the next change to that benchmark
+  /// deletes the field together with its use there.
   bool async_restore = true;
   /// Bounded-retry schedule for transient spill/restore I/O faults.
   /// Retries rewrite/reread the same bytes, so a run whose every fault
@@ -197,8 +194,12 @@ struct KeyedEngineStats {
   uint64_t peak_retained_bytes = 0;  ///< max of the above over the run
   uint64_t charged_bytes = 0;        ///< current ChargedBytes() total
   uint64_t peak_charged_bytes = 0;   ///< max budget-governed bytes seen
-  uint64_t spill_batches = 0;   ///< batched spill passes (1 dir fsync each)
-  uint64_t prefetched_restores = 0;  ///< restores served by the async reader
+  /// Spill passes, EvictKey's included (1 dir fsync each).
+  uint64_t spill_batches = 0;
+  /// Always 0: restores are synchronous. Declared only because the
+  /// end-to-end benchmark (perfbench/keyed_spill.cc) still reads it; the
+  /// next change to that benchmark deletes it.
+  uint64_t prefetched_restores = 0;
   uint64_t io_retries = 0;      ///< transient-fault retries that ran
   uint64_t io_giveups = 0;      ///< operations that exhausted retries
   uint64_t degraded_drops = 0;  ///< victims shed without a spill (kShed)
@@ -325,10 +326,11 @@ class KeyedWindowEngine final : public StreamSink {
   /// Erases the placeholder directory slot of a key that did not come
   /// back live, latching `error` unless it is Ok. Returns nullptr.
   KeyEntry* AbandonSlot(uint64_t key, const Status& error);
-  /// Reads + decodes `key`'s spill file into the pre-probed slot
-  /// (prefetched bytes when the async reader fetched them already),
-  /// retrying transient read faults under the engine retry policy. The
-  /// caller erases the placeholder slot unless a live entry comes back,
+  /// Reads + decodes `key`'s spill file into the pre-probed slot on the
+  /// calling thread, retrying transient read faults through RetryIo
+  /// under EffectiveRetry(). Metadata the engine cannot have written (a
+  /// negative last_seen, say) makes the record corrupt. The caller
+  /// erases the placeholder slot unless a live entry comes back,
   /// and links a live one into the LRU: ingest delivery at the head, a
   /// query by its stored last_seen (LinkByLastSeen).
   /// Three outcomes: a live entry; a nullptr VALUE — the parked state is
@@ -344,7 +346,12 @@ class KeyedWindowEngine final : public StreamSink {
   uint64_t KeySeed(uint64_t key) const;
 
   Result<std::string> EncodeSpill(const KeyEntry& entry) const;
-  Status SpillEntry(KeyEntry* entry);
+  /// One spill pass: encodes `victims` in order, writes them as ONE
+  /// SpillBatch, parks and drops the written prefix, and applies the
+  /// give-up (-> kDegraded) and recovered (kRecovering -> kHealthy)
+  /// health transitions. Returns the first encode or write error; the
+  /// caller decides whether it latches or sheds.
+  Status SpillEntries(std::span<KeyEntry* const> victims);
   void DropEntry(KeyEntry* entry);
   void RechargeEntry(KeyEntry* entry);
 
@@ -357,7 +364,6 @@ class KeyedWindowEngine final : public StreamSink {
   // Batched ingestion (see ObserveBatch).
   void ObserveBlock(std::span<const Item> block);
   void EnsureDemuxScratch(size_t need);
-  void PrefetchSpilledRuns();
   void ProcessRun(std::span<const Item> block, const KeyRun& run);
 
   void TouchLru(KeyEntry* entry);
@@ -430,12 +436,6 @@ class KeyedWindowEngine final : public StreamSink {
   uint32_t demux_backoff_ = 0;
   uint32_t demux_backoff_window_ = kDemuxBackoffBlocks;
   uint64_t block_creates_ = 0;
-
-  /// Async restore lane: I/O-only reader thread (lazily started) plus
-  /// the per-block key -> reader-slot map (bounded, linear scan).
-  std::unique_ptr<KeyedSpillReader> reader_;
-  std::vector<uint64_t> prefetch_keys_;
-  std::vector<int> prefetch_slots_;
 
   KeyedEngineStats stats_;
   Status last_error_ = Status::Ok();

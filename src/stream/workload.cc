@@ -398,8 +398,14 @@ Status WriteTrace(const std::string& path, std::span<const Item> items) {
   PutFixed64(&buf, items.size());
   Timestamp prev_ts = 0;
   for (const Item& item : items) {
+    Timestamp delta = 0;
+    if (__builtin_sub_overflow(item.timestamp, prev_ts, &delta)) {
+      return Status::InvalidArgument(
+          "WriteTrace: timestamp delta overflows at item " +
+          std::to_string(&item - items.data()));
+    }
     PutVarint(&buf, item.value);
-    PutVarint(&buf, ZigZag(item.timestamp - prev_ts));
+    PutVarint(&buf, ZigZag(delta));
     prev_ts = item.timestamp;
   }
   return AtomicWriteFile("trace.write", path, buf, /*do_fsync=*/true);
@@ -432,7 +438,11 @@ Result<std::vector<Item>> ReadTrace(const std::string& path) {
                                      ": truncated at item " +
                                      std::to_string(i));
     }
-    prev_ts += UnZigZag(delta);
+    if (__builtin_add_overflow(prev_ts, UnZigZag(delta), &prev_ts)) {
+      return Status::InvalidArgument("ReadTrace: " + path +
+                                     ": timestamp overflows at item " +
+                                     std::to_string(i));
+    }
     items.push_back(Item{value, i, prev_ts});
   }
   if (p != end) {

@@ -182,16 +182,19 @@ class WorkloadGenerator {
   std::vector<Item> step_items_;  ///< the burst Step() returns
 };
 
-/// Writes `items` to `path` in the trace format above. Timestamps must fit
-/// the zigzag delta encoding (any int64 does); indices are dropped. The
+/// Writes `items` to `path` in the trace format above. Each timestamp's
+/// delta from the previous one (the first's from 0) must fit an int64,
+/// which every stream of non-negative timestamps satisfies; otherwise
+/// InvalidArgument and nothing is written. Indices are dropped. The
 /// file is replaced atomically through the FileOps seam (failpoint site
 /// `trace.write`), so a failed write leaves a previous trace intact.
 Status WriteTrace(const std::string& path, std::span<const Item> items);
 
 /// Reads a trace written by WriteTrace (failpoint site `trace.read`);
 /// indices are regenerated as consecutive from 0. Fails with a
-/// descriptive Status on a bad magic, truncation, or a count that
-/// disagrees with the payload.
+/// descriptive Status on a bad magic, truncation, a count that disagrees
+/// with the payload, or a delta that overflows the running int64
+/// timestamp.
 Result<std::vector<Item>> ReadTrace(const std::string& path);
 
 }  // namespace swsample

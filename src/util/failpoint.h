@@ -13,8 +13,8 @@
 //      hash of (armed seed, hit index) — no shared RNG state, no locks,
 //      reproducible from the seed regardless of thread interleaving for a
 //      fixed per-site hit order.
-//   3. Thread-safe: sites are hit concurrently from ingest threads and
-//      the keyed engine's async restore reader.
+//   3. Thread-safe: sites are hit concurrently from ingest threads (the
+//      sharded workers' keyed engines) and the checkpoint commit thread.
 //
 // Spec grammar (CLI `--failpoints=`, env `SWSAMPLE_FAILPOINTS`, tests):
 //

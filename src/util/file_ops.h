@@ -2,7 +2,7 @@
 //
 // The FileOps seam: every durable-file primitive used by the persistence
 // and ingestion layers (checkpoint shards, MANIFEST commits, keyed spill
-// files, the async restore lane, mmap ingestion) funnels through these
+// writes and restores, mmap ingestion) funnels through these
 // functions. Each takes a failpoint *site* name, so a deterministic fault
 // — transient error, torn write, fsync lie, failed rename — can be
 // injected at exactly that layer (see util/failpoint.h for the grammar).

@@ -15,7 +15,10 @@
 #       and malformed numbers in --sink, --key-budget and --failpoints
 #       exit 2;
 #   (5) keyed TTL expiry keeps the same keys with per-item (--batch=0)
-#       and batched delivery.
+#       and batched delivery;
+#   (6) --list and --list-estimators exit 0, and a directory given as
+#       --file is a read error (non-zero exit, "read error" on stderr),
+#       never a clean EOF.
 #
 # usage: cli_test.sh <path to stream_sampler_cli>
 
@@ -185,6 +188,15 @@ for batch in "--batch=0" ""; do
     || fail "keyed TTL $batch: run failed"
 done
 expect_same "keyed TTL: --batch=0 vs batched" ttl--batch=0.events ttl.events
+
+# (6) Registry listings, and a read error that must not pass for EOF.
+expect_exit 0 "--list" --list
+expect_exit 0 "--list-estimators" --list-estimators
+mkdir -p not_a_file
+"$CLI" --algo=bop-ts-swr --file=not_a_file 1000 16 > /dev/null 2> dir.err
+status=$?
+[ "$status" -ne 0 ] || fail "--file=<directory>: exit 0, expected non-zero"
+grep -q "read error" dir.err || fail "--file=<directory>: no read error"
 
 if [ "$failures" -ne 0 ]; then
   echo "cli_test: $failures failure(s)" >&2

@@ -9,11 +9,13 @@
 //   (2) Status retryability split and the seeded RetryIo/backoff driver;
 //   (3) AtomicWriteFile fault classes: transient errors leak no temp
 //       file, torn writes silently publish a truncated prefix;
-//   (4) the full site x class fault matrix under a Zipf keyed workload
-//       and the checkpoint writer — no crashes, shed mode holds the
-//       budget after every item;
+//   (4) the full site x class fault matrix under a Zipf keyed workload,
+//       delivered item-wise and through ObserveBatch, and the checkpoint
+//       writer — no crashes, shed mode holds the budget at every
+//       enforcement point;
 //   (5) transient faults that retrying absorbs leave results
-//       bit-identical to a fault-free run with zero give-ups;
+//       bit-identical to a fault-free run with zero give-ups, in both
+//       delivery modes;
 //   (6) torn/corrupt spill files are quarantined (renamed aside) at
 //       restore and at directory adoption, and untouched keys restore
 //       cleanly — quarantine-then-resume equivalence;
@@ -25,6 +27,7 @@
 //       bit-identically; a retried one leaves the drive clean — also on
 //       a file of many ranges, with parse helpers running at the failure.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -280,50 +283,77 @@ std::vector<Item> ZipfItems(uint64_t items, uint64_t domain, uint64_t seed) {
       ->Take(items);
 }
 
+/// The two delivery modes: item-wise Observe (block 0) and ObserveBatch
+/// in blocks of the engine's demux size, where restores happen at each
+/// key's micro-batch delivery point.
+constexpr size_t kDeliveryBlocks[] = {0, 16384};
+
+/// Delivers the Zipf stream item by item (`block` 0) or through
+/// ObserveBatch in `block`-item blocks. With a budget, ChargedBytes() must
+/// hold it after every item item-wise; batched, it must hold at every
+/// block end and at every micro-batch end (peak_charged_bytes).
 void DriveZipf(KeyedWindowEngine& engine, uint64_t items, uint64_t domain,
-               uint64_t seed, uint64_t budget_or_zero) {
-  for (const Item& item : ZipfItems(items, domain, seed)) {
-    engine.Observe(item);
-    if (budget_or_zero != 0) {
-      ASSERT_LE(engine.ChargedBytes(), budget_or_zero)
-          << "item " << item.index;
+               uint64_t seed, uint64_t budget_or_zero, size_t block = 0) {
+  const std::vector<Item> stream = ZipfItems(items, domain, seed);
+  if (block == 0) {
+    for (const Item& item : stream) {
+      engine.Observe(item);
+      if (budget_or_zero != 0) {
+        ASSERT_LE(engine.ChargedBytes(), budget_or_zero)
+            << "item " << item.index;
+      }
     }
+    return;
+  }
+  for (size_t at = 0; at < stream.size(); at += block) {
+    engine.ObserveBatch(std::span<const Item>(stream).subspan(
+        at, std::min(block, stream.size() - at)));
+    if (budget_or_zero != 0) {
+      ASSERT_LE(engine.ChargedBytes(), budget_or_zero) << "block at " << at;
+    }
+  }
+  if (budget_or_zero != 0) {
+    EXPECT_LE(engine.stats().peak_charged_bytes, budget_or_zero);
   }
 }
 
 TEST_F(FaultInjectionTest, FaultMatrixSpillSitesNeverCrashAndShedHoldsBudget) {
-  for (const char* site : {"spill.write", "spill.read"}) {
-    for (const char* klass : kClasses) {
-      const std::string dir =
-          FreshDir(std::string("fi_matrix_") + site + "_" + klass);
-      DisarmFailpoints();
-      ASSERT_TRUE(
-          ArmFailpoints(std::string(site) + "=" + klass + ",every=5", 99)
-              .ok());
-      {
-        KeyedEngineOptions options = ShedOptions(dir);
-        auto engine = KeyedWindowEngine::Create(options).ValueOrDie();
-        // Budget must hold after EVERY item, outage or not.
-        DriveZipf(*engine, 20000, 4000, 7,
-                  options.memory_budget_bytes);
-        // Shed mode never latches: the run finishes with Ok status no
-        // matter what the storage did.
-        EXPECT_TRUE(engine->status().ok())
-            << site << "=" << klass << ": " << engine->status().ToString();
-        // Queries during the outage must not crash either.
-        for (uint64_t key = 0; key < 64; ++key) {
-          auto sample = engine->SampleKey(key);
-          (void)sample;
+  for (const size_t block : kDeliveryBlocks) {
+    for (const char* site : {"spill.write", "spill.read"}) {
+      for (const char* klass : kClasses) {
+        SCOPED_TRACE(::testing::Message()
+                     << site << "=" << klass << " block " << block);
+        const std::string dir =
+            FreshDir(std::string("fi_matrix_") + site + "_" + klass + "_" +
+                     std::to_string(block));
+        DisarmFailpoints();
+        ASSERT_TRUE(
+            ArmFailpoints(std::string(site) + "=" + klass + ",every=5", 99)
+                .ok());
+        {
+          KeyedEngineOptions options = ShedOptions(dir);
+          auto engine = KeyedWindowEngine::Create(options).ValueOrDie();
+          // Budget must hold at every enforcement point, outage or not.
+          DriveZipf(*engine, 20000, 4000, 7, options.memory_budget_bytes,
+                    block);
+          // Shed mode never latches: the run finishes with Ok status no
+          // matter what the storage did.
+          EXPECT_TRUE(engine->status().ok()) << engine->status().ToString();
+          // Queries during the outage must not crash either.
+          for (uint64_t key = 0; key < 64; ++key) {
+            auto sample = engine->SampleKey(key);
+            (void)sample;
+          }
         }
+        // A fresh engine must adopt whatever the faulted run left behind
+        // (quarantining torn files) and keep serving.
+        DisarmFailpoints();
+        auto adopted = KeyedWindowEngine::Create(ShedOptions(dir));
+        ASSERT_TRUE(adopted.ok());
+        auto adopted_engine = std::move(adopted).ValueOrDie();
+        DriveZipf(*adopted_engine, 2000, 4000, 8, 0, block);
+        EXPECT_TRUE(adopted_engine->status().ok());
       }
-      // A fresh engine must adopt whatever the faulted run left behind
-      // (quarantining torn files) and keep serving.
-      DisarmFailpoints();
-      auto adopted = KeyedWindowEngine::Create(ShedOptions(dir));
-      ASSERT_TRUE(adopted.ok()) << site << "=" << klass;
-      auto adopted_engine = std::move(adopted).ValueOrDie();
-      DriveZipf(*adopted_engine, 2000, 4000, 8, 0);
-      EXPECT_TRUE(adopted_engine->status().ok());
     }
   }
 }
@@ -331,13 +361,14 @@ TEST_F(FaultInjectionTest, FaultMatrixSpillSitesNeverCrashAndShedHoldsBudget) {
 TEST_F(FaultInjectionTest, RetriedTransientFaultsAreBitIdenticalToCleanRun) {
   constexpr uint64_t kItems = 40000;
   constexpr uint64_t kDomain = 3000;
-  auto run = [&](const std::string& dir) {
+  auto run = [&](const std::string& dir, size_t block) {
     KeyedEngineOptions options = ShedOptions(dir);
     // 8 attempts make a prob=0.05 give-up a ~4e-11 event per op: the run
     // must absorb every fault by retrying.
     options.io_retry.max_attempts = 8;
     auto engine = KeyedWindowEngine::Create(options).ValueOrDie();
-    DriveZipf(*engine, kItems, kDomain, 21, options.memory_budget_bytes);
+    DriveZipf(*engine, kItems, kDomain, 21, options.memory_budget_bytes,
+              block);
     std::map<uint64_t, std::vector<Item>> samples;
     for (uint64_t key = 0; key < kDomain; key += 17) {
       auto sample = engine->SampleKey(key);
@@ -347,29 +378,40 @@ TEST_F(FaultInjectionTest, RetriedTransientFaultsAreBitIdenticalToCleanRun) {
     return std::make_pair(std::move(samples), engine->stats());
   };
 
-  const auto clean = run(FreshDir("fi_equiv_clean"));
-  ASSERT_TRUE(
-      ArmFailpoints("spill.write=eio,prob=0.05;spill.read=eio,prob=0.05", 5)
-          .ok());
-  const auto faulted = run(FreshDir("fi_equiv_faulted"));
+  // Item-wise and batched delivery are not bit-identical to each other
+  // (the bop batch paths draw their coins differently), so each faulted
+  // run is compared with the clean run of its own delivery mode.
+  for (const size_t block : kDeliveryBlocks) {
+    SCOPED_TRACE(::testing::Message() << "block " << block);
+    const std::string suffix = std::to_string(block);
+    DisarmFailpoints();
+    const auto clean =
+        run(FreshDir(std::string("fi_equiv_clean_") + suffix), block);
+    ASSERT_TRUE(
+        ArmFailpoints("spill.write=eio,prob=0.05;spill.read=eio,prob=0.05", 5)
+            .ok());
+    const auto faulted =
+        run(FreshDir(std::string("fi_equiv_faulted_") + suffix), block);
 
-  EXPECT_GT(faulted.second.io_retries, 0u);  // faults actually fired
-  EXPECT_EQ(faulted.second.io_giveups, 0u);  // and retrying absorbed all
-  EXPECT_EQ(faulted.second.degraded_drops, 0u);
-  EXPECT_EQ(faulted.second.restore_misses, 0u);
-  EXPECT_EQ(faulted.second.health, KeyedEngineHealth::kHealthy);
-  // The engine's evolution — evictions, restores, and every surviving
-  // per-key sample — is bit-identical to the fault-free run.
-  EXPECT_EQ(faulted.second.evictions, clean.second.evictions);
-  EXPECT_EQ(faulted.second.restores, clean.second.restores);
-  EXPECT_EQ(faulted.second.charged_bytes, clean.second.charged_bytes);
-  ASSERT_EQ(faulted.first.size(), clean.first.size());
-  for (const auto& [key, sample] : clean.first) {
-    const auto it = faulted.first.find(key);
-    ASSERT_NE(it, faulted.first.end()) << "key " << key;
-    ASSERT_EQ(it->second.size(), sample.size()) << "key " << key;
-    for (size_t i = 0; i < sample.size(); ++i) {
-      EXPECT_EQ(it->second[i].value, sample[i].value) << "key " << key;
+    EXPECT_GT(faulted.second.io_retries, 0u);  // faults actually fired
+    EXPECT_EQ(faulted.second.io_giveups, 0u);  // and retrying absorbed all
+    EXPECT_EQ(faulted.second.degraded_drops, 0u);
+    EXPECT_EQ(faulted.second.restore_misses, 0u);
+    EXPECT_EQ(faulted.second.health, KeyedEngineHealth::kHealthy);
+    // The engine's evolution — evictions, restores, and every surviving
+    // per-key sample — is bit-identical to the fault-free run.
+    EXPECT_GT(clean.second.restores, 0u);
+    EXPECT_EQ(faulted.second.evictions, clean.second.evictions);
+    EXPECT_EQ(faulted.second.restores, clean.second.restores);
+    EXPECT_EQ(faulted.second.charged_bytes, clean.second.charged_bytes);
+    ASSERT_EQ(faulted.first.size(), clean.first.size());
+    for (const auto& [key, sample] : clean.first) {
+      const auto it = faulted.first.find(key);
+      ASSERT_NE(it, faulted.first.end()) << "key " << key;
+      ASSERT_EQ(it->second.size(), sample.size()) << "key " << key;
+      for (size_t i = 0; i < sample.size(); ++i) {
+        EXPECT_EQ(it->second[i].value, sample[i].value) << "key " << key;
+      }
     }
   }
 }
@@ -452,25 +494,34 @@ TEST_F(FaultInjectionTest, AdoptionFuzzQuarantinesCorruptSpillsOnly) {
     std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
   }
   ASSERT_FALSE(corrupted.empty());
-  // Two well-formed headers with impossible metadata: layout version 1's
-  // tier slot must be 0 and its arrivals slot must equal the local index
-  // (bytes 24 and 40: after magic, version and key, and after tier and
-  // local index).
-  ASSERT_GE(intact.size(), 2u);
-  for (size_t i = 0; i < 2; ++i) {
+  // Three well-formed headers with impossible metadata: layout version
+  // 1's tier slot must be 0 (byte 24, after magic, version and key), its
+  // arrivals slot must equal the local index (byte 40), and last_seen
+  // (byte 48) cannot be negative, since the engine clock starts at 0.
+  ASSERT_GE(intact.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
     const std::string path = intact[i];
     std::string bytes = ReadFileBytes("t.none", path).ValueOrDie();
-    bytes[i == 0 ? 24 : 40] ^= 0x01;
+    if (i < 2) {
+      bytes[i == 0 ? 24 : 40] ^= 0x01;
+    } else {
+      const std::string min_i64("\0\0\0\0\0\0\0\x80", 8);  // INT64_MIN, LE
+      bytes.replace(48, 8, min_i64);
+    }
     std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
     corrupted.push_back(path);
   }
 
   KeyedEngineOptions options = ShedOptions(dir);
+  // A binding TTL makes the sweep compute `now - last_seen` for every
+  // restored key; a negative last_seen there would overflow.
+  options.idle_ttl = 50;
   auto engine = KeyedWindowEngine::Create(options).ValueOrDie();
   uint64_t restored = 0;
   for (uint64_t key = 0; key < kKeys; ++key) {
     if (engine->SampleKey(key).ok()) ++restored;
   }
+  engine->Observe(Item{kKeys, 0, 30});
   EXPECT_TRUE(engine->status().ok()) << engine->status().ToString();
   EXPECT_EQ(engine->stats().quarantined_files, corrupted.size());
   EXPECT_EQ(restored, kKeys - corrupted.size());

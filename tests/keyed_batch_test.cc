@@ -3,9 +3,9 @@
 // Batched-vs-item-wise equivalence for the keyed engine's demux fast
 // path (stream/keyed_engine.h ObserveBatch): the key-run scan, per-key
 // micro-batch delivery, TTL generation splits and end-of-block expiry,
-// batched SpillBatch evictions and the async restore lane must all
-// reproduce the per-item Observe() semantics. The strong form checked
-// here is BYTE IDENTITY of every key's SaveKeyState blob (envelope +
+// batched SpillBatch evictions and restores at each key's delivery
+// point must all reproduce the per-item Observe() semantics. The strong
+// form checked here is BYTE IDENTITY of every key's SaveKeyState blob (envelope +
 // metadata — RNG state, window contents and local index all included).
 // Byte identity between item-wise and batched DELIVERY needs sinks whose own
 // ObserveBatch is bit-identical to their Observe loop (exact-seq,
@@ -15,10 +15,6 @@
 // the only degree of freedom is the spill/restore machinery under test)
 // and the statistical form is a two-sample chi-square over pooled
 // per-key sample window positions under budget-driven churn.
-//
-// The TSan CI lane runs this binary: the budgeted cases below restore
-// through the background reader thread (async_restore default), so the
-// Submit/Take/worker handoff is exercised under the race detector.
 
 #include <unistd.h>
 
@@ -205,10 +201,10 @@ TEST(KeyedBatchTest, BlockEndSweepDropsKeysBehindAFresherFirstArrival) {
 }
 
 TEST(KeyedBatchTest, BudgetedBatchedMatchesUnbudgetedStateExactly) {
-  // A binding budget forces mid-batch SpillBatch evictions and async
-  // restores; since evict/restore round-trips are bit-exact, every
-  // key's state must equal the unbudgeted engine's. This is the batched
-  // spill pass + async-restore determinism test.
+  // A binding budget forces mid-batch SpillBatch evictions and restores;
+  // since evict/restore round-trips are bit-exact, every key's state must
+  // equal the unbudgeted engine's. This is the batched spill pass +
+  // restore determinism test.
   auto generator =
       WorkloadGenerator::Create(
           "bmodel@zipf,bias=0.72,levels=6,volume=2048,domain=600,alpha=1.05",
@@ -233,47 +229,11 @@ TEST(KeyedBatchTest, BudgetedBatchedMatchesUnbudgetedStateExactly) {
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.restores, 0u);
   EXPECT_GT(stats.spill_batches, 0u);
-  EXPECT_GT(stats.prefetched_restores, 0u)
-      << "async reader never engaged; prefetch path untested";
   // The batched invariant: the budget holds at every enforcement
   // boundary (micro-batch and block ends).
   EXPECT_LE(stats.peak_charged_bytes, budgeted.memory_budget_bytes);
   ExpectSameKeyStates(reference.get(), engine.get(), KeysOf(stream));
   fs::remove_all(budgeted.spill_dir);
-}
-
-TEST(KeyedBatchTest, AsyncRestoreOffIsBitIdenticalToOn) {
-  auto generator =
-      WorkloadGenerator::Create(
-          "poisson@zipf,lambda=8,domain=400,alpha=1.1", 0x77aa)
-          .ValueOrDie();
-  const std::vector<Item> stream = generator->Take(40000);
-
-  KeyedEngineOptions options;
-  options.spec = ParseSinkSpec("bop-ts-single,t=256,seed=21").ValueOrDie();
-  options.memory_budget_bytes = 128 * 1024;
-  options.fsync_spills = false;
-
-  const std::string async_dir = FreshDir("keyed_batch_async");
-  const std::string sync_dir = FreshDir("keyed_batch_sync");
-
-  options.async_restore = true;
-  options.spill_dir = async_dir;
-  auto async_engine = MakeEngine(options);
-  DriveBatched(async_engine.get(), stream, 8192);
-
-  options.async_restore = false;
-  options.spill_dir = sync_dir;
-  auto sync_engine = MakeEngine(options);
-  DriveBatched(sync_engine.get(), stream, 8192);
-
-  EXPECT_GT(async_engine->stats().restores, 0u);
-  EXPECT_EQ(async_engine->stats().restores, sync_engine->stats().restores);
-  EXPECT_EQ(async_engine->stats().evictions, sync_engine->stats().evictions);
-  EXPECT_EQ(sync_engine->stats().prefetched_restores, 0u);
-  ExpectSameKeyStates(async_engine.get(), sync_engine.get(), KeysOf(stream));
-  fs::remove_all(async_dir);
-  fs::remove_all(sync_dir);
 }
 
 TEST(KeyedBatchTest, SampleDistributionsMatchUnderEvictRestoreChurn) {

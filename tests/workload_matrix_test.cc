@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -40,12 +41,21 @@
 #include "stream/driver.h"
 #include "stream/sharded_driver.h"
 #include "stream/workload.h"
+#include "util/file_ops.h"
+#include "util/rng.h"
 #include "util/serial.h"
 
 namespace swsample {
 namespace {
 
 bool Stress() { return std::getenv("SWSAMPLE_STRESS") != nullptr; }
+
+/// A scratch file path suffixed with the pid: the smoke and stress ctest
+/// entries run this binary concurrently, and a shared name would let one
+/// rewrite the other's trace mid-test.
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name + "." + std::to_string(::getpid());
+}
 int UniformTrials() { return Stress() ? 20000 : 4000; }
 
 constexpr Timestamp kT0 = 24;    // ts window for every matrix sampler
@@ -450,7 +460,7 @@ TEST(WorkloadMatrixTest, CheckpointResumeMidBurstIsBitIdentical) {
 
 TEST(WorkloadMatrixTest, TraceRoundTripsAndReplaysBitIdentically) {
   const auto items = MakeStream(kWorkloads[2], /*seed=*/1100);  // bmodel
-  const std::string path = ::testing::TempDir() + "/workload.trace";
+  const std::string path = TempPath("workload.trace");
   ASSERT_TRUE(WriteTrace(path, items).ok());
   auto back = ReadTrace(path).ValueOrDie();
   ASSERT_EQ(back.size(), items.size());
@@ -497,10 +507,18 @@ TEST(WorkloadMatrixTest, TraceRoundTripsAndReplaysBitIdentically) {
               SaveSink(*shards_b[s].sink, spec).ValueOrDie())
         << "shard " << s;
   }
+  std::remove(path.c_str());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
 }
 
 TEST(WorkloadMatrixTest, ReadTraceRejectsCorruption) {
-  const std::string path = ::testing::TempDir() + "/corrupt.trace";
+  const std::string path = TempPath("corrupt.trace");
   auto items = WorkloadGenerator::Create("constant", 1).ValueOrDie()->Take(50);
   ASSERT_TRUE(WriteTrace(path, items).ok());
   // Bad magic.
@@ -522,6 +540,82 @@ TEST(WorkloadMatrixTest, ReadTraceRejectsCorruption) {
     ASSERT_TRUE(::truncate(path.c_str(), size - 3) == 0);
     EXPECT_FALSE(ReadTrace(path).ok());
   }
+  // A running timestamp that overflows int64: deltas INT64_MAX, then +5.
+  {
+    std::string bytes("SWSTRC1\n\x02\0\0\0\0\0\0\0", 16);  // count 2
+    bytes += '\x01';  // value 1
+    // zigzag(INT64_MAX) = 2^64 - 2 as a varint: 0xfe, eight 0xff, 0x01.
+    bytes += '\xfe';
+    bytes.append(8, '\xff');
+    bytes += '\x01';
+    bytes += "\x02\x0a";  // value 2, zigzag(5) = 10
+    WriteBytes(path, bytes);
+    auto read = ReadTrace(path);
+    ASSERT_FALSE(read.ok());
+    EXPECT_NE(read.status().message().find("overflows at item 1"),
+              std::string::npos)
+        << read.status().ToString();
+  }
+  // WriteTrace refuses a delta that overflows int64 instead of wrapping it.
+  const Item extremes[] = {Item{1, 0, -5},
+                           Item{2, 1, std::numeric_limits<Timestamp>::max()}};
+  EXPECT_FALSE(WriteTrace(path, extremes).ok());
+  std::remove(path.c_str());
+}
+
+// Seeded mutation fuzz of the trace reader: a valid trace, truncated,
+// byte-flipped, or with its count rewritten. Every mutant must come back
+// as a Status (no crash, no sanitizer report), and an accepted one holds
+// exactly the items its count field names.
+TEST(WorkloadMatrixTest, ReadTraceMutationFuzzAlwaysReturnsStatus) {
+  const std::string path = TempPath("fuzz.trace");
+  auto items = WorkloadGenerator::Create("poisson@zipf,lambda=3", 17)
+                   .ValueOrDie()
+                   ->Take(300);
+  ASSERT_TRUE(WriteTrace(path, items).ok());
+  const std::string trace = ReadFileBytes("t.none", path).ValueOrDie();
+  Rng rng(0x7ace);
+  uint64_t accepted = 0;
+  uint64_t rejected = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string bad = trace;
+    switch (rng.UniformIndex(3)) {
+      case 0:
+        bad.resize(rng.UniformIndex(bad.size() + 1));
+        break;
+      case 1:
+        for (uint64_t flips = 1 + rng.UniformIndex(4); flips > 0; --flips) {
+          bad[rng.UniformIndex(bad.size())] ^=
+              static_cast<char>(1 + rng.UniformIndex(255));
+        }
+        break;
+      default: {  // the count: nudged, or any word
+        const uint64_t count =
+            rng.Bernoulli(0.5) ? items.size() + rng.UniformIndex(7) - 3
+                               : rng.NextU64();
+        for (int b = 0; b < 8; ++b) {
+          bad[8 + b] = static_cast<char>(count >> (8 * b));
+        }
+        break;
+      }
+    }
+    WriteBytes(path, bad);
+    auto read = ReadTrace(path);
+    if (!read.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    ASSERT_GE(bad.size(), 16u);
+    uint64_t count = 0;
+    for (int b = 7; b >= 0; --b) {
+      count = (count << 8) | static_cast<uint8_t>(bad[8 + b]);
+    }
+    EXPECT_EQ(read.value().size(), count) << "trial " << trial;
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+  std::remove(path.c_str());
 }
 
 // --- the out-of-order contract ---------------------------------------------
